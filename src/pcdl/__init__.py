@@ -14,19 +14,19 @@ from .algebras import (PcdLattice, abstract_star, embedding_p_morphism_witness,
                        is_p_morphism, make_pcdl, onto_star_hom_exists,
                        p_morphism_failure, p_morphisms, pcdl_from_abstract,
                        pseudocomplement, star_embeddings, star_hom_pairs,
-                       star_homs, variety_index)
+                       star_homs, upset_star_table, variety_index)
 from .amalgamation import (AmalgamationVerdict, ExtensionResult,
                            SeparationResult, amalgamate_or_separate,
                            extension_property_bounded, forbidden_images,
                            is_amalgamation_base_finite, lift_through)
 from .catalog import catalog
-from .congruences import (DualCongruence, ExtensileResult, PullbackError,
-                          Quotient, RestrictedCongruence, congruence_relates,
+from .congruences import (DualCongruence, PullbackError, Quotient,
+                          RestrictedCongruence, congruence_relates,
                           dual_congruence, enumerate_congruences,
                           is_congruence_extensile_bounded,
                           is_congruence_mask, is_essential_extension,
                           is_subdirectly_irreducible, pullback_congruence,
-                          quotient, restrict_congruence, upset_star_table,
+                          quotient, restrict_congruence,
                           validate_star_embedding)
 from .duality import (AbstractLattice, LatticeHom, UpSetLattice,
                       dual_lattice, dual_of_lattice_hom, dual_of_order_map,
@@ -53,15 +53,15 @@ __all__ = [
     "PcdLattice", "make_pcdl", "pcdl_from_abstract", "abstract_star",
     "pseudocomplement", "fan_algebra", "is_p_morphism",
     "p_morphism_failure", "p_morphisms", "star_homs", "star_hom_pairs",
-    "star_embeddings", "hom_of_dual_map", "variety_index", "in_variety",
+    "star_embeddings", "hom_of_dual_map", "upset_star_table",
+    "variety_index", "in_variety",
     "onto_star_hom_exists", "embedding_p_morphism_witness",
     "DualCongruence", "dual_congruence", "is_congruence_mask",
     "enumerate_congruences", "congruence_relates", "Quotient", "quotient",
     "RestrictedCongruence", "restrict_congruence",
     "validate_star_embedding", "is_essential_extension", "PullbackError",
-    "pullback_congruence", "ExtensileResult",
+    "pullback_congruence",
     "is_congruence_extensile_bounded", "is_subdirectly_irreducible",
-    "upset_star_table",
     "forbidden_images", "AmalgamationVerdict",
     "is_amalgamation_base_finite", "lift_through", "ExtensionResult",
     "extension_property_bounded", "SeparationResult",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .duality import LatticeHom, UpSetLattice, dual_space, unit_iso
+from .duality import LatticeHom, UpSetLattice, unit_iso
 from .posets import OrderMap, Poset, bits, fan
 
 AXIOM_SCAN_LIMIT = 1024
@@ -59,9 +59,6 @@ class PcdLattice:
     def star(self, i: int) -> int:
         return self.star_table[i]
 
-    def star_mask(self, mask: int) -> int:
-        return self.base.full_mask & ~self.base.down_closure(mask)
-
     def index_of_mask(self, mask: int) -> int:
         return self.lattice.index_of_mask(mask)
 
@@ -76,12 +73,22 @@ class PcdLattice:
                                                            self.base.n)
 
 
+def _star_mask(poset: Poset, mask: int) -> int:
+    return poset.full_mask & ~poset.down_closure(mask)
+
+
 def pseudocomplement(poset: Poset, mask: int) -> int:
     """The largest up-set disjoint from mask."""
     if not poset.is_up_set(mask):
         raise ValueError("%s is not an up-set"
                          % (poset.labels_of(mask),))
-    return poset.full_mask & ~poset.down_closure(mask)
+    return _star_mask(poset, mask)
+
+
+def upset_star_table(lat: UpSetLattice) -> tuple:
+    """Pseudocomplement table of an up-set lattice, from its base poset."""
+    return tuple(lat.index_of_mask(_star_mask(lat.base, u))
+                 for u in lat.carrier)
 
 
 def make_pcdl(poset: Poset) -> PcdLattice:
@@ -92,13 +99,11 @@ def make_pcdl(poset: Poset) -> PcdLattice:
     carrier elements.
     """
     lattice = UpSetLattice(poset)
-    full = poset.full_mask
-    star_masks = [full & ~poset.down_closure(u) for u in lattice.carrier]
-    star_table = tuple(lattice.index_of_mask(m) for m in star_masks)
+    star_table = upset_star_table(lattice)
     if lattice.size <= AXIOM_SCAN_LIMIT:
         carrier = lattice.carrier
         for j, v in enumerate(carrier):
-            sj = star_masks[j]
+            sj = carrier[star_table[j]]
             for u in carrier:
                 if (u & ~sj == 0) != (u & v == 0):
                     raise AssertionError(
@@ -241,6 +246,25 @@ def p_morphisms(source: Poset, target: Poset, onto: bool = False) -> list:
 
 # -- star homomorphisms ------------------------------------------------------
 
+def star_hom_failure(hom: LatticeHom, src_star, tgt_star,
+                     one_to_one: bool = False, onto: bool = False):
+    """None if hom is a {0,1}-hom carrying src_star to tgt_star, else why.
+
+    one_to_one and onto additionally demand those properties. The reason
+    reads after the hom's name, as in "embedding is not one-to-one".
+    """
+    if not hom.is_homomorphism():
+        return "is not a homomorphism"
+    if one_to_one and not hom.is_one_to_one():
+        return "is not one-to-one"
+    if onto and not hom.is_onto():
+        return "is not onto"
+    tab = hom.table
+    if any(tab[s] != tgt_star[tab[i]] for i, s in enumerate(src_star)):
+        return "does not preserve star"
+    return None
+
+
 def hom_of_dual_map(g: OrderMap, A: PcdLattice, B: PcdLattice) -> LatticeHom:
     """Transport a p-morphism g: P(B) -> P(A) to the hom A -> B it encodes.
 
@@ -250,11 +274,9 @@ def hom_of_dual_map(g: OrderMap, A: PcdLattice, B: PcdLattice) -> LatticeHom:
         raise ValueError("map does not run between the dual posets")
     table = tuple(B.index_of_mask(g.preimage_mask(u)) for u in A.carrier)
     hom = LatticeHom(A.lattice, B.lattice, table)
-    if not hom.is_homomorphism():
-        raise AssertionError("dual transport produced a non-homomorphism")
-    for i in range(A.size):
-        if hom.table[A.star(i)] != B.star(hom.table[i]):
-            raise AssertionError("dual transport does not preserve star")
+    failure = star_hom_failure(hom, A.star_table, B.star_table)
+    if failure is not None:
+        raise AssertionError("dual transport %s" % failure)
     return hom
 
 

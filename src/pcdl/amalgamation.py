@@ -10,13 +10,12 @@ separation routine settles concrete two-sided embedding instances.
 from __future__ import annotations
 
 import concurrent.futures
-import os
 from typing import NamedTuple, Optional
 
 from .algebras import (PcdLattice, _iter_p_morphisms,
                        embedding_p_morphism_witness, fan_algebra, in_variety,
                        is_p_morphism, onto_star_hom_exists, p_morphisms,
-                       star_homs, variety_index)
+                       star_hom_failure, star_homs, variety_index)
 from .enumeration import poset_classes_upto
 from .posets import OrderMap, Poset, fan
 
@@ -88,6 +87,11 @@ def lift_through(gamma: OrderMap, alpha: OrderMap) -> Optional[OrderMap]:
 
 
 class ExtensionResult(NamedTuple):
+    """Outcome of a bounded search over extensions.
+
+    The extension oracle answers holds, fails_with_witness or inconclusive;
+    the congruence-extension search answers yes or inconclusive.
+    """
     verdict: str
     witness: object
     instances: int
@@ -192,23 +196,19 @@ def amalgamate_or_separate(A: PcdLattice, B0: PcdLattice, B1: PcdLattice,
             raise ValueError("%s does not start at A" % name)
         if emb.target is not tgt.lattice and emb.target != tgt.lattice:
             raise ValueError("%s does not land in its extension" % name)
-        if not emb.is_homomorphism() or not emb.is_one_to_one():
-            raise ValueError("%s is not an embedding" % name)
-        src_alg, tgt_alg = (A, B0) if name == "e0" else (A, B1)
-        for i in range(src_alg.size):
-            if emb.table[src_alg.star(i)] != tgt_alg.star(emb.table[i]):
-                raise ValueError("%s does not preserve star" % name)
+        failure = star_hom_failure(emb, A.star_table, tgt.star_table,
+                                   one_to_one=True)
+        if failure is not None:
+            raise ValueError("%s %s" % (name, failure))
     D = fan_algebra(n)
-    H0 = star_homs(B0, D)
-    H1 = star_homs(B1, D)
-    keys0 = {}
-    for f in H0:
-        key = tuple(f.table[e0.table[a]] for a in range(A.size))
-        keys0.setdefault(key, []).append(f)
-    keys1 = {}
-    for f in H1:
-        key = tuple(f.table[e1.table[a]] for a in range(A.size))
-        keys1.setdefault(key, []).append(f)
+
+    def by_restriction(B, e):
+        keys = {}
+        for f in star_homs(B, D):
+            keys.setdefault(tuple(f.table[t] for t in e.table), []).append(f)
+        return keys
+
+    keys0, keys1 = by_restriction(B0, e0), by_restriction(B1, e1)
     checked = 0
     for side, homs, other_keys, alg in (("left", keys0, keys1, B0),
                                         ("right", keys1, keys0, B1)):

@@ -15,15 +15,14 @@ import json
 import os
 import sys
 
-from .algebras import (PcdLattice, is_p_morphism, make_pcdl,
-                       p_morphism_failure, pcdl_from_abstract, star_homs,
-                       variety_index)
-from .amalgamation import (extension_property_bounded, forbidden_images,
+from .algebras import (make_pcdl, p_morphism_failure, pcdl_from_abstract,
+                       star_homs, variety_index)
+from .amalgamation import (extension_property_bounded,
                            is_amalgamation_base_finite, lift_through)
 from .catalog import catalog
 from .congruences import (dual_congruence, enumerate_congruences,
                           is_congruence_extensile_bounded, quotient)
-from .duality import AbstractLattice, dual_space
+from .duality import AbstractLattice, unit_iso
 from .posets import OrderMap, Poset, bits, classify_map
 from .qmodel import (build_quotient_model, check_lift_cases,
                      divergence_report, verify_collapse, verify_separation)
@@ -48,32 +47,30 @@ def _load_json(path: str):
                             % (path, e.lineno, e.colno, e.msg))
 
 
-def _load_poset(path: str) -> Poset:
+def _load_poset_or_lattice(path: str):
     obj = _load_json(path)
-    if not isinstance(obj, dict) or "covers" not in obj:
-        raise CliInputError("%s: expected a poset object with elements "
-                            "and covers" % path)
-    return Poset.from_dict(obj)
+    if not isinstance(obj, dict):
+        raise CliInputError("%s: expected a JSON object" % path)
+    if "covers" in obj:
+        return Poset.from_dict(obj)
+    if "joins" in obj and "meets" in obj:
+        return AbstractLattice.from_dict(obj)
+    raise CliInputError("%s: expected a poset (covers) or a lattice "
+                        "(joins and meets)" % path)
 
 
 def _load_algebra(path: str):
     """Returns (algebra, labels, to_rep) for a poset or lattice file.
 
     to_rep translates positions of the input lattice to positions of the
-    up-set representation; it is None when the input was already a poset.
+    up-set representation; it is the identity when the input is a poset.
     """
-    obj = _load_json(path)
-    if not isinstance(obj, dict):
-        raise CliInputError("%s: expected a JSON object" % path)
-    if "covers" in obj:
-        alg = make_pcdl(Poset.from_dict(obj))
-        return alg, list(alg.labels), None
-    if "joins" in obj and "meets" in obj:
-        lat = AbstractLattice.from_dict(obj)
-        alg, unit = pcdl_from_abstract(lat)
-        return alg, list(lat.labels), list(unit.table)
-    raise CliInputError("%s: expected a poset (covers) or a lattice "
-                        "(joins and meets)" % path)
+    obj = _load_poset_or_lattice(path)
+    if isinstance(obj, Poset):
+        alg = make_pcdl(obj)
+        return alg, list(alg.labels), range(alg.size)
+    alg, unit = pcdl_from_abstract(obj)
+    return alg, list(obj.labels), unit.table
 
 
 def _load_map(path: str) -> OrderMap:
@@ -95,21 +92,9 @@ def _lattice_order_poset(lat) -> Poset:
 
 
 def _hom_label_maps(homs, labels_s, to_rep_s, labels_t, to_rep_t):
-    out = []
-    for h in homs:
-        if to_rep_s is None and to_rep_t is None:
-            out.append({h.source.labels[i]: h.target.labels[h.table[i]]
-                        for i in range(h.source.size)})
-            continue
-        rep_s = to_rep_s or list(range(h.source.size))
-        inv_t = {}
-        if to_rep_t is None:
-            inv_t = {i: i for i in range(h.target.size)}
-        else:
-            inv_t = {rep: i for i, rep in enumerate(to_rep_t)}
-        out.append({labels_s[i]: labels_t[inv_t[h.table[rep_s[i]]]]
-                    for i in range(len(labels_s))})
-    return out
+    from_rep_t = {rep: i for i, rep in enumerate(to_rep_t)}
+    return [{labels_s[i]: labels_t[from_rep_t[h.table[rep]]]
+             for i, rep in enumerate(to_rep_s)} for h in homs]
 
 
 def _render_text(value, indent: int = 0) -> str:
@@ -155,27 +140,18 @@ def _emit(args, payload, dot_text=None) -> None:
 
 
 def _cmd_dual(args) -> int:
-    obj = _load_json(args.infile)
-    if not isinstance(obj, dict):
-        raise CliInputError("%s: expected a JSON object" % args.infile)
-    if "covers" in obj:
-        poset = Poset.from_dict(obj)
-        lat = make_pcdl(poset).lattice.to_abstract()
-        if args.dot:
-            _emit(args, {}, _lattice_order_poset(lat).to_dot("dual"))
-            return 0
-        _emit(args, dict(lat.to_dict()))
-        return 0
-    if "joins" in obj and "meets" in obj:
-        lat = AbstractLattice.from_dict(obj)
-        poset = dual_space(lat)
-        if args.dot:
-            _emit(args, {}, poset.to_dot("dual"))
-            return 0
-        _emit(args, dict(poset.to_dict()))
-        return 0
-    raise CliInputError("%s: expected a poset (covers) or a lattice "
-                        "(joins and meets)" % args.infile)
+    obj = _load_poset_or_lattice(args.infile)
+    if isinstance(obj, Poset):
+        out = make_pcdl(obj).lattice.to_abstract()
+    else:
+        # the unit isomorphism certifies that the input is distributive
+        out = unit_iso(obj).target.base
+    if args.dot:
+        drawn = _lattice_order_poset(out) if isinstance(obj, Poset) else out
+        _emit(args, {}, drawn.to_dot("dual"))
+    else:
+        _emit(args, out.to_dict())
+    return 0
 
 
 def _cmd_check_pspace_map(args) -> int:
@@ -245,17 +221,8 @@ def _cmd_extensile(args) -> int:
         "bound": res.bound,
         "witness": None,
     }
-    if res.witness is not None:
-        Y, gamma, theta = res.witness
-        payload["witness"] = {
-            "poset": Y.to_dict(),
-            "gamma": gamma.map_labels(),
-            "erased": list(theta.labels()),
-        }
     _emit(args, payload)
-    if res.verdict == "yes":
-        return 0
-    return 2 if res.verdict == "inconclusive" else 1
+    return 0 if res.verdict == "yes" else 2
 
 
 def _cmd_amalgam(args) -> int:
@@ -374,18 +341,6 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
-def _add_common(sp) -> None:
-    sp.add_argument("--format", choices=["json", "text"], default="json",
-                    help="report format (default json)")
-    sp.add_argument("--out", help="write the report to a file")
-    sp.add_argument("--jobs", type=int,
-                    default=int(os.environ.get("PCDL_JOBS", "1")),
-                    help="worker processes for bounded searches")
-    sp.add_argument("--seed", type=int, default=None,
-                    help="seed echoed into the report; all searches are "
-                         "deterministic")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pcdl",
@@ -393,78 +348,69 @@ def _build_parser() -> argparse.ArgumentParser:
                     "via their dual posets")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sp = subs.add_parser("dual", help="dualize a poset or a lattice")
-    sp.add_argument("--in", dest="infile", required=True)
+    def sub(name, func, help, infile=True):
+        sp = subs.add_parser(name, help=help)
+        sp.set_defaults(func=func)
+        if infile:
+            sp.add_argument("--in", dest="infile", required=True)
+        sp.add_argument("--format", choices=["json", "text"], default="json",
+                        help="report format (default json)")
+        sp.add_argument("--out", help="write the report to a file")
+        sp.add_argument("--jobs", type=int, default=None,
+                        help="worker processes for bounded searches "
+                             "(default PCDL_JOBS, else 1)")
+        sp.add_argument("--seed", type=int, default=None,
+                        help="seed echoed into the report; all searches "
+                             "are deterministic")
+        return sp
+
+    sp = sub("dual", _cmd_dual, "dualize a poset or a lattice")
     sp.add_argument("--dot", action="store_true",
                     help="emit a DOT diagram instead of JSON")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_dual)
 
-    sp = subs.add_parser("check-pspace-map",
-                         help="classify a map between posets")
-    sp.add_argument("--in", dest="infile", required=True)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_check_pspace_map)
+    sub("check-pspace-map", _cmd_check_pspace_map,
+        "classify a map between posets")
 
-    sp = subs.add_parser("star-homs",
-                         help="maps between algebras preserving star")
+    sp = sub("star-homs", _cmd_star_homs,
+             "maps between algebras preserving star", infile=False)
     sp.add_argument("--from", dest="src", required=True)
     sp.add_argument("--to", dest="dst", required=True)
     sp.add_argument("--onto", action="store_true",
                     help="keep only the onto maps")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_star_homs)
 
-    sp = subs.add_parser("variety-index",
-                         help="least n with the algebra in the index-n "
-                              "variety")
-    sp.add_argument("--in", dest="infile", required=True)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_variety_index)
+    sub("variety-index", _cmd_variety_index,
+        "least n with the algebra in the index-n variety")
 
-    sp = subs.add_parser("congruences", help="enumerate congruences")
-    sp.add_argument("--in", dest="infile", required=True)
+    sp = sub("congruences", _cmd_congruences, "enumerate congruences")
     sp.add_argument("--bound", type=int, default=12)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_congruences)
 
-    sp = subs.add_parser("quotient", help="quotient by a congruence")
-    sp.add_argument("--in", dest="infile", required=True)
+    sp = sub("quotient", _cmd_quotient, "quotient by a congruence")
     sp.add_argument("--by", required=True,
                     help="comma-separated dual points the congruence "
                          "erases")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_quotient)
 
-    sp = subs.add_parser("extensile",
-                         help="look for a congruence that fails to extend")
-    sp.add_argument("--in", dest="infile", required=True)
+    sp = sub("extensile", _cmd_extensile,
+             "look for a congruence that fails to extend")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--bound", type=int, required=True)
     sp.add_argument("--max-instances", type=int, default=None)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_extensile)
 
-    sp = subs.add_parser("amalgam",
-                         help="decide the amalgamation base property")
-    sp.add_argument("--in", dest="infile", required=True)
+    sp = sub("amalgam", _cmd_amalgam,
+             "decide the amalgamation base property")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--oracle", action="store_true",
                     help="also run the bounded extension search")
     sp.add_argument("--bound", type=int, default=None)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_amalgam)
 
-    sp = subs.add_parser("lift", help="lift a map through an onto map")
+    sp = sub("lift", _cmd_lift, "lift a map through an onto map",
+             infile=False)
     sp.add_argument("--gamma", required=True,
                     help="JSON file with the onto map")
     sp.add_argument("--alpha", required=True,
                     help="JSON file with the map to lift")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_lift)
 
-    sp = subs.add_parser("q-model",
-                         help="build and verify a fan-row model")
+    sp = sub("q-model", _cmd_q_model, "build and verify a fan-row model",
+             infile=False)
     sp.add_argument("--N", type=int, required=True,
                     help="number of full components")
     sp.add_argument("--m", type=int, required=True,
@@ -476,23 +422,34 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--bound", type=int, default=6)
     sp.add_argument("--dot", action="store_true",
                     help="emit DOT of both posets and the collapse arrows")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_q_model)
 
-    sp = subs.add_parser("catalog",
-                         help="survey all duals of a given size")
+    sp = sub("catalog", _cmd_catalog, "survey all duals of a given size",
+             infile=False)
     sp.add_argument("--max-points", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--oracle", action="store_true")
     sp.add_argument("--bound", type=int, default=None)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_catalog)
     return parser
+
+
+def _check_numbers(args) -> None:
+    if args.jobs is None:
+        env = os.environ.get("PCDL_JOBS", "1")
+        try:
+            args.jobs = int(env)
+        except ValueError:
+            raise CliInputError("PCDL_JOBS is not an integer: %r" % env)
+    for name, least in (("jobs", 1), ("bound", 0), ("max_instances", 0)):
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            raise CliInputError("--%s must be at least %d, got %d"
+                                % (name.replace("_", "-"), least, value))
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_numbers(args)
         return args.func(args)
     except CliInputError as e:
         print("error: %s" % e, file=sys.stderr)

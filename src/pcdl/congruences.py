@@ -11,18 +11,11 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .algebras import (AXIOM_SCAN_LIMIT, PcdLattice, in_variety,
-                       is_p_morphism, make_pcdl, p_morphism_failure)
+from .algebras import (AXIOM_SCAN_LIMIT, PcdLattice, in_variety, make_pcdl,
+                       p_morphism_failure, star_hom_failure, upset_star_table)
+from .amalgamation import ExtensionResult, _extension_classes
 from .duality import LatticeHom, UpSetLattice
-from .enumeration import poset_classes_upto
 from .posets import OrderMap, Poset, bits
-
-
-def upset_star_table(lat: UpSetLattice) -> tuple:
-    """Pseudocomplement table of an up-set lattice, from its base poset."""
-    full = lat.base.full_mask
-    return tuple(lat.index_of_mask(full & ~lat.base.down_closure(u))
-                 for u in lat.carrier)
 
 
 class DualCongruence(NamedTuple):
@@ -96,13 +89,10 @@ def quotient(A: PcdLattice, theta: DualCongruence) -> Quotient:
         table.append(Q.index_of_mask(m))
     proj = LatticeHom(A.lattice, Q.lattice, tuple(table))
     if A.size <= AXIOM_SCAN_LIMIT:
-        if not proj.is_homomorphism():
-            raise AssertionError("quotient projection is not a homomorphism")
-        for i in range(A.size):
-            if proj.table[A.star(i)] != Q.star(proj.table[i]):
-                raise AssertionError("quotient projection drops star")
-        if not proj.is_onto():
-            raise AssertionError("quotient projection is not onto")
+        failure = star_hom_failure(proj, A.star_table, Q.star_table,
+                                   onto=True)
+        if failure is not None:
+            raise AssertionError("quotient projection %s" % failure)
         for i in range(A.size):
             for j in range(i + 1, A.size):
                 same = proj.table[i] == proj.table[j]
@@ -117,15 +107,10 @@ def validate_star_embedding(emb: LatticeHom):
     if not isinstance(emb.source, UpSetLattice) or \
             not isinstance(emb.target, UpSetLattice):
         raise ValueError("embedding must run between up-set lattices")
-    if not emb.is_homomorphism():
-        raise ValueError("embedding is not a homomorphism")
-    if not emb.is_one_to_one():
-        raise ValueError("embedding is not one-to-one")
-    src_star = upset_star_table(emb.source)
-    tgt_star = upset_star_table(emb.target)
-    for i in range(emb.source.size):
-        if emb.table[src_star[i]] != tgt_star[emb.table[i]]:
-            raise ValueError("embedding does not preserve star")
+    failure = star_hom_failure(emb, upset_star_table(emb.source),
+                               upset_star_table(emb.target), one_to_one=True)
+    if failure is not None:
+        raise ValueError("embedding %s" % failure)
 
 
 class RestrictedCongruence(NamedTuple):
@@ -208,13 +193,6 @@ def pullback_congruence(h: OrderMap, theta: DualCongruence,
     return psi
 
 
-class ExtensileResult(NamedTuple):
-    verdict: str
-    witness: object
-    instances: int
-    bound: int
-
-
 def _restriction_matches(gamma_pres, keep_big, A_carrier, keep_small) -> bool:
     n = len(A_carrier)
     for i in range(n):
@@ -227,69 +205,53 @@ def _restriction_matches(gamma_pres, keep_big, A_carrier, keep_small) -> bool:
 
 
 def is_congruence_extensile_bounded(B: PcdLattice, n: int, bound: int,
-                                    max_instances=None) -> ExtensileResult:
-    """Search for a congruence of B that fails to extend somewhere.
+                                    max_instances=None) -> ExtensionResult:
+    """Check that every congruence of B extends to every bounded extension.
 
     Extensions are all algebras with a dual of at most bound points inside
     the variety of index n that contain B, i.e. duals admitting an onto
-    p-morphism to P(B). yes means the whole search space within the bound
-    was exhausted; inconclusive is returned only when max_instances cut
-    the run short.
+    p-morphism to P(B). The verdict is yes when the whole search space
+    within the bound was exhausted, or inconclusive when max_instances cut
+    the run short. Taking preimages along an onto gamma is injective, so
+    the pullback of a congruence always restricts to it (the congruence
+    extension property of these varieties, Gratzer and Lakser 1971); a
+    pullback that does not is a broken invariant and raises.
     """
     if not in_variety(B, n):
         raise ValueError("algebra is outside the variety of index %d" % n)
-    from .algebras import _iter_p_morphisms, variety_index
+    from .algebras import _iter_p_morphisms
     P = B.base
     thetas = enumerate_congruences(P)
-    p_max = max((P.max_above(x).bit_count() for x in range(P.n)), default=0)
     instances = 0
-    for Y in poset_classes_upto(bound):
-        if Y.n < P.n:
-            continue
-        if Y.maximals_mask.bit_count() < P.maximals_mask.bit_count():
-            continue
-        sizes = [Y.max_above(y).bit_count() for y in range(Y.n)]
-        if sizes and (max(sizes) > n or max(sizes) < p_max):
-            continue
+    for Y in _extension_classes(P, n, bound):
         for gamma in _iter_p_morphisms(Y, P, onto=True):
             pres = [gamma.preimage_mask(u) for u in B.carrier]
             for theta in thetas:
                 instances += 1
                 if max_instances is not None and instances > max_instances:
-                    return ExtensileResult("inconclusive", None,
+                    return ExtensionResult("inconclusive", None,
                                            instances - 1, bound)
                 psi = pullback_congruence(gamma, theta, transfer_pairs=16)
-                keep_big = Y.full_mask & ~psi.mask
-                keep_small = P.full_mask & ~theta.mask
-                if _restriction_matches(pres, keep_big, B.carrier,
-                                        keep_small):
-                    continue
-                # the pullback should always restrict correctly; if it ever
-                # did not, fall back to trying every congruence of Y
-                found = False
-                for psi2 in enumerate_congruences(Y):
-                    if _restriction_matches(pres, Y.full_mask & ~psi2.mask,
-                                            B.carrier, keep_small):
-                        found = True
-                        break
-                if not found:
-                    return ExtensileResult("no_with_witness",
-                                           (Y, gamma, theta), instances,
-                                           bound)
-    return ExtensileResult("yes", None, instances, bound)
+                if not _restriction_matches(pres, Y.full_mask & ~psi.mask,
+                                            B.carrier,
+                                            P.full_mask & ~theta.mask):
+                    raise AssertionError(
+                        "pullback of %s does not restrict to it"
+                        % (theta.labels(),))
+    return ExtensionResult("yes", None, instances, bound)
 
 
 def is_subdirectly_irreducible(A: PcdLattice, bound: int = 12) -> bool:
-    """Whether the nonempty dual congruences have a least member."""
+    """Whether the nonempty dual congruences have a least member.
+
+    By Lakser's theorem the subdirectly irreducible algebras are the
+    2^n-plus-unit ones, whose duals are the fans (fan(0) is one point):
+    the posets with exactly one point that is non-maximal or isolated.
+    """
     base = A.base
     if base.n > bound:
         raise ValueError("dual has %d points, over the bound %d"
                          % (base.n, bound))
-    masks = [m for m in range(1, 1 << base.n)
-             if is_congruence_mask(base, m)]
-    if not masks:
-        return False
-    inter = base.full_mask
-    for m in masks:
-        inter &= m
-    return inter != 0
+    max_mask = base.maximals_mask
+    return (base.n - max_mask.bit_count()
+            + (max_mask & base.minimals_mask).bit_count()) == 1

@@ -109,10 +109,6 @@ class AbstractLattice:
         if validate:
             self._validate()
 
-    @classmethod
-    def from_tables(cls, labels, joins, meets) -> "AbstractLattice":
-        return cls(labels, joins, meets)
-
     def _validate(self):
         n = len(self.labels)
         jn, mt = self.joins, self.meets

@@ -55,6 +55,7 @@ class Poset:
         n = len(labels)
         above = [0] * n
         for lo, hi in covers:
+            lo, hi = str(lo), str(hi)
             if lo not in index:
                 raise ValueError("unknown element %r in covers" % (lo,))
             if hi not in index:

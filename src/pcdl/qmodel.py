@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .algebras import (_iter_p_morphisms, in_variety, is_p_morphism,
-                       make_pcdl, p_morphism_failure, p_morphisms)
+from .algebras import (_iter_p_morphisms, is_p_morphism, make_pcdl,
+                       p_morphism_failure, p_morphisms)
 from .amalgamation import _extension_classes, forbidden_images
 from .posets import OrderMap, Poset, bits, fan
 

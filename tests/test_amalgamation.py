@@ -1,10 +1,13 @@
 import pytest
 
-from pcdl import (OrderMap, amalgamate_or_separate, catalog,
+import pcdl
+from pcdl import (ExtensionResult, LatticeHom, OrderMap,
+                  amalgamate_or_separate, antichain, catalog,
                   extension_property_bounded, fan, fan_algebra,
                   forbidden_images, is_amalgamation_base_finite,
-                  is_p_morphism, lift_through, make_pcdl, star_hom_pairs,
-                  star_embeddings, star_homs, chain)
+                  is_congruence_extensile_bounded, is_p_morphism,
+                  lift_through, make_pcdl, star_hom_pairs, star_embeddings,
+                  star_homs, chain)
 
 
 def test_forbidden_images_frozen():
@@ -174,3 +177,31 @@ def test_catalog_oracle_column_agrees():
             assert r["oracle"] == "holds"
         else:
             assert r["oracle"] == "fails_with_witness"
+
+
+def test_amalgamate_or_separate_rejects_non_injective_embedding():
+    square, two = make_pcdl(antichain(2)), fan_algebra(0)
+    projection = star_homs(square, two)[0]
+    assert not projection.is_one_to_one()
+    with pytest.raises(ValueError, match="e0 is not one-to-one"):
+        amalgamate_or_separate(square, two, two, projection, projection, 3)
+
+
+def test_amalgamate_or_separate_rejects_star_breaking_embedding():
+    # a lattice embedding of the 3-chain into the square that breaks star
+    square, three = make_pcdl(antichain(2)), make_pcdl(fan(1))
+    x0 = square.index_of_mask(square.base.mask_of(["x0"]))
+    emb = LatticeHom(three.lattice, square.lattice,
+                     (square.bottom, x0, square.top))
+    assert emb.is_homomorphism() and emb.is_one_to_one()
+    with pytest.raises(ValueError, match="e0 does not preserve star"):
+        amalgamate_or_separate(three, square, square, emb, emb, 3)
+
+
+def test_bounded_searches_share_one_result_type():
+    oracle = extension_property_bounded(fan_algebra(2), 3, 4)
+    extensile = is_congruence_extensile_bounded(fan_algebra(2), 3, 4)
+    assert type(oracle) is ExtensionResult
+    assert type(extensile) is ExtensionResult
+    assert extensile.verdict == "yes" and extensile.witness is None
+    assert not hasattr(pcdl, "ExtensileResult")

@@ -254,3 +254,36 @@ def test_out_file_and_seed(tmp_path, fan2):
 
     r = run("variety-index", "--in", fan2, "--seed", "7")
     assert json.loads(r.stdout)["seed"] == 7
+
+
+def test_dual_rejects_large_non_distributive_lattice(tmp_path):
+    from pcdl import AbstractLattice, antichain, dual_lattice, product_lattice
+    # M3: bottom 0, three pairwise complementary atoms, top 4
+    joins = [[max(i, j) if min(i, j) == 0 or i == j else 4
+              for j in range(5)] for i in range(5)]
+    meets = [[min(i, j) if max(i, j) == 4 or i == j else 0
+              for j in range(5)] for i in range(5)]
+    m3 = AbstractLattice(["0", "a", "b", "c", "1"], joins, meets,
+                         validate=False)
+    lat = product_lattice(m3, dual_lattice(antichain(5)).to_abstract())
+    assert lat.size == 160
+    path = write(tmp_path, "m3x32.json", lat.to_dict())
+    r = run("dual", "--in", path)
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert r.stderr.startswith("error:") and "distributive" in r.stderr
+
+
+@pytest.mark.parametrize("args, env, flag", [
+    (("variety-index",), {"PCDL_JOBS": "abc"}, "PCDL_JOBS"),
+    (("variety-index", "--jobs", "0"), None, "--jobs"),
+    (("amalgam", "--n", "3", "--oracle", "--bound", "-2"), None, "--bound"),
+    (("extensile", "--n", "3", "--bound", "5", "--max-instances", "-1"),
+     None, "--max-instances"),
+], ids=["jobs-env", "jobs", "bound", "max-instances"])
+def test_bad_numbers_exit_3_with_one_line(fan2, args, env, flag):
+    r = run(args[0], "--in", fan2, *args[1:], env=env)
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert r.stderr.startswith("error:") and flag in r.stderr
+    assert r.stderr.count("\n") == 1

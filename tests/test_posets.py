@@ -39,6 +39,12 @@ def test_from_covers_accepts_transitive_generators():
     assert sorted(p.to_dict()["covers"]) == [["a", "b"], ["b", "c"]]
 
 
+def test_from_covers_stringifies_cover_endpoints_like_labels():
+    p = Poset.from_dict({"elements": [1, 2], "covers": [[1, 2]]})
+    assert p.labels == ("1", "2")
+    assert p.leq(0, 1) and not p.leq(1, 0)
+
+
 def test_from_covers_rejects_cycles():
     with pytest.raises(ValueError, match="cycle"):
         Poset.from_covers(["a", "b"], [("a", "b"), ("b", "a")])
