@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .duality import LatticeHom, UpSetLattice, unit_iso
+from .duality import LatticeHom, UpSetLattice
 from .posets import OrderMap, Poset, bits, fan
 
 AXIOM_SCAN_LIMIT = 1024
@@ -118,43 +118,15 @@ def fan_algebra(n: int) -> PcdLattice:
     return make_pcdl(fan(n))
 
 
-def abstract_star(lat) -> tuple:
-    """Pseudocomplement table of a bounded lattice, by exhaustive scan.
-
-    Raises if some element has no largest disjoint companion, i.e. the
-    lattice is not pseudocomplemented.
-    """
-    n = lat.size
-    bottom = lat.bottom
-    out = []
-    for y in range(n):
-        s = bottom
-        for x in range(n):
-            if lat.meet(x, y) == bottom:
-                s = lat.join(s, x)
-        for x in range(n):
-            if (lat.meet(x, y) == bottom) != lat.leq(x, s):
-                raise ValueError("element %r has no pseudocomplement"
-                                 % (lat.labels[y],))
-        out.append(s)
-    return tuple(out)
-
-
 def pcdl_from_abstract(lat):
     """Rebuild an abstract PCDL over its dual poset.
 
     Returns (algebra, unit) where unit is the canonical isomorphism from
-    lat onto the algebra's carrier. The scanned star of lat must be carried
-    onto the dual-side star, which certifies that lat really was a PCDL.
+    lat onto the algebra's carrier, certified when lat was built. A finite
+    distributive lattice is pseudocomplemented, and an isomorphism carries
+    its star onto the algebra's star.
     """
-    star_abs = abstract_star(lat)
-    unit = unit_iso(lat)
-    algebra = make_pcdl(unit.target.base)
-    for a in range(lat.size):
-        if unit.table[star_abs[a]] != algebra.star(unit.table[a]):
-            raise ValueError("star of %r is not carried by the canonical "
-                             "isomorphism" % (lat.labels[a],))
-    return algebra, unit
+    return make_pcdl(lat.unit.target.base), lat.unit
 
 
 # -- p-morphisms -------------------------------------------------------------

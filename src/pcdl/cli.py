@@ -5,7 +5,7 @@ files holding posets, lattices, or maps (auto-detected by shape), and
 reports are emitted as JSON with a format tag, as plain text, or as DOT
 where a diagram makes sense. Exit codes: 0 for success or a positive
 verdict, 1 for a negative verdict, 2 for an inconclusive search, 3 for
-bad input.
+bad input, 4 for a broken internal invariant.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .amalgamation import (extension_property_bounded,
 from .catalog import catalog
 from .congruences import (dual_congruence, enumerate_congruences,
                           is_congruence_extensile_bounded, quotient)
-from .duality import AbstractLattice, unit_iso
+from .duality import AbstractLattice, dual_lattice
 from .posets import OrderMap, Poset, bits, classify_map
 from .qmodel import (build_quotient_model, check_lift_cases,
                      divergence_report, verify_collapse, verify_separation)
@@ -142,10 +142,10 @@ def _emit(args, payload, dot_text=None) -> None:
 def _cmd_dual(args) -> int:
     obj = _load_poset_or_lattice(args.infile)
     if isinstance(obj, Poset):
-        out = make_pcdl(obj).lattice.to_abstract()
+        out = dual_lattice(obj)
     else:
-        # the unit isomorphism certifies that the input is distributive
-        out = unit_iso(obj).target.base
+        # certified distributive by its unit isomorphism when it was loaded
+        out = obj.unit.target.base
     if args.dot:
         drawn = _lattice_order_poset(out) if isinstance(obj, Poset) else out
         _emit(args, {}, drawn.to_dot("dual"))
@@ -204,7 +204,7 @@ def _cmd_quotient(args) -> int:
     theta = dual_congruence(A.base, erased)
     q = quotient(A, theta)
     payload = {
-        "algebra": q.algebra.lattice.to_abstract().to_dict(),
+        "algebra": q.algebra.lattice.to_dict(),
         "projection": q.projection.map_labels(),
     }
     _emit(args, payload)
@@ -451,12 +451,12 @@ def main(argv=None) -> int:
     try:
         _check_numbers(args)
         return args.func(args)
-    except CliInputError as e:
+    except (CliInputError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 3
-    except (ValueError, AssertionError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 3
+    except AssertionError as e:
+        print("internal error: %s" % e, file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -205,6 +205,37 @@ def cube_plus_one_tables(n):
     return labels, joins, meets
 
 
+def cube_tables(n):
+    """The Boolean lattice 2^n of subsets, as raw operation tables."""
+    rng = range(1 << n)
+    return (["s%d" % i for i in rng], [[i | j for j in rng] for i in rng],
+            [[i & j for j in rng] for i in rng])
+
+
+def m3_tables():
+    """The diamond M3: bottom 0, three pairwise complementary atoms, top 4.
+
+    It is modular but not distributive.
+    """
+    rng = range(5)
+    joins = [[max(i, j) if min(i, j) == 0 or i == j else 4 for j in rng]
+             for i in rng]
+    meets = [[min(i, j) if max(i, j) == 4 or i == j else 0 for j in rng]
+             for i in rng]
+    return ["0", "a", "b", "c", "1"], joins, meets
+
+
+def product_tables(a, b):
+    """Direct product of two (labels, joins, meets) triples."""
+    (la, ja, ma), (lb, jb, mb) = a, b
+    nb = len(lb)
+    pairs = [(i, j) for i in range(len(la)) for j in range(nb)]
+    labels = ["(%s,%s)" % (la[i], lb[j]) for i, j in pairs]
+    joins = [[ja[i][k] * nb + jb[j][l] for k, l in pairs] for i, j in pairs]
+    meets = [[ma[i][k] * nb + mb[j][l] for k, l in pairs] for i, j in pairs]
+    return labels, joins, meets
+
+
 def star_table_brute(size, join, meet):
     """Pseudocomplement of every element, or None where it breaks down.
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from pcdl import (AbstractLattice, OrderMap, abstract_star, antichain, chain,
+from pcdl import (AbstractLattice, OrderMap, antichain, chain,
                   disjoint_sum, dual_lattice, embedding_p_morphism_witness,
                   fan, fan_algebra, hom_of_dual_map, in_variety,
                   is_p_morphism, make_pcdl, onto_star_hom_exists,
@@ -49,43 +49,13 @@ def test_star_table_matches_brute_oracle():
         assert list(A.star_table) == brute
 
 
-def test_abstract_star_on_raw_tables():
-    labels, joins, meets = cube_plus_one_tables(3)
-    brute = star_table_brute(len(labels), joins, meets)
-    lat = AbstractLattice(labels, joins, meets)
-    assert list(abstract_star(lat)) == brute
-
-
-def test_abstract_star_rejects_non_pseudocomplemented():
-    # the diamond has no pseudocomplement for its atoms
-    from test_duality import test_non_distributive_lattice_is_rejected  # noqa
-    n = 5
-    joins = [[0] * n for _ in range(n)]
-    meets = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                joins[i][j] = meets[i][j] = i
-            elif i == 0 or j == 0:
-                joins[i][j] = max(i, j)
-                meets[i][j] = 0
-            elif i == 4 or j == 4:
-                joins[i][j] = 4
-                meets[i][j] = min(i, j)
-            else:
-                joins[i][j] = 4
-                meets[i][j] = 0
-    lat = AbstractLattice(list("obcda"), joins, meets, validate=False)
-    with pytest.raises(ValueError, match="pseudocomplement"):
-        abstract_star(lat)
-
-
 def test_pcdl_from_abstract_transport():
-    lat = AbstractLattice(*cube_plus_one_tables(3))
+    labels, joins, meets = cube_plus_one_tables(3)
+    lat = AbstractLattice(labels, joins, meets)
     A, unit = pcdl_from_abstract(lat)
     assert A.size == lat.size
     assert A.base.isomorphic(fan(3))
-    star_abs = abstract_star(lat)
+    star_abs = star_table_brute(lat.size, joins, meets)
     for a in range(lat.size):
         assert unit.table[star_abs[a]] == A.star(unit.table[a])
 

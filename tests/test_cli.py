@@ -5,6 +5,10 @@ import sys
 
 import pytest
 
+from pcdl import cli
+
+from _oracles import cube_tables, m3_tables, product_tables
+
 FAN2 = {"format": "pcdl/1", "elements": ["g", "t1", "t2"],
         "covers": [["g", "t1"], ["g", "t2"]]}
 FAN3 = {"format": "pcdl/1", "elements": ["g", "t1", "t2", "t3"],
@@ -256,22 +260,37 @@ def test_out_file_and_seed(tmp_path, fan2):
     assert json.loads(r.stdout)["seed"] == 7
 
 
+def _lattice_doc(labels, joins, meets):
+    return {"elements": labels, "joins": joins, "meets": meets}
+
+
 def test_dual_rejects_large_non_distributive_lattice(tmp_path):
-    from pcdl import AbstractLattice, antichain, dual_lattice, product_lattice
-    # M3: bottom 0, three pairwise complementary atoms, top 4
-    joins = [[max(i, j) if min(i, j) == 0 or i == j else 4
-              for j in range(5)] for i in range(5)]
-    meets = [[min(i, j) if max(i, j) == 4 or i == j else 0
-              for j in range(5)] for i in range(5)]
-    m3 = AbstractLattice(["0", "a", "b", "c", "1"], joins, meets,
-                         validate=False)
-    lat = product_lattice(m3, dual_lattice(antichain(5)).to_abstract())
-    assert lat.size == 160
-    path = write(tmp_path, "m3x32.json", lat.to_dict())
+    labels, joins, meets = product_tables(m3_tables(), cube_tables(5))
+    assert len(labels) == 160
+    path = write(tmp_path, "m3x32.json", _lattice_doc(labels, joins, meets))
     r = run("dual", "--in", path)
     assert r.returncode == 3
     assert r.stdout == ""
     assert r.stderr.startswith("error:") and "distributive" in r.stderr
+
+
+def test_congruences_rejects_non_distributive_lattice(tmp_path):
+    path = write(tmp_path, "m3.json", _lattice_doc(*m3_tables()))
+    r = run("congruences", "--in", path)
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert r.stderr.startswith("error:") and "distributive" in r.stderr
+    assert r.stderr.count("\n") == 1
+
+
+def test_broken_invariant_exits_4_with_one_line(fan2, monkeypatch, capsys):
+    def broken(_):
+        raise AssertionError("index out of step")
+    monkeypatch.setattr(cli, "variety_index", broken)
+    assert cli.main(["variety-index", "--in", fan2]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: index out of step\n"
 
 
 @pytest.mark.parametrize("args, env, flag", [

@@ -95,8 +95,7 @@ def test_restrict_and_essential_frozen_values():
     for emb in star_embeddings(B2, B3):
         assert is_essential_extension(emb)
 
-    prod = product_lattice(B3.lattice.to_abstract(),
-                           two.lattice.to_abstract())
+    prod = product_lattice(B3.lattice, two.lattice)
     PA, _ = pcdl_from_abstract(prod)
     for emb in star_embeddings(B3, PA):
         assert not is_essential_extension(emb)

@@ -8,7 +8,8 @@ from pcdl import (AbstractLattice, LatticeHom, OrderMap, antichain, chain,
                   dual_of_order_map, dual_space, fan, poset_classes_upto,
                   product_lattice, unit_iso)
 
-from _oracles import cube_plus_one_tables, random_poset
+from _oracles import (cube_plus_one_tables, cube_tables, m3_tables,
+                      product_tables, random_poset)
 
 
 def test_dual_lattice_sizes():
@@ -36,11 +37,17 @@ def test_up_set_lattice_operations():
 def test_abstract_lattice_validation():
     labels, joins, meets = cube_plus_one_tables(2)
     lat = AbstractLattice(labels, joins, meets)
-    assert lat.laws_checked
+    assert lat.unit.is_one_to_one() and lat.unit.is_onto()
     assert lat.size == 5
     bad = [row[:] for row in joins]
     bad[0][1] = 0
     with pytest.raises(ValueError, match="commut|absor|assoc|idempot"):
+        AbstractLattice(labels, bad, meets)
+    # the unit map reads only pairs i <= j, so a break in the other half
+    # passes it and the commutativity check must reject it
+    bad = [row[:] for row in joins]
+    bad[4][0] = 3
+    with pytest.raises(ValueError, match="commut"):
         AbstractLattice(labels, bad, meets)
     with pytest.raises(ValueError, match="at least one"):
         AbstractLattice([], [], [])
@@ -66,14 +73,16 @@ def test_non_distributive_lattice_is_rejected():
                 meets[i][j] = 0
     with pytest.raises(ValueError, match="distribut"):
         AbstractLattice(list("obcda"), joins, meets)
-    lat = AbstractLattice(list("obcda"), joins, meets, validate=False)
-    with pytest.raises(ValueError, match="distributive"):
-        unit_iso(lat)
+    # M3 x 2^5 has 160 elements; the certificate has no size cap
+    labels, joins, meets = product_tables(m3_tables(), cube_tables(5))
+    assert len(labels) == 160
+    with pytest.raises(ValueError, match="distribut"):
+        AbstractLattice(labels, joins, meets)
 
 
 def test_dual_space_of_cube_plus_one_is_fan():
     for n in range(6):
-        lat = AbstractLattice(*cube_plus_one_tables(n), validate=n <= 4)
+        lat = AbstractLattice(*cube_plus_one_tables(n))
         assert dual_space(lat).isomorphic(fan(n))
 
 

@@ -1,9 +1,10 @@
 """Repository hygiene checks that need only the standard library.
 
 Unused imports in the package are found by walking each module's syntax
-tree. The per-layer tracer of the benchmark wraps pcdl entry points by
-name; installing and uninstalling it here keeps a renamed or deleted
-entry point from silently breaking traced benchmark runs.
+tree, and every name in pcdl.__all__ must resolve, once. The per-layer
+tracer of the benchmark wraps pcdl entry points by name; installing and
+uninstalling it here keeps a renamed or deleted entry point from
+silently breaking traced benchmark runs.
 """
 
 import ast
@@ -50,6 +51,12 @@ def test_unused_import_finder():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_all_exports_resolve_once():
+    names = pcdl.__all__
+    assert sorted(n for n in set(names) if names.count(n) > 1) == []
+    assert [n for n in names if not hasattr(pcdl, n)] == []
 
 
 def _load_tracer():
