@@ -347,24 +347,39 @@ def unit_iso(lat) -> LatticeHom:
 
     Sends a to the set of join-irreducibles below a. Raising here is a
     certificate that the input was not a bounded distributive lattice.
+    The map is certified on the masks before any up-set is enumerated:
+    n distinct up-sets holding every principal up-set, kept by joins,
+    meets and bounds, are all of Up(P), so the target has n elements.
     """
     poset, jis = _dual_space_data(lat)
-    target = UpSetLattice(poset)
-    table = []
-    for a in range(lat.size):
+    n = lat.size
+    masks = []
+    for a in range(n):
         mask = 0
         for pos, j in enumerate(jis):
             if lat.leq(j, a):
                 mask |= 1 << pos
-        table.append(target.index_of_mask(mask))
-    hom = LatticeHom(lat, target, table)
-    if not hom.is_homomorphism():
-        raise ValueError("unit map is not a homomorphism; "
+        masks.append(mask)
+    if len(set(masks)) != n:
+        raise ValueError("unit map is not one-to-one; "
                          "input is not distributive")
-    if not (hom.is_one_to_one() and hom.is_onto()):
-        raise ValueError("unit map is not bijective; "
+    # each j lies in its own mask, so a mask that is an up-set holds the
+    # principal up-set of every join-irreducible in it
+    if not all(poset.is_up_set(m) for m in masks):
+        raise ValueError("unit map leaves the up-sets; "
                          "input is not distributive")
-    return hom
+    if masks[lat.bottom] != 0 or masks[lat.top] != poset.full_mask:
+        raise ValueError("unit map misses the bounds; "
+                         "input is not distributive")
+    for i in range(n):
+        mi = masks[i]
+        for j in range(i, n):
+            if (masks[lat.join(i, j)] != mi | masks[j]
+                    or masks[lat.meet(i, j)] != mi & masks[j]):
+                raise ValueError("unit map is not a homomorphism; "
+                                 "input is not distributive")
+    target = UpSetLattice(poset)
+    return LatticeHom(lat, target, [target.index_of_mask(m) for m in masks])
 
 
 def product_lattice(a, b) -> AbstractLattice:

@@ -212,17 +212,19 @@ def cube_tables(n):
             [[i & j for j in rng] for i in rng])
 
 
-def m3_tables():
-    """The diamond M3: bottom 0, three pairwise complementary atoms, top 4.
+def diamond_tables(k=3):
+    """The diamond M_k: bottom 0, k pairwise complementary atoms, top k+1.
 
-    It is modular but not distributive.
+    For k >= 3 it is not distributive; its k atoms are an antichain, so
+    its join-irreducibles have 2^k up-sets.
     """
-    rng = range(5)
-    joins = [[max(i, j) if min(i, j) == 0 or i == j else 4 for j in rng]
+    top = k + 1
+    rng = range(k + 2)
+    joins = [[max(i, j) if min(i, j) == 0 or i == j else top for j in rng]
              for i in rng]
-    meets = [[min(i, j) if max(i, j) == 4 or i == j else 0 for j in rng]
+    meets = [[min(i, j) if max(i, j) == top or i == j else 0 for j in rng]
              for i in rng]
-    return ["0", "a", "b", "c", "1"], joins, meets
+    return ["0"] + ["a%d" % i for i in range(1, top)] + ["1"], joins, meets
 
 
 def product_tables(a, b):

@@ -7,7 +7,7 @@ import pytest
 
 from pcdl import cli
 
-from _oracles import cube_tables, m3_tables, product_tables
+from _oracles import cube_tables, diamond_tables, product_tables
 
 FAN2 = {"format": "pcdl/1", "elements": ["g", "t1", "t2"],
         "covers": [["g", "t1"], ["g", "t2"]]}
@@ -15,12 +15,13 @@ FAN3 = {"format": "pcdl/1", "elements": ["g", "t1", "t2", "t3"],
         "covers": [["g", "t1"], ["g", "t2"], ["g", "t3"]]}
 
 
-def run(*args, env=None):
+def run(*args, env=None, timeout=None):
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
     return subprocess.run([sys.executable, "-m", "pcdl.cli"] + list(args),
-                          capture_output=True, text=True, env=full_env)
+                          capture_output=True, text=True, env=full_env,
+                          timeout=timeout)
 
 
 def write(tmp_path, name, payload):
@@ -265,7 +266,7 @@ def _lattice_doc(labels, joins, meets):
 
 
 def test_dual_rejects_large_non_distributive_lattice(tmp_path):
-    labels, joins, meets = product_tables(m3_tables(), cube_tables(5))
+    labels, joins, meets = product_tables(diamond_tables(), cube_tables(5))
     assert len(labels) == 160
     path = write(tmp_path, "m3x32.json", _lattice_doc(labels, joins, meets))
     r = run("dual", "--in", path)
@@ -274,9 +275,11 @@ def test_dual_rejects_large_non_distributive_lattice(tmp_path):
     assert r.stderr.startswith("error:") and "distributive" in r.stderr
 
 
-def test_congruences_rejects_non_distributive_lattice(tmp_path):
-    path = write(tmp_path, "m3.json", _lattice_doc(*m3_tables()))
-    r = run("congruences", "--in", path)
+# M_40's dual has 2^40 up-sets, so it must be rejected before they are listed
+@pytest.mark.parametrize("k", [3, 40])
+def test_congruences_rejects_non_distributive_lattice(tmp_path, k):
+    path = write(tmp_path, "m%d.json" % k, _lattice_doc(*diamond_tables(k)))
+    r = run("congruences", "--in", path, timeout=60)
     assert r.returncode == 3
     assert r.stdout == ""
     assert r.stderr.startswith("error:") and "distributive" in r.stderr

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -8,7 +9,7 @@ from pcdl import (AbstractLattice, LatticeHom, OrderMap, antichain, chain,
                   dual_of_order_map, dual_space, fan, poset_classes_upto,
                   product_lattice, unit_iso)
 
-from _oracles import (cube_plus_one_tables, cube_tables, m3_tables,
+from _oracles import (cube_plus_one_tables, cube_tables, diamond_tables,
                       product_tables, random_poset)
 
 
@@ -54,30 +55,22 @@ def test_abstract_lattice_validation():
 
 
 def test_non_distributive_lattice_is_rejected():
-    # the diamond: bottom, three atoms, top
-    n = 5
-    joins = [[0] * n for _ in range(n)]
-    meets = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                joins[i][j] = meets[i][j] = i
-            elif i == 0 or j == 0:
-                joins[i][j] = max(i, j) if 0 in (i, j) else 4
-                meets[i][j] = 0 if 0 in (i, j) else min(i, j)
-            elif i == 4 or j == 4:
-                joins[i][j] = 4
-                meets[i][j] = min(i, j)
-            else:
-                joins[i][j] = 4
-                meets[i][j] = 0
     with pytest.raises(ValueError, match="distribut"):
-        AbstractLattice(list("obcda"), joins, meets)
+        AbstractLattice(*diamond_tables())
     # M3 x 2^5 has 160 elements; the certificate has no size cap
-    labels, joins, meets = product_tables(m3_tables(), cube_tables(5))
+    labels, joins, meets = product_tables(diamond_tables(), cube_tables(5))
     assert len(labels) == 160
     with pytest.raises(ValueError, match="distribut"):
         AbstractLattice(labels, joins, meets)
+
+
+def test_wide_diamond_is_rejected_before_up_sets_are_listed():
+    # M_40's atoms form an antichain with 2^40 up-sets; the certificate
+    # must reject the tables without enumerating them
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="distribut"):
+        AbstractLattice(*diamond_tables(40))
+    assert time.perf_counter() - start < 2.0
 
 
 def test_dual_space_of_cube_plus_one_is_fan():
