@@ -10,6 +10,7 @@ separation routine settles concrete two-sided embedding instances.
 from __future__ import annotations
 
 import concurrent.futures
+from itertools import repeat
 from typing import NamedTuple, Optional
 
 from .algebras import (PcdLattice, _iter_p_morphisms,
@@ -17,7 +18,7 @@ from .algebras import (PcdLattice, _iter_p_morphisms,
                        is_p_morphism, onto_star_hom_exists, p_morphisms,
                        star_hom_failure, star_homs, variety_index)
 from .enumeration import poset_classes_upto
-from .posets import OrderMap, Poset, fan
+from .posets import OrderMap, Poset, bits, fan
 
 
 def forbidden_images(A: PcdLattice, n: int) -> list:
@@ -55,6 +56,11 @@ def is_amalgamation_base_finite(A: PcdLattice, n: int) -> AmalgamationVerdict:
 
 
 def _find_lift(gamma: OrderMap, alpha: OrderMap) -> Optional[OrderMap]:
+    """Backtracking lift of alpha through gamma, for any source poset.
+
+    It serves lift_through (the lift command) and is the test oracle for
+    the closed-form fan lift that the extension oracle uses.
+    """
     fibers = [gamma.preimage_mask(1 << alpha(v))
               for v in range(alpha.source.n)]
     for beta in _iter_p_morphisms(alpha.source, gamma.source, fibers=fibers,
@@ -67,7 +73,8 @@ def lift_through(gamma: OrderMap, alpha: OrderMap) -> Optional[OrderMap]:
     """A p-morphism beta with gamma o beta = alpha, or None.
 
     gamma must be an onto p-morphism and alpha a p-morphism into the same
-    target. The returned map is re-verified on both counts.
+    target; alpha may start anywhere, so the lift is found by backtracking.
+    The returned map is re-verified on both counts.
     """
     if gamma.target != alpha.target:
         raise ValueError("maps do not share a target")
@@ -84,6 +91,50 @@ def lift_through(gamma: OrderMap, alpha: OrderMap) -> Optional[OrderMap]:
     if not is_p_morphism(beta):
         raise AssertionError("lift is not a p-morphism")
     return beta
+
+
+def _max_rows(Y: Poset) -> list:
+    """For each point y of Y, the indices of the maximal points above y."""
+    return [tuple(bits(Y.max_above(y))) for y in range(Y.n)]
+
+
+def _fiber_profiles(rows: list, gamma: OrderMap) -> dict:
+    """Point p -> the profiles of the points of Y over p.
+
+    rows is _max_rows(Y) for the source Y of gamma. The profile of y
+    counts, for each point of the target, the maximal points above y
+    that gamma sends there.
+    """
+    table, m = gamma.table, gamma.target.n
+    out = {}
+    for y, row in enumerate(rows):
+        counts = [0] * m
+        for t in row:
+            counts[table[t]] += 1
+        out.setdefault(table[y], set()).add(tuple(counts))
+    return out
+
+
+def _top_profile(alpha_table: tuple, m: int) -> tuple:
+    """(image of the bottom, tops sent to each of the m target points)."""
+    counts = [0] * m
+    for p in alpha_table[1:]:
+        counts[p] += 1
+    return alpha_table[0], tuple(counts)
+
+
+def _fan_lift_exists(fibers: dict, top_profile: tuple) -> bool:
+    """Whether a map of fan(n), n >= 1, lifts through an onto gamma.
+
+    A lift sends the bottom to some y over alpha's bottom and the tops
+    onto M(y), each top to a point over its own image. gamma carries M(y)
+    onto M(alpha(bottom)), the image of the tops, so every top has a
+    place to go; the lift exists exactly when some such y has at most as
+    many maximal points over each p as alpha has tops there.
+    """
+    bottom, tops = top_profile
+    return any(all(c <= t for c, t in zip(profile, tops))
+               for profile in fibers[bottom])
 
 
 class ExtensionResult(NamedTuple):
@@ -112,20 +163,27 @@ def _extension_classes(P: Poset, n: int, bound: int) -> list:
     return out
 
 
-def _extension_class_task(payload: dict) -> dict:
-    Y = Poset.from_dict(payload["y"])
-    P = Poset.from_dict(payload["p"])
-    V = fan(payload["n"])
-    alphas = [OrderMap(V, P, tuple(t)) for t in payload["alpha_tables"]]
+def _extension_class_task(Y: Poset, P: Poset, alpha_tables: list) -> tuple:
+    """(instances, (gamma table, alpha table) of the first failure or None).
+
+    Gammas are read in search order and, for each, the alphas in order;
+    the alphas are maps of fan(n) into P, so each lift is the closed-form
+    test of _fan_lift_exists.
+    """
+    keys = [_top_profile(t, P.n) for t in alpha_tables]
+    rows = _max_rows(Y)
     instances = 0
     for gamma in _iter_p_morphisms(Y, P, onto=True):
-        for alpha in alphas:
-            instances += 1
-            if _find_lift(gamma, alpha) is None:
-                return {"instances": instances,
-                        "witness": {"gamma": list(gamma.table),
-                                    "alpha": list(alpha.table)}}
-    return {"instances": instances, "witness": None}
+        fibers = _fiber_profiles(rows, gamma)
+        lifts = {}
+        for k, key in enumerate(keys):
+            ok = lifts.get(key)
+            if ok is None:
+                ok = lifts[key] = _fan_lift_exists(fibers, key)
+            if not ok:
+                return instances + k + 1, (gamma.table, alpha_tables[k])
+        instances += len(keys)
+    return instances, None
 
 
 def extension_property_bounded(A: PcdLattice, n: int, bound: int,
@@ -135,40 +193,43 @@ def extension_property_bounded(A: PcdLattice, n: int, bound: int,
 
     Extensions range over duals of at most bound points inside the index-n
     variety that map onto the dual of A; the maps are the duals of all
-    algebra maps into the fan algebra of rank n. holds means every such
-    map lifted; a failed lift is returned as a witness triple. The
-    max_instances cap is applied between isomorphism classes, so results
-    are identical for any jobs value.
+    algebra maps into the fan algebra of rank n, so each lift is a map of
+    fan(n) and is decided in closed form (_fan_lift_exists) with no
+    search. holds means every such map lifted; a failed lift is returned
+    as a witness triple. Classes are read in order and the search stops
+    at the first witness. The max_instances cap is applied between
+    isomorphism classes, so results are identical for any jobs value.
     """
     if not in_variety(A, n):
         raise ValueError("algebra is outside the variety of index %d" % n)
     P = A.base
     V = fan(n)
-    alphas = p_morphisms(V, P)
+    tables = [a.table for a in p_morphisms(V, P)]
     classes = _extension_classes(P, n, bound)
-    payloads = [{"y": Y.to_dict(), "p": P.to_dict(), "n": n,
-                 "alpha_tables": [list(a.table) for a in alphas]}
-                for Y in classes]
-    if jobs > 1 and len(payloads) > 1:
+    ex = None
+    if jobs > 1 and len(classes) > 1:
         ex = concurrent.futures.ProcessPoolExecutor(max_workers=jobs)
-        try:
-            results = list(ex.map(_extension_class_task, payloads))
-        finally:
-            ex.shutdown(wait=True)
+        results = ex.map(_extension_class_task, classes,
+                         repeat(P), repeat(tables))
     else:
-        results = [_extension_class_task(p) for p in payloads]
-    instances = 0
-    for Y, res in zip(classes, results):
-        instances += res["instances"]
-        if res["witness"] is not None:
-            gamma = OrderMap(Y, P, tuple(res["witness"]["gamma"]))
-            alpha = OrderMap(V, P, tuple(res["witness"]["alpha"]))
-            return ExtensionResult("fails_with_witness", (Y, gamma, alpha),
-                                   instances, bound)
-        if max_instances is not None and instances >= max_instances \
-                and Y is not classes[-1]:
-            return ExtensionResult("inconclusive", None, instances, bound)
-    return ExtensionResult("holds", None, instances, bound)
+        results = (_extension_class_task(Y, P, tables) for Y in classes)
+    try:
+        instances = 0
+        for Y, (count, witness) in zip(classes, results):
+            instances += count
+            if witness is not None:
+                gamma = OrderMap(Y, P, witness[0])
+                alpha = OrderMap(V, P, witness[1])
+                return ExtensionResult("fails_with_witness",
+                                       (Y, gamma, alpha), instances, bound)
+            if max_instances is not None and instances >= max_instances \
+                    and Y is not classes[-1]:
+                return ExtensionResult("inconclusive", None, instances,
+                                       bound)
+        return ExtensionResult("holds", None, instances, bound)
+    finally:
+        if ex is not None:
+            ex.shutdown(wait=True, cancel_futures=True)
 
 
 class SeparationResult(NamedTuple):

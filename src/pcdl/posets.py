@@ -26,7 +26,7 @@ class Poset:
     """
 
     __slots__ = ("labels", "up", "down", "covers_up", "covers_down",
-                 "_index", "_upsets", "_canon")
+                 "_index", "_upsets", "_canon", "_maximals")
 
     def __init__(self, labels: tuple, up: tuple, down: tuple,
                  covers_up: tuple, covers_down: tuple):
@@ -38,6 +38,7 @@ class Poset:
         self._index = {s: i for i, s in enumerate(labels)}
         self._upsets = None
         self._canon = None
+        self._maximals = None
 
     @classmethod
     def from_covers(cls, labels: Iterable[str],
@@ -118,11 +119,14 @@ class Poset:
 
     @property
     def maximals_mask(self) -> int:
-        m = 0
-        for i in range(len(self.labels)):
-            if self.up[i] == 1 << i:
-                m |= 1 << i
-        return m
+        """Mask of the maximal elements. Computed once."""
+        if self._maximals is None:
+            m = 0
+            for i in range(len(self.labels)):
+                if self.up[i] == 1 << i:
+                    m |= 1 << i
+            self._maximals = m
+        return self._maximals
 
     @property
     def minimals_mask(self) -> int:

@@ -1,13 +1,17 @@
+import random
+
 import pytest
 
 import pcdl
+from pcdl import amalgamation
+from pcdl.enumeration import poset_classes_upto
 from pcdl import (ExtensionResult, LatticeHom, OrderMap,
                   amalgamate_or_separate, antichain, catalog,
                   extension_property_bounded, fan, fan_algebra,
                   forbidden_images, is_amalgamation_base_finite,
                   is_congruence_extensile_bounded, is_p_morphism,
-                  lift_through, make_pcdl, star_hom_pairs, star_embeddings,
-                  star_homs, chain)
+                  lift_through, make_pcdl, p_morphisms, Poset,
+                  star_hom_pairs, star_embeddings, star_homs, chain)
 
 
 def test_forbidden_images_frozen():
@@ -91,11 +95,89 @@ def test_extension_property_jobs_deterministic():
     assert sy.canonical_key() == py_.canonical_key()
     assert sg.table == pg.table and sa.table == pa.table
 
+    for cap, verdict, instances in ((None, "holds", 2916),
+                                    (100, "inconclusive", 216)):
+        results = [extension_property_bounded(fan_algebra(3), 3, 6, jobs=j,
+                                              max_instances=cap)
+                   for j in (1, 2)]
+        assert [r.verdict for r in results] == [verdict] * 2
+        assert [r.instances for r in results] == [instances] * 2
 
-def test_extension_property_cap_gives_inconclusive():
+
+def _count_class_tasks(monkeypatch) -> list:
+    calls = []
+    task = amalgamation._extension_class_task
+
+    def counted(Y, *args):
+        calls.append(Y)
+        return task(Y, *args)
+    monkeypatch.setattr(amalgamation, "_extension_class_task", counted)
+    return calls
+
+
+def test_extension_property_stops_at_first_witness(monkeypatch):
+    calls = _count_class_tasks(monkeypatch)
+    r = extension_property_bounded(fan_algebra(2), 3, 6)
+    classes = amalgamation._extension_classes(fan_algebra(2).base, 3, 6)
+    position = [Y is r.witness[0] for Y in classes].index(True)
+    assert r.verdict == "fails_with_witness"
+    assert len(calls) == position + 1 < len(classes)
+
+
+def test_extension_property_cap_gives_inconclusive(monkeypatch):
+    calls = _count_class_tasks(monkeypatch)
     r = extension_property_bounded(fan_algebra(3), 3, 6, max_instances=100)
     assert r.verdict == "inconclusive"
     assert r.instances <= 2916
+    # the first class holds 54 instances and the second crosses the cap,
+    # after which no further class is run
+    classes = amalgamation._extension_classes(fan_algebra(3).base, 3, 6)
+    assert r.instances == 216
+    assert calls == classes[:2]
+
+
+def _lift_agreement(Y: Poset, P: Poset, n: int) -> tuple:
+    """(instances, instances without a lift); asserts the two tests agree."""
+    alphas = p_morphisms(fan(n), P)
+    instances = missing = 0
+    rows = amalgamation._max_rows(Y)
+    for gamma in p_morphisms(Y, P, onto=True):
+        fibers = amalgamation._fiber_profiles(rows, gamma)
+        for alpha in alphas:
+            backtracked = amalgamation._find_lift(gamma, alpha)
+            closed = amalgamation._fan_lift_exists(
+                fibers, amalgamation._top_profile(alpha.table, P.n))
+            assert closed == (backtracked is not None), (gamma, alpha)
+            instances += 1
+            missing += backtracked is None
+    return instances, missing
+
+
+def test_closed_form_fan_lift_matches_backtracking():
+    instances = missing = 0
+    for P in poset_classes_upto(3):
+        for n in (1, 2, 3):
+            for Y in amalgamation._extension_classes(P, n, P.n + 2):
+                k, m = _lift_agreement(Y, P, n)
+                instances, missing = instances + k, missing + m
+    assert (instances, missing) == (11712, 138)
+
+
+def test_closed_form_fan_lift_on_random_larger_sources():
+    targets = [P for P in poset_classes_upto(3) if P.n]
+    missing = 0
+    for seed in range(8):
+        rng = random.Random(seed)
+        size = rng.choice((7, 8))
+        labels = ["y%d" % i for i in range(size)]
+        Y = Poset.from_covers(labels, [(labels[i], labels[j])
+                                       for i in range(size)
+                                       for j in range(i + 1, size)
+                                       if rng.random() < 0.3])
+        for P in targets:
+            for n in (1, 2, 3):
+                missing += _lift_agreement(Y, P, n)[1]
+    assert missing > 0
 
 
 def test_amalgamate_two_into_cubes():

@@ -91,10 +91,13 @@ def test_tracer_installs_and_uninstalls_cleanly():
         pcdl.make_pcdl(pcdl.fan(2))
         pcdl.is_congruence_extensile_bounded(pcdl.make_pcdl(pcdl.fan(2)),
                                              3, 4)
+        pcdl.extension_property_bounded(pcdl.make_pcdl(pcdl.fan(2)), 3, 4)
     finally:
         tracer.uninstall()
     assert _bindings() == before
     assert tracer.calls["algebras.make_pcdl"] >= 2
     assert tracer.calls["congruences.extensile"] == 1
-    assert tracer.calls["amalgamation.extension_classes"] == 1
+    assert tracer.calls["amalgamation.extension_classes"] == 2
     assert tracer.counts["congruences.gamma_search.yields"] > 0
+    assert tracer.calls["amalgamation.class_task"] > 0
+    assert tracer.counts["amalgamation.gamma_search.yields"] > 0
