@@ -14,8 +14,6 @@ from functools import cache
 from .duality import LatticeHom, UpSetLattice
 from .posets import OrderMap, Poset, bits, fan
 
-AXIOM_SCAN_LIMIT = 1024
-
 
 class PcdLattice:
     """Finite PCDL realized as the up-set lattice of its dual poset."""
@@ -94,21 +92,21 @@ def upset_star_table(lat: UpSetLattice) -> tuple:
 def make_pcdl(poset: Poset) -> PcdLattice:
     """Equip the up-set lattice of a poset with its pseudocomplement.
 
-    The defining biconditional (x below y-star exactly when x meets y at
-    bottom) is re-proved by exhaustive pair scan up to AXIOM_SCAN_LIMIT
-    carrier elements.
+    The defining biconditional (x below u-star exactly when x meets u at
+    bottom) is certified at every size, in one pass over the up-sets u
+    with O(n) work each: u-star must miss u, and every point outside
+    u-star must see u above it. The first gives the forward direction;
+    the second puts every up-set that misses u below u-star.
     """
     lattice = UpSetLattice(poset)
     star_table = upset_star_table(lattice)
-    if lattice.size <= AXIOM_SCAN_LIMIT:
-        carrier = lattice.carrier
-        for j, v in enumerate(carrier):
-            sj = carrier[star_table[j]]
-            for u in carrier:
-                if (u & ~sj == 0) != (u & v == 0):
-                    raise AssertionError(
-                        "pseudocomplement axiom fails at (%s, %s)"
-                        % (poset.labels_of(u), poset.labels_of(v)))
+    carrier, up, full = lattice.carrier, poset.up, poset.full_mask
+    for u, j in zip(carrier, star_table):
+        s = carrier[j]
+        if s & u or any(not up[p] & u for p in bits(full & ~s)):
+            raise AssertionError(
+                "pseudocomplement axiom fails at %s with star %s"
+                % (poset.labels_of(u), poset.labels_of(s)))
     return PcdLattice(poset, lattice, star_table)
 
 

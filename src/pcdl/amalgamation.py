@@ -10,7 +10,7 @@ separation routine settles concrete two-sided embedding instances.
 from __future__ import annotations
 
 import concurrent.futures
-from itertools import repeat
+from itertools import cycle, repeat
 from typing import NamedTuple, Optional
 
 from .algebras import (PcdLattice, _iter_p_morphisms,
@@ -59,7 +59,8 @@ def _find_lift(gamma: OrderMap, alpha: OrderMap) -> Optional[OrderMap]:
     """Backtracking lift of alpha through gamma, for any source poset.
 
     It serves lift_through (the lift command) and is the test oracle for
-    the closed-form fan lift that the extension oracle uses.
+    the closed-form fan lift that the extension oracle and the q-model
+    lift check use.
     """
     fibers = [gamma.preimage_mask(1 << alpha(v))
               for v in range(alpha.source.n)]
@@ -99,11 +100,12 @@ def _max_rows(Y: Poset) -> list:
 
 
 def _fiber_profiles(rows: list, gamma: OrderMap) -> dict:
-    """Point p -> the profiles of the points of Y over p.
+    """Point p -> {profile: least point of Y over p with that profile}.
 
     rows is _max_rows(Y) for the source Y of gamma. The profile of y
     counts, for each point of the target, the maximal points above y
-    that gamma sends there.
+    that gamma sends there. Points are read in order, so each inner dict
+    lists its profiles by their least points.
     """
     table, m = gamma.table, gamma.target.n
     out = {}
@@ -111,7 +113,7 @@ def _fiber_profiles(rows: list, gamma: OrderMap) -> dict:
         counts = [0] * m
         for t in row:
             counts[table[t]] += 1
-        out.setdefault(table[y], set()).add(tuple(counts))
+        out.setdefault(table[y], {}).setdefault(tuple(counts), y)
     return out
 
 
@@ -123,18 +125,35 @@ def _top_profile(alpha_table: tuple, m: int) -> tuple:
     return alpha_table[0], tuple(counts)
 
 
-def _fan_lift_exists(fibers: dict, top_profile: tuple) -> bool:
-    """Whether a map of fan(n), n >= 1, lifts through an onto gamma.
+def _fan_lift(fibers: dict, top_profile: tuple) -> Optional[int]:
+    """The least y that lifts a map of fan(n), n >= 1, or None.
 
     A lift sends the bottom to some y over alpha's bottom and the tops
     onto M(y), each top to a point over its own image. gamma carries M(y)
     onto M(alpha(bottom)), the image of the tops, so every top has a
     place to go; the lift exists exactly when some such y has at most as
-    many maximal points over each p as alpha has tops there.
+    many maximal points over each p as alpha has tops there. The first
+    fitting profile, in the order of _fiber_profiles, has the least y.
     """
     bottom, tops = top_profile
-    return any(all(c <= t for c, t in zip(profile, tops))
-               for profile in fibers[bottom])
+    for profile, y in fibers[bottom].items():
+        if all(c <= t for c, t in zip(profile, tops)):
+            return y
+    return None
+
+
+def _fan_lift_table(rows: list, gamma_table: tuple, alpha_table: tuple,
+                    y: int) -> tuple:
+    """The lift of alpha through gamma at a y found by _fan_lift.
+
+    The bottom goes to y, and the tops over each point p go round-robin
+    onto the maximal points of y over p; as y fits, that is onto M(y).
+    """
+    pools = {}
+    for u in rows[y]:
+        pools.setdefault(gamma_table[u], []).append(u)
+    turns = {p: cycle(pool) for p, pool in pools.items()}
+    return (y, *(next(turns[p]) for p in alpha_table[1:]))
 
 
 class ExtensionResult(NamedTuple):
@@ -147,6 +166,13 @@ class ExtensionResult(NamedTuple):
     witness: object
     instances: int
     bound: int
+
+
+def _require_room(P: Poset, bound: int) -> None:
+    """Refuse a bound below the size of P: no extension would fit in it."""
+    if bound < P.n:
+        raise ValueError("bound %d is below the %d points of the dual, so "
+                         "no extension fits" % (bound, P.n))
 
 
 def _extension_classes(P: Poset, n: int, bound: int) -> list:
@@ -168,7 +194,7 @@ def _extension_class_task(Y: Poset, P: Poset, alpha_tables: list) -> tuple:
 
     Gammas are read in search order and, for each, the alphas in order;
     the alphas are maps of fan(n) into P, so each lift is the closed-form
-    test of _fan_lift_exists.
+    test of _fan_lift.
     """
     keys = [_top_profile(t, P.n) for t in alpha_tables]
     rows = _max_rows(Y)
@@ -179,7 +205,7 @@ def _extension_class_task(Y: Poset, P: Poset, alpha_tables: list) -> tuple:
         for k, key in enumerate(keys):
             ok = lifts.get(key)
             if ok is None:
-                ok = lifts[key] = _fan_lift_exists(fibers, key)
+                ok = lifts[key] = _fan_lift(fibers, key) is not None
             if not ok:
                 return instances + k + 1, (gamma.table, alpha_tables[k])
         instances += len(keys)
@@ -194,15 +220,17 @@ def extension_property_bounded(A: PcdLattice, n: int, bound: int,
     Extensions range over duals of at most bound points inside the index-n
     variety that map onto the dual of A; the maps are the duals of all
     algebra maps into the fan algebra of rank n, so each lift is a map of
-    fan(n) and is decided in closed form (_fan_lift_exists) with no
+    fan(n) and is decided in closed form (_fan_lift) with no
     search. holds means every such map lifted; a failed lift is returned
     as a witness triple. Classes are read in order and the search stops
     at the first witness. The max_instances cap is applied between
-    isomorphism classes, so results are identical for any jobs value.
+    isomorphism classes, so results are identical for any jobs value. A
+    bound below the size of P(A) is refused, as it would hold vacuously.
     """
     if not in_variety(A, n):
         raise ValueError("algebra is outside the variety of index %d" % n)
     P = A.base
+    _require_room(P, bound)
     V = fan(n)
     tables = [a.table for a in p_morphisms(V, P)]
     classes = _extension_classes(P, n, bound)

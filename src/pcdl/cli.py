@@ -311,8 +311,11 @@ def _cmd_q_model(args) -> int:
             "downset_formula_checks": rep.downset_formula_checks,
             "vacuous": rep.vacuous,
         }
+    # the divergence report runs the lift check itself; reuse its result
+    div = (divergence_report(model, args.bound)
+           if which in ("all", "divergence") else None)
     if which in ("all", "lift"):
-        rep = check_lift_cases(model, args.bound)
+        rep = check_lift_cases(model, args.bound) if div is None else div.lift
         ok = ok and not rep.failures
         payload["lift_check"] = {
             "case_counts": rep.case_counts,
@@ -321,14 +324,13 @@ def _cmd_q_model(args) -> int:
             "instances": rep.instances,
             "bound": rep.bound,
         }
-    if which in ("all", "divergence"):
-        rep = divergence_report(model, args.bound)
-        ok = ok and not rep.lift.failures
+    if div is not None:
+        ok = ok and not div.lift.failures
         payload["divergence"] = {
-            "total_forbidden": list(rep.total_forbidden),
-            "quotient_forbidden": list(rep.quotient_forbidden),
-            "diverges": rep.diverges,
-            "text": rep.text,
+            "total_forbidden": list(div.total_forbidden),
+            "quotient_forbidden": list(div.quotient_forbidden),
+            "diverges": div.diverges,
+            "text": div.text,
         }
     _emit(args, payload)
     return 0 if ok else 1

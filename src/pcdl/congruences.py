@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .algebras import (AXIOM_SCAN_LIMIT, PcdLattice, in_variety, make_pcdl,
-                       p_morphism_failure, star_hom_failure, upset_star_table)
-from .amalgamation import ExtensionResult, _extension_classes
+from .algebras import (PcdLattice, in_variety, make_pcdl, p_morphism_failure,
+                       star_hom_failure, upset_star_table)
+from .amalgamation import (ExtensionResult, _extension_classes,
+                           _require_room)
 from .duality import LatticeHom, UpSetLattice
 from .posets import OrderMap, Poset, bits
 
@@ -60,6 +61,10 @@ def congruence_relates(theta: DualCongruence, u1: int, u2: int) -> bool:
             raise ValueError("%s is not an up-set"
                              % (theta.base.labels_of(u),))
     return theta.relates_masks(u1, u2)
+
+
+# quotient re-proves its projection for algebras of at most this many elements
+AXIOM_SCAN_LIMIT = 1024
 
 
 class Quotient(NamedTuple):
@@ -221,11 +226,14 @@ def is_congruence_extensile_bounded(B: PcdLattice, n: int, bound: int,
     extension property of these varieties, Gratzer and Lakser 1971); a
     pullback that does not is a broken invariant and raises. Each gamma
     comes from the onto p-morphism search, so it is not re-checked here.
+    A bound below the size of P(B) is refused, as it would answer yes
+    vacuously.
     """
     if not in_variety(B, n):
         raise ValueError("algebra is outside the variety of index %d" % n)
     from .algebras import _iter_p_morphisms
     P = B.base
+    _require_room(P, bound)
     thetas = enumerate_congruences(P)
     instances = 0
     for Y in _extension_classes(P, n, bound):

@@ -6,8 +6,10 @@ with another. The full algebra of the big poset is an amalgamation base
 of the index-3 variety, while the quotient acquires rank-2 fan images as
 soon as one merged component is present. The routines below verify the
 construction step by step: the collapse map, the separation facts the
-construction rests on, and the case analysis that produces lifts of maps
-into the rank-3 fan algebra.
+construction rests on, and the case analysis of lifts of maps into the
+rank-3 fan algebra. That analysis keeps no lift rule of its own: each
+lift is built from the closed form the extension oracle decides with,
+labelled by case, and re-verified as a p-morphism that composes back.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from typing import NamedTuple
 
 from .algebras import (_iter_p_morphisms, is_p_morphism, make_pcdl,
                        p_morphism_failure, p_morphisms)
-from .amalgamation import _extension_classes, forbidden_images
+from .amalgamation import (_extension_classes, _fan_lift, _fan_lift_table,
+                           _fiber_profiles, _max_rows, _top_profile,
+                           forbidden_images)
 from .posets import OrderMap, Poset, bits, fan
 
 
@@ -181,134 +185,89 @@ class LiftCaseReport(NamedTuple):
     bound: int
 
 
-def _classify_alpha(model: QuotientModel, alpha: OrderMap, g_fan: int):
+def _classify_alpha(model: QuotientModel, alpha: OrderMap) -> str:
     """Case label for a map of the rank-3 fan into the quotient."""
     P = model.quotient
-    v = alpha(g_fan)
+    v = alpha(0)
     if P.up[v] == 1 << v:
-        return "1", v
+        return "1"
     if model.quotient_roles[v] != "george":
         raise AssertionError("fan bottom landed on a non-bottom, non-maximal "
                              "point %r" % P.labels[v])
     if model.quotient_component[v] <= model.full_fans:
-        return "2", v
-    return "3", v
+        return "2"
+    return "3"
 
 
-def _doubled(values) -> int:
-    seen = set()
-    for v in values:
-        if v in seen:
-            return v
-        seen.add(v)
-    return -1
+def _onto_maps(model: QuotientModel, bound: int):
+    """(Y, onto p-morphisms from Y onto the quotient), one source at a time.
+
+    The identity on the quotient and the collapse from the big poset come
+    first, then every extension class of at most bound points, whose
+    onto maps are searched only when it is reached.
+    """
+    P = model.quotient
+    for gamma in (OrderMap.identity(P), model.collapse):
+        yield gamma.source, (gamma,)
+    for Y in _extension_classes(P, 3, bound):
+        yield Y, _iter_p_morphisms(Y, P, onto=True)
 
 
-def check_lift_cases(model: QuotientModel, bound: int,
-                     include_canonical: bool = True) -> LiftCaseReport:
+def check_lift_cases(model: QuotientModel, bound: int) -> LiftCaseReport:
     """Run the lift construction over extensions of the quotient.
 
     Instances pair an onto p-morphism gamma from an extension poset onto
     the quotient with a map alpha of the rank-3 fan into the quotient.
-    The construction is the case analysis on where alpha sends the fan
-    bottom: a maximal point (case 1, lift through any maximal fiber
-    point), the bottom of a full component (case 2, any fiber point
-    carries exactly three maximal covers and the lift is forced), or the
-    bottom of a merged component (case 3, fiber points with two maximal
-    covers give case 3a, fiber points with three give case 3b when the
-    doubled images of gamma and alpha agree). Case 3 instances where no
-    fiber point fits are tallied as uncovered, not as failures; failures
-    record breaks in the guarantees themselves and must stay empty.
+    The case is where alpha sends the fan bottom: a maximal point (case
+    1), the bottom of a full component (case 2) or the bottom of a merged
+    component (case 3). Every lift comes from the closed form the
+    extension oracle shares (amalgamation._fan_lift): the least fiber
+    point y whose maximal points fit over alpha's tops, with the tops
+    spread onto M(y). A case 3 lift is 3a or 3b as M(y) has two or three
+    points. Case 3 instances where no y fits are tallied as uncovered;
+    in cases 1 and 2 a lift always exists, so a missing one is a
+    failure, as is a built lift that does not compose back to alpha or
+    is not a p-morphism. failures must stay empty.
 
-    The two built-in instances, the identity on the quotient and the
-    collapse map from the big poset, are always included; extensions of
-    at most bound points are enumerated on top of them.
+    The identity on the quotient and the collapse map from the big poset
+    are always included; extensions of at most bound points are
+    enumerated on top of them.
     """
     P = model.quotient
     V = fan(3)
-    g_fan = V.index_of("g")
-    alphas = [(alpha, *_classify_alpha(model, alpha, g_fan))
+    alphas = [(alpha, _top_profile(alpha.table, P.n),
+               _classify_alpha(model, alpha))
               for alpha in p_morphisms(V, P)]
-    gammas = []
-    if include_canonical:
-        gammas.append(OrderMap.identity(P))
-        gammas.append(model.collapse)
-    for Y in _extension_classes(P, 3, bound):
-        gammas.extend(_iter_p_morphisms(Y, P, onto=True))
     counts = {"1": 0, "2": 0, "3a": 0, "3b": 0}
     failures = []
     uncovered = 0
     instances = 0
-    tops = [t for t in range(V.n) if t != g_fan]
-    for gamma in gammas:
-        Y = gamma.source
-        for alpha, case, v in alphas:
-            instances += 1
-            fiber = gamma.preimage_mask(1 << v)
-            beta_table = None
-            label = case
-            if case == "1":
-                spot = fiber & Y.maximals_mask
-                if not spot:
-                    failures.append((gamma, alpha,
-                                     "no maximal point in the fiber"))
+    for Y, gammas in _onto_maps(model, bound):
+        rows = _max_rows(Y)
+        for gamma in gammas:
+            fibers = _fiber_profiles(rows, gamma)
+            for alpha, key, case in alphas:
+                instances += 1
+                y = _fan_lift(fibers, key)
+                if y is None:
+                    if case == "3":
+                        uncovered += 1
+                    else:
+                        failures.append((gamma, alpha, "no lift in case %s"
+                                         % case))
                     continue
-                y = next(bits(spot))
-                beta_table = [y] * V.n
-            elif case == "2":
-                y = next(bits(fiber))
-                m_y = list(bits(Y.max_above(y)))
-                images = {gamma(u): u for u in m_y}
-                if len(m_y) != 3 or len(images) != 3:
+                beta = OrderMap(V, Y, _fan_lift_table(rows, gamma.table,
+                                                      alpha.table, y))
+                if gamma.compose(beta).table != alpha.table:
                     failures.append((gamma, alpha,
-                                     "fiber point lacks three separated "
-                                     "maximal covers"))
-                    continue
-                beta_table = [0] * V.n
-                beta_table[g_fan] = y
-                for t in tops:
-                    beta_table[t] = images[alpha(t)]
-            else:
-                doubled_alpha = _doubled(alpha(t) for t in tops)
-                for y in bits(fiber):
-                    m_y = list(bits(Y.max_above(y)))
-                    if len(m_y) == 2:
-                        images = {gamma(u): u for u in m_y}
-                        beta_table = [0] * V.n
-                        beta_table[g_fan] = y
-                        for t in tops:
-                            beta_table[t] = images[alpha(t)]
-                        label = "3a"
-                        break
-                    if len(m_y) == 3:
-                        if _doubled(gamma(u) for u in m_y) != doubled_alpha:
-                            continue
-                        pool = {}
-                        for u in m_y:
-                            pool.setdefault(gamma(u), []).append(u)
-                        beta_table = [0] * V.n
-                        beta_table[g_fan] = y
-                        for t in tops:
-                            beta_table[t] = pool[alpha(t)].pop()
-                        label = "3b"
-                        break
+                                     "lift does not compose back"))
+                elif not is_p_morphism(beta):
                     failures.append((gamma, alpha,
-                                     "fiber point with an impossible "
-                                     "maximal cover count"))
-                    beta_table = None
-                    break
+                                     "lift is not a p-morphism"))
+                elif case == "3":
+                    counts["3a" if len(rows[y]) == 2 else "3b"] += 1
                 else:
-                    uncovered += 1
-                    continue
-                if beta_table is None:
-                    continue
-            beta = OrderMap(V, Y, tuple(beta_table))
-            if gamma.compose(beta).table != alpha.table:
-                failures.append((gamma, alpha, "lift does not compose back"))
-            elif not is_p_morphism(beta):
-                failures.append((gamma, alpha, "lift is not a p-morphism"))
-            else:
-                counts[label] += 1
+                    counts[case] += 1
     return LiftCaseReport(counts, tuple(failures), uncovered, instances,
                           bound)
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from pcdl import algebras
 from pcdl import (AbstractLattice, OrderMap, antichain, chain,
                   disjoint_sum, dual_lattice, embedding_p_morphism_witness,
                   fan, fan_algebra, hom_of_dual_map, in_variety,
@@ -35,6 +36,19 @@ def test_star_axiom_brute():
             for v in range(A.size):
                 meets_bottom = A.meet(u, v) == A.bottom
                 assert meets_bottom == A.leq(v, A.star(u))
+
+
+def test_make_pcdl_certifies_star_at_every_size(monkeypatch):
+    # 2048 elements, above the size the former pair scan stopped at
+    assert make_pcdl(antichain(11)).size == 2048
+    star_mask = algebras._star_mask
+
+    def drops_a_point(poset, mask):
+        s = star_mask(poset, mask)
+        return s & (s - 1)
+    monkeypatch.setattr(algebras, "_star_mask", drops_a_point)
+    with pytest.raises(AssertionError, match="pseudocomplement axiom"):
+        make_pcdl(antichain(11))
 
 
 def test_star_table_matches_brute_oracle():

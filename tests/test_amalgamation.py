@@ -137,7 +137,11 @@ def test_extension_property_cap_gives_inconclusive(monkeypatch):
 
 
 def _lift_agreement(Y: Poset, P: Poset, n: int) -> tuple:
-    """(instances, instances without a lift); asserts the two tests agree."""
+    """(instances, instances without a lift); asserts the two tests agree.
+
+    Wherever a lift exists, the one built from the closed form must
+    compose back to alpha and be a p-morphism.
+    """
     alphas = p_morphisms(fan(n), P)
     instances = missing = 0
     rows = amalgamation._max_rows(Y)
@@ -145,9 +149,14 @@ def _lift_agreement(Y: Poset, P: Poset, n: int) -> tuple:
         fibers = amalgamation._fiber_profiles(rows, gamma)
         for alpha in alphas:
             backtracked = amalgamation._find_lift(gamma, alpha)
-            closed = amalgamation._fan_lift_exists(
+            y = amalgamation._fan_lift(
                 fibers, amalgamation._top_profile(alpha.table, P.n))
-            assert closed == (backtracked is not None), (gamma, alpha)
+            assert (y is None) == (backtracked is None), (gamma, alpha)
+            if y is not None:
+                beta = OrderMap(alpha.source, Y, amalgamation._fan_lift_table(
+                    rows, gamma.table, alpha.table, y))
+                assert gamma.compose(beta).table == alpha.table
+                assert is_p_morphism(beta), (gamma, alpha, beta)
             instances += 1
             missing += backtracked is None
     return instances, missing
@@ -178,6 +187,17 @@ def test_closed_form_fan_lift_on_random_larger_sources():
             for n in (1, 2, 3):
                 missing += _lift_agreement(Y, P, n)[1]
     assert missing > 0
+
+
+def test_bounded_searches_refuse_a_bound_below_the_dual():
+    # no extension of fan(2)'s three points fits in two, so either answer
+    # would hold vacuously over zero instances
+    with pytest.raises(ValueError, match="bound 2 is below the 3 points"):
+        extension_property_bounded(fan_algebra(2), 3, 2)
+    with pytest.raises(ValueError, match="bound 2 is below the 3 points"):
+        is_congruence_extensile_bounded(fan_algebra(2), 3, 2)
+    assert extension_property_bounded(fan_algebra(2), 3, 3).instances > 0
+    assert is_congruence_extensile_bounded(fan_algebra(2), 3, 3).instances > 0
 
 
 def test_amalgamate_two_into_cubes():

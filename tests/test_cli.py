@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from pcdl import cli
+from pcdl import cli, qmodel
 
 from _oracles import cube_tables, diamond_tables, product_tables
 
@@ -191,6 +191,23 @@ def test_q_model_verify_all():
     assert d["divergence"]["quotient_forbidden"] == [2]
 
 
+def test_q_model_verify_all_runs_the_lift_check_once(monkeypatch, capsys):
+    calls = []
+    check = qmodel.check_lift_cases
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+    # the CLI and the divergence report each bind the check by name
+    monkeypatch.setattr(qmodel, "check_lift_cases", counted)
+    monkeypatch.setattr(cli, "check_lift_cases", counted)
+    assert cli.main(["q-model", "--N", "1", "--m", "1", "--verify", "all",
+                     "--bound", "4"]) == 0
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out)["lift_check"]["instances"] \
+        == 34
+
+
 def test_q_model_dot():
     r = run("q-model", "--N", "1", "--m", "1", "--dot")
     assert r.returncode == 0
@@ -302,10 +319,15 @@ def test_broken_invariant_exits_4_with_one_line(fan2, monkeypatch, capsys):
     (("amalgam", "--n", "3", "--oracle", "--bound", "-2"), None, "--bound"),
     (("extensile", "--n", "3", "--bound", "5", "--max-instances", "-1"),
      None, "--max-instances"),
-], ids=["jobs-env", "jobs", "bound", "max-instances"])
+    # fan2 has three points, so no extension fits in two
+    (("amalgam", "--n", "3", "--oracle", "--bound", "2"), None, "bound 2"),
+    (("extensile", "--n", "3", "--bound", "2"), None, "bound 2"),
+], ids=["jobs-env", "jobs", "bound", "max-instances", "oracle-room",
+        "extensile-room"])
 def test_bad_numbers_exit_3_with_one_line(fan2, args, env, flag):
     r = run(args[0], "--in", fan2, *args[1:], env=env)
     assert r.returncode == 3
     assert r.stdout == ""
     assert r.stderr.startswith("error:") and flag in r.stderr
     assert r.stderr.count("\n") == 1
+

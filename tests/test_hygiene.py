@@ -92,12 +92,18 @@ def test_tracer_installs_and_uninstalls_cleanly():
         pcdl.is_congruence_extensile_bounded(pcdl.make_pcdl(pcdl.fan(2)),
                                              3, 4)
         pcdl.extension_property_bounded(pcdl.make_pcdl(pcdl.fan(2)), 3, 4)
+        # the (0,1) quotient has 3 points, so bound 4 has extension classes
+        pcdl.check_lift_cases(pcdl.build_quotient_model(0, 1), 4)
     finally:
         tracer.uninstall()
     assert _bindings() == before
     assert tracer.calls["algebras.make_pcdl"] >= 2
     assert tracer.calls["congruences.extensile"] == 1
-    assert tracer.calls["amalgamation.extension_classes"] == 2
+    # one call from each bounded search and one from the q-model check
+    assert tracer.calls["amalgamation.extension_classes"] == 3
     assert tracer.counts["congruences.gamma_search.yields"] > 0
     assert tracer.calls["amalgamation.class_task"] > 0
     assert tracer.counts["amalgamation.gamma_search.yields"] > 0
+    # the q-model's onto search is named after the check that runs it
+    assert tracer.calls["qmodel.check_lift_cases"] == 1
+    assert tracer.counts["qmodel.gamma_search.yields"] > 0

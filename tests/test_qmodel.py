@@ -2,9 +2,11 @@ from itertools import product
 
 import pytest
 
+from pcdl import amalgamation, qmodel
 from pcdl import (OrderMap, build_quotient_model, check_lift_cases,
                   divergence_report, fan, in_variety, make_pcdl,
-                  variety_index, verify_collapse, verify_separation)
+                  p_morphisms, variety_index, verify_collapse,
+                  verify_separation)
 
 from _oracles import is_p_morphism_raw
 
@@ -105,6 +107,32 @@ def test_lift_cases_cover_all_four_when_mixed():
         rep = check_lift_cases(m, bound=4)
         assert all(rep.case_counts[k] > 0 for k in ("1", "2", "3a", "3b")), \
             (full, merged, rep.case_counts)
+
+
+@pytest.mark.parametrize("full, merged, bound", [(1, 1, 4), (0, 1, 5)])
+def test_uncovered_exactly_when_backtracking_finds_no_lift(full, merged,
+                                                           bound):
+    m = build_quotient_model(full, merged)
+    P = m.quotient
+    alphas = p_morphisms(fan(3), P)
+    instances = missing = 0
+    for Y, gammas in qmodel._onto_maps(m, bound):
+        rows = amalgamation._max_rows(Y)
+        for gamma in gammas:
+            fibers = amalgamation._fiber_profiles(rows, gamma)
+            for alpha in alphas:
+                instances += 1
+                closed = amalgamation._fan_lift(
+                    fibers, amalgamation._top_profile(alpha.table, P.n))
+                backtracked = amalgamation._find_lift(gamma, alpha)
+                assert (closed is None) == (backtracked is None)
+                if backtracked is None:
+                    missing += 1
+                    assert qmodel._classify_alpha(m, alpha) == "3"
+    rep = check_lift_cases(m, bound)
+    assert rep.failures == ()
+    assert (rep.instances, rep.uncovered) == (instances, missing)
+    assert missing > 0
 
 
 def test_uncovered_instance_really_has_no_lift():
