@@ -156,6 +156,26 @@ def _fan_lift_table(rows: list, gamma_table: tuple, alpha_table: tuple,
     return (y, *(next(turns[p]) for p in alpha_table[1:]))
 
 
+def _fan_lift_failure(Y: Poset, gamma_table: tuple, alpha_table: tuple,
+                      beta_table: tuple) -> Optional[str]:
+    """None if beta is a lift of alpha through gamma, else why not.
+
+    The source is fan(n) with n >= 1, so the p-morphism condition is a
+    check on the table: the tops must land exactly on M(beta(bottom)).
+    That makes each top maximal and above the bottom's image, so beta is
+    order-preserving and carries every maximal set onto a maximal set.
+    beta composes back when gamma sends each point to alpha's image of it.
+    """
+    if any(gamma_table[b] != a for a, b in zip(alpha_table, beta_table)):
+        return "lift does not compose back"
+    tops = 0
+    for b in beta_table[1:]:
+        tops |= 1 << b
+    if tops != Y.max_above(beta_table[0]):
+        return "lift is not a p-morphism"
+    return None
+
+
 class ExtensionResult(NamedTuple):
     """Outcome of a bounded search over extensions.
 

@@ -333,6 +333,13 @@ def _cmd_q_model(args) -> int:
             "text": div.text,
         }
     _emit(args, payload)
+    if which in ("all", "lift", "divergence") \
+            and args.bound < model.quotient.n:
+        # the bounded searches refuse such a bound (_require_room); here the
+        # identity and the collapse still give a check, so only warn
+        print("warning: bound %d is below the %d points of the quotient; "
+              "only the identity and the collapse were checked"
+              % (args.bound, model.quotient.n), file=sys.stderr)
     return 0 if ok else 1
 
 

@@ -9,7 +9,8 @@ construction step by step: the collapse map, the separation facts the
 construction rests on, and the case analysis of lifts of maps into the
 rank-3 fan algebra. That analysis keeps no lift rule of its own: each
 lift is built from the closed form the extension oracle decides with,
-labelled by case, and re-verified as a p-morphism that composes back.
+labelled by case, and certified on its table: the tops land exactly on
+the maximal points over the bottom's image, and the lift composes back.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .algebras import (_iter_p_morphisms, is_p_morphism, make_pcdl,
-                       p_morphism_failure, p_morphisms)
-from .amalgamation import (_extension_classes, _fan_lift, _fan_lift_table,
-                           _fiber_profiles, _max_rows, _top_profile,
-                           forbidden_images)
+from .algebras import (_iter_p_morphisms, make_pcdl, p_morphism_failure,
+                       p_morphisms)
+from .amalgamation import (_extension_classes, _fan_lift, _fan_lift_failure,
+                           _fan_lift_table, _fiber_profiles, _max_rows,
+                           _top_profile, forbidden_images)
 from .posets import OrderMap, Poset, bits, fan
 
 
@@ -226,8 +227,10 @@ def check_lift_cases(model: QuotientModel, bound: int) -> LiftCaseReport:
     spread onto M(y). A case 3 lift is 3a or 3b as M(y) has two or three
     points. Case 3 instances where no y fits are tallied as uncovered;
     in cases 1 and 2 a lift always exists, so a missing one is a
-    failure, as is a built lift that does not compose back to alpha or
-    is not a p-morphism. failures must stay empty.
+    failure. Each built lift is certified on its table
+    (amalgamation._fan_lift_failure), with no map object: one that does
+    not compose back to alpha or is not a p-morphism is a failure too.
+    failures must stay empty.
 
     The identity on the quotient and the collapse map from the big poset
     are always included; extensions of at most bound points are
@@ -256,14 +259,11 @@ def check_lift_cases(model: QuotientModel, bound: int) -> LiftCaseReport:
                         failures.append((gamma, alpha, "no lift in case %s"
                                          % case))
                     continue
-                beta = OrderMap(V, Y, _fan_lift_table(rows, gamma.table,
-                                                      alpha.table, y))
-                if gamma.compose(beta).table != alpha.table:
-                    failures.append((gamma, alpha,
-                                     "lift does not compose back"))
-                elif not is_p_morphism(beta):
-                    failures.append((gamma, alpha,
-                                     "lift is not a p-morphism"))
+                failure = _fan_lift_failure(
+                    Y, gamma.table, alpha.table,
+                    _fan_lift_table(rows, gamma.table, alpha.table, y))
+                if failure is not None:
+                    failures.append((gamma, alpha, failure))
                 elif case == "3":
                     counts["3a" if len(rows[y]) == 2 else "3b"] += 1
                 else:

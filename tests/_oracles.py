@@ -289,3 +289,62 @@ def random_poset(n, rng):
             if rng.random() < 0.4:
                 covers.append((labels[i], labels[j]))
     return Poset.from_covers(labels, covers)
+
+
+def is_star_hom_raw(source, target, table, onto=False) -> bool:
+    """Whether table is a {0,1}-hom of the algebras that keeps the star.
+
+    source and target are read only through their carrier data: size,
+    join, meet and star tables. With onto, every target element must be
+    hit. Every pair of elements is scanned.
+    """
+    if table[source.bottom] != target.bottom or \
+            table[source.top] != target.top:
+        return False
+    for i in range(source.size):
+        if table[source.star(i)] != target.star(table[i]):
+            return False
+        for j in range(source.size):
+            if table[source.join(i, j)] != target.join(table[i], table[j]):
+                return False
+            if table[source.meet(i, j)] != target.meet(table[i], table[j]):
+                return False
+    return not onto or set(table) == set(range(target.size))
+
+
+def kernel_is_erasure(carrier, table, erased) -> bool:
+    """Whether table identifies two up-sets exactly when they agree off
+    the erased points, by scanning every pair."""
+    for i, u in enumerate(carrier):
+        for j, v in enumerate(carrier):
+            if (table[i] == table[j]) != (u & ~erased == v & ~erased):
+                return False
+    return True
+
+
+def restriction_matches(gamma_pres, keep_big, carrier, keep_small) -> bool:
+    """Whether the pullback of a congruence restricts to it, pair by pair.
+
+    carrier lists the up-sets of the small dual, gamma_pres their
+    preimages, and keep_small and keep_big the points the congruence
+    and its pullback keep.
+    """
+    n = len(carrier)
+    for i in range(n):
+        for j in range(i + 1, n):
+            small = (carrier[i] & keep_small) == (carrier[j] & keep_small)
+            big = (gamma_pres[i] & keep_big) == (gamma_pres[j] & keep_big)
+            if small != big:
+                return False
+    return True
+
+
+def order_preserving_maps_raw(source, target) -> list:
+    """Every order-preserving table source -> target, by product scan."""
+    out = []
+    for table in itertools.product(range(target.n), repeat=source.n):
+        if all(target.leq(table[i], table[j])
+               for i in range(source.n) for j in range(source.n)
+               if source.leq(i, j)):
+            out.append(table)
+    return out

@@ -11,7 +11,9 @@ from pcdl import (AbstractLattice, OrderMap, antichain, chain,
                   poset_classes_upto, pseudocomplement, star_embeddings,
                   star_hom_pairs, star_homs, upset_star_table, variety_index)
 
-from _oracles import (all_p_morphisms_raw, cube_plus_one_tables, random_poset,
+from _oracles import (all_p_morphisms_raw, cube_plus_one_tables,
+                      is_p_morphism_raw, is_star_hom_raw,
+                      order_preserving_maps_raw, random_poset,
                       star_table_brute)
 
 
@@ -128,6 +130,40 @@ def test_hom_of_dual_map_rejects_wrong_posets():
     bad = OrderMap.identity(B2.base)
     with pytest.raises(ValueError):
         hom_of_dual_map(bad, B2, B3)
+
+
+def test_hom_of_dual_map_rejects_a_map_that_is_not_a_p_morphism():
+    # collapsing t2 onto t1 keeps the order but shrinks the maximal set of g
+    B2 = fan_algebra(2)
+    g = OrderMap.from_labels(B2.base, B2.base,
+                             {"g": "g", "t1": "t1", "t2": "t1"})
+    with pytest.raises(ValueError, match="not a p-morphism"):
+        hom_of_dual_map(g, B2, B2)
+
+
+def test_transport_certificate_matches_star_hom_scan():
+    # the preimage hom of an order-preserving g keeps the star, by a scan
+    # of every pair of elements, exactly when g is a p-morphism
+    classes = poset_classes_upto(3)
+    agreed = 0
+    for S in classes:
+        B = make_pcdl(S)
+        for T in classes:
+            A = make_pcdl(T)
+            for table in order_preserving_maps_raw(S, T):
+                g = OrderMap(S, T, table)
+                hom = tuple(B.index_of_mask(g.preimage_mask(u))
+                            for u in A.carrier)
+                scan = is_star_hom_raw(A, B, hom)
+                assert scan == (p_morphism_failure(g) is None) \
+                    == is_p_morphism_raw(S, T, table), (S, T, table)
+                if scan:
+                    assert hom_of_dual_map(g, A, B).table == hom
+                else:
+                    with pytest.raises(ValueError, match="not a p-morphism"):
+                        hom_of_dual_map(g, A, B)
+                agreed += 1
+    assert agreed == 485
 
 
 def test_unique_embedding_of_three_chain():

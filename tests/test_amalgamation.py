@@ -140,7 +140,8 @@ def _lift_agreement(Y: Poset, P: Poset, n: int) -> tuple:
     """(instances, instances without a lift); asserts the two tests agree.
 
     Wherever a lift exists, the one built from the closed form must
-    compose back to alpha and be a p-morphism.
+    compose back to alpha and be a p-morphism, and its table check must
+    pass.
     """
     alphas = p_morphisms(fan(n), P)
     instances = missing = 0
@@ -157,6 +158,8 @@ def _lift_agreement(Y: Poset, P: Poset, n: int) -> tuple:
                     rows, gamma.table, alpha.table, y))
                 assert gamma.compose(beta).table == alpha.table
                 assert is_p_morphism(beta), (gamma, alpha, beta)
+                assert amalgamation._fan_lift_failure(
+                    Y, gamma.table, alpha.table, beta.table) is None
             instances += 1
             missing += backtracked is None
     return instances, missing
@@ -170,6 +173,52 @@ def test_closed_form_fan_lift_matches_backtracking():
                 k, m = _lift_agreement(Y, P, n)
                 instances, missing = instances + k, missing + m
     assert (instances, missing) == (11712, 138)
+
+
+def _lift_verdict(gamma: OrderMap, alpha: OrderMap, table: tuple):
+    """What the table check should say, from compose and is_p_morphism."""
+    beta = OrderMap(alpha.source, gamma.source, table)
+    if gamma.compose(beta).table != alpha.table:
+        return "lift does not compose back"
+    if not is_p_morphism(beta):
+        return "lift is not a p-morphism"
+    return None
+
+
+def test_fan_lift_table_check_agrees_on_corrupted_lifts():
+    # each built lift, corrupted by moving its bottom or one top to the
+    # next point of Y, is judged alike by the table check and by compose
+    # and is_p_morphism, failure label included
+    seen = {"bottom": set(), "top": set()}
+    for P in poset_classes_upto(3):
+        for n in (1, 2, 3):
+            alphas = p_morphisms(fan(n), P)
+            for Y in amalgamation._extension_classes(P, n, P.n + 2):
+                if Y.n < 2:
+                    continue
+                rows = amalgamation._max_rows(Y)
+                for gamma in p_morphisms(Y, P, onto=True):
+                    fibers = amalgamation._fiber_profiles(rows, gamma)
+                    for alpha in alphas:
+                        y = amalgamation._fan_lift(
+                            fibers,
+                            amalgamation._top_profile(alpha.table, P.n))
+                        if y is None:
+                            continue
+                        built = amalgamation._fan_lift_table(
+                            rows, gamma.table, alpha.table, y)
+                        for where, k in (("bottom", 0), ("top", n)):
+                            bad = list(built)
+                            bad[k] = (bad[k] + 1) % Y.n
+                            bad = tuple(bad)
+                            verdict = amalgamation._fan_lift_failure(
+                                Y, gamma.table, alpha.table, bad)
+                            assert verdict == _lift_verdict(gamma, alpha,
+                                                            bad)
+                            seen[where].add(verdict)
+    everything = {None, "lift does not compose back",
+                  "lift is not a p-morphism"}
+    assert seen == {"bottom": everything, "top": everything}
 
 
 def test_closed_form_fan_lift_on_random_larger_sources():

@@ -208,6 +208,26 @@ def test_q_model_verify_all_runs_the_lift_check_once(monkeypatch, capsys):
         == 34
 
 
+def test_q_model_warns_when_the_bound_leaves_no_extension(capsys):
+    # the (2,1) quotient has 11 points, so bound 6 searches no extension
+    # class: the report stands, with one warning line on stderr
+    assert cli.main(["q-model", "--N", "2", "--m", "1", "--verify", "lift",
+                     "--bound", "6"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["lift_check"]["instances"] == 52
+    assert err == ("warning: bound 6 is below the 11 points of the "
+                   "quotient; only the identity and the collapse were "
+                   "checked\n")
+
+
+def test_q_model_gives_no_warning_when_extensions_fit(capsys):
+    # the (0,1) quotient has 3 points, within bound 6
+    assert cli.main(["q-model", "--N", "0", "--m", "1", "--bound", "6"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["lift_check"]["failures"] == 0
+    assert err == ""
+
+
 def test_q_model_dot():
     r = run("q-model", "--N", "1", "--m", "1", "--dot")
     assert r.returncode == 0

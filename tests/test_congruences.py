@@ -1,16 +1,17 @@
 import pytest
 
-from pcdl import (OrderMap, PullbackError, antichain, chain,
-                  congruence_relates, disjoint_sum, dual_congruence,
-                  enumerate_congruences, fan, fan_algebra,
+from pcdl import (DualCongruence, OrderMap, PullbackError, amalgamation,
+                  antichain, bits, chain, congruence_relates, disjoint_sum,
+                  dual_congruence, enumerate_congruences, fan, fan_algebra,
                   is_congruence_extensile_bounded, is_congruence_mask,
                   is_essential_extension, is_subdirectly_irreducible,
-                  make_pcdl, poset_classes_upto, product_lattice,
-                  pcdl_from_abstract, pullback_congruence, quotient,
-                  restrict_congruence, star_embeddings,
+                  make_pcdl, p_morphisms, poset_classes_upto,
+                  product_lattice, pcdl_from_abstract, pullback_congruence,
+                  quotient, restrict_congruence, star_embeddings,
                   validate_star_embedding)
 
-from _oracles import congruences_algebra_side
+from _oracles import (congruences_algebra_side, is_star_hom_raw,
+                      kernel_is_erasure, restriction_matches)
 
 
 def _algebra_side_count(A):
@@ -75,6 +76,45 @@ def test_quotient_shapes_and_projection():
                                                    A.carrier[j])
     with pytest.raises(ValueError, match="different poset"):
         quotient(A, dual_congruence(fan(2), ["g"]))
+
+
+def test_quotient_certificate_matches_element_scan():
+    # the projection onto the surviving points is an onto star hom whose
+    # kernel is the erasure, by a scan of every pair of elements, exactly
+    # when the erased mask is a congruence mask; the table is built here
+    # because quotient refuses the other masks
+    agreed = 0
+    for P in poset_classes_upto(5):
+        A = make_pcdl(P)
+        for mask in range(1 << P.n):
+            keep = P.full_mask & ~mask
+            pos = {old: new for new, old in enumerate(bits(keep))}
+            Q = make_pcdl(P.restrict(keep))
+            table = tuple(Q.index_of_mask(sum(1 << pos[p]
+                                              for p in bits(u & keep)))
+                          for u in A.carrier)
+            scan = is_star_hom_raw(A, Q, table, onto=True) and \
+                kernel_is_erasure(A.carrier, table, mask)
+            assert scan == is_congruence_mask(P, mask), (P, mask)
+            raw = DualCongruence(P, mask)
+            if scan:
+                assert quotient(A, raw).projection.table == table
+            else:
+                with pytest.raises(ValueError, match="down-closure"):
+                    quotient(A, raw)
+            agreed += 1
+    assert agreed == 2323
+
+
+def test_quotient_refuses_a_raw_non_congruence_at_every_size():
+    # 3072 up-sets: erasing the chain's top but not its bottom breaks the
+    # down-closure condition
+    P = disjoint_sum([antichain(10), chain(2)]).poset
+    A = make_pcdl(P)
+    assert A.size > 1024
+    top = P.maximals_mask & ~P.minimals_mask
+    with pytest.raises(ValueError, match="down-closure"):
+        quotient(A, DualCongruence(P, top))
 
 
 def test_quotient_of_trivial_congruence_is_identity_shaped():
@@ -147,6 +187,36 @@ def test_pullback_congruence():
         pullback_congruence(f, dual_congruence(fan(2), ["g"]))
 
 
+def test_extensile_certificate_matches_restriction_scan():
+    # every (gamma, theta) the search certifies by onto and the pullback
+    # mask also passes the pairwise restriction scan
+    total = 0
+    for P in poset_classes_upto(3):
+        B = make_pcdl(P)
+        thetas = enumerate_congruences(P)
+        instances = 0
+        for Y in amalgamation._extension_classes(P, 3, P.n + 2):
+            for gamma in p_morphisms(Y, P):
+                pres = [gamma.preimage_mask(u) for u in B.carrier]
+                if not gamma.is_onto():
+                    # onto is needed too: a missed point p leaves up(p)
+                    # and up(p) minus p with one preimage
+                    assert not restriction_matches(pres, Y.full_mask,
+                                                   B.carrier, P.full_mask)
+                    continue
+                for theta in thetas:
+                    instances += 1
+                    psi = gamma.preimage_mask(theta.mask)
+                    assert is_congruence_mask(Y, psi)
+                    assert restriction_matches(pres, Y.full_mask & ~psi,
+                                               B.carrier,
+                                               P.full_mask & ~theta.mask)
+        assert is_congruence_extensile_bounded(B, 3, P.n + 2).instances \
+            == instances
+        total += instances
+    assert total == 7771
+
+
 def test_pullback_error_type_is_value_error():
     assert issubclass(PullbackError, ValueError)
 
@@ -174,8 +244,9 @@ def test_subdirectly_irreducible_spot_checks():
     two_fans = disjoint_sum([fan(2), fan(1)]).poset
     assert not is_subdirectly_irreducible(make_pcdl(two_fans))
     assert not is_subdirectly_irreducible(make_pcdl(chain(3)))
-    with pytest.raises(ValueError, match="bound"):
-        is_subdirectly_irreducible(make_pcdl(antichain(13)))
+    # the test is O(n) in the dual, so it answers at every size
+    assert not is_subdirectly_irreducible(make_pcdl(antichain(13)))
+    assert is_subdirectly_irreducible(make_pcdl(fan(12)))
 
 
 def test_essential_extension_of_si_is_si():

@@ -94,6 +94,9 @@ def test_tracer_installs_and_uninstalls_cleanly():
         pcdl.extension_property_bounded(pcdl.make_pcdl(pcdl.fan(2)), 3, 4)
         # the (0,1) quotient has 3 points, so bound 4 has extension classes
         pcdl.check_lift_cases(pcdl.build_quotient_model(0, 1), 4)
+        pcdl.quotient(pcdl.fan_algebra(3),
+                      pcdl.dual_congruence(pcdl.fan(3), ["g", "t1"]))
+        pcdl.star_hom_pairs(pcdl.fan_algebra(2), pcdl.fan_algebra(3))
     finally:
         tracer.uninstall()
     assert _bindings() == before
@@ -107,3 +110,8 @@ def test_tracer_installs_and_uninstalls_cleanly():
     # the q-model's onto search is named after the check that runs it
     assert tracer.calls["qmodel.check_lift_cases"] == 1
     assert tracer.counts["qmodel.gamma_search.yields"] > 0
+    # quotients and transported homs are certified on the dual points; an
+    # element-level homomorphism scan coming back shows up here
+    assert tracer.calls["congruences.quotient"] == 1
+    assert tracer.calls["algebras.hom_of_dual_map"] > 0
+    assert tracer.calls["duality.is_homomorphism"] == 0
