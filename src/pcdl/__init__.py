@@ -9,12 +9,11 @@ between them.
 
 __version__ = "0.1.0"
 
-from .algebras import (PcdLattice, embedding_p_morphism_witness, fan_algebra,
+from .algebras import (embedding_p_morphism_witness, fan_algebra,
                        hom_of_dual_map, in_variety, is_p_morphism, make_pcdl,
                        onto_star_hom_exists, p_morphism_failure, p_morphisms,
                        pcdl_from_abstract, pseudocomplement, star_embeddings,
-                       star_hom_pairs, star_homs, upset_star_table,
-                       variety_index)
+                       star_hom_pairs, star_homs, variety_index)
 from .amalgamation import (AmalgamationVerdict, ExtensionResult,
                            SeparationResult, amalgamate_or_separate,
                            extension_property_bounded, forbidden_images,
@@ -50,11 +49,10 @@ __all__ = [
     "UpSetLattice", "AbstractLattice", "LatticeHom", "dual_lattice",
     "dual_space", "dual_of_order_map", "dual_of_lattice_hom", "unit_iso",
     "product_lattice",
-    "PcdLattice", "make_pcdl", "pcdl_from_abstract",
+    "make_pcdl", "pcdl_from_abstract",
     "pseudocomplement", "fan_algebra", "is_p_morphism",
     "p_morphism_failure", "p_morphisms", "star_homs", "star_hom_pairs",
-    "star_embeddings", "hom_of_dual_map", "upset_star_table",
-    "variety_index", "in_variety",
+    "star_embeddings", "hom_of_dual_map", "variety_index", "in_variety",
     "onto_star_hom_exists", "embedding_p_morphism_witness",
     "DualCongruence", "dual_congruence", "is_congruence_mask",
     "enumerate_congruences", "congruence_relates", "Quotient", "quotient",

@@ -1,78 +1,19 @@
 """Pseudocomplemented distributive lattices over their dual posets.
 
-An algebra is carried by the up-set lattice of a finite poset; the
-pseudocomplement of an up-set U is the complement of the down-closure of U,
-the largest up-set disjoint from U. Homomorphisms that preserve the star
-correspond to maps g between the dual posets satisfying the maximal-point
-condition g[M(y)] = M(g(y)), called p-morphisms below.
+An algebra is the up-set lattice of a finite poset, duality.UpSetLattice,
+which carries its own pseudocomplement: the star of an up-set U is the
+complement of the down-closure of U, the largest up-set disjoint from U.
+Homomorphisms that preserve the star correspond to maps g between the
+dual posets satisfying the maximal-point condition g[M(y)] = M(g(y)),
+called p-morphisms below.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from .duality import LatticeHom, UpSetLattice
+from .duality import LatticeHom, UpSetLattice, _star_mask
 from .posets import OrderMap, Poset, bits, fan
-
-
-class PcdLattice:
-    """Finite PCDL realized as the up-set lattice of its dual poset."""
-
-    __slots__ = ("base", "lattice", "star_table")
-
-    def __init__(self, base: Poset, lattice: UpSetLattice, star_table: tuple):
-        self.base = base
-        self.lattice = lattice
-        self.star_table = star_table
-
-    @property
-    def size(self) -> int:
-        return self.lattice.size
-
-    @property
-    def labels(self) -> tuple:
-        return self.lattice.labels
-
-    @property
-    def carrier(self) -> tuple:
-        return self.lattice.carrier
-
-    @property
-    def bottom(self) -> int:
-        return 0
-
-    @property
-    def top(self) -> int:
-        return self.lattice.size - 1
-
-    def join(self, i: int, j: int) -> int:
-        return self.lattice.join(i, j)
-
-    def meet(self, i: int, j: int) -> int:
-        return self.lattice.meet(i, j)
-
-    def leq(self, i: int, j: int) -> bool:
-        return self.lattice.leq(i, j)
-
-    def star(self, i: int) -> int:
-        return self.star_table[i]
-
-    def index_of_mask(self, mask: int) -> int:
-        return self.lattice.index_of_mask(mask)
-
-    def __eq__(self, other):
-        return isinstance(other, PcdLattice) and self.base == other.base
-
-    def __hash__(self):
-        return hash(("pcdl", self.base))
-
-    def __repr__(self):
-        return "PcdLattice(%d elements over %d points)" % (self.size,
-                                                           self.base.n)
-
-
-def _star_mask(poset: Poset, mask: int) -> int:
-    return poset.full_mask & ~poset.down_closure(mask)
 
 
 def pseudocomplement(poset: Poset, mask: int) -> int:
@@ -83,48 +24,32 @@ def pseudocomplement(poset: Poset, mask: int) -> int:
     return _star_mask(poset, mask)
 
 
-def upset_star_table(lat: UpSetLattice) -> tuple:
-    """Pseudocomplement table of an up-set lattice, from its base poset."""
-    return tuple(lat.index_of_mask(_star_mask(lat.base, u))
-                 for u in lat.carrier)
+def make_pcdl(poset: Poset) -> UpSetLattice:
+    """The up-set lattice of a poset, with its star certified.
 
-
-def make_pcdl(poset: Poset) -> PcdLattice:
-    """Equip the up-set lattice of a poset with its pseudocomplement.
-
-    The defining biconditional (x below u-star exactly when x meets u at
-    bottom) is certified at every size, in one pass over the up-sets u
-    with O(n) work each: u-star must miss u, and every point outside
-    u-star must see u above it. The first gives the forward direction;
-    the second puts every up-set that misses u below u-star.
+    Reading star_table runs its O(n)-per-up-set certificate, so every
+    algebra built here is certified at construction, at every size.
     """
-    lattice = UpSetLattice(poset)
-    star_table = upset_star_table(lattice)
-    carrier, up, full = lattice.carrier, poset.up, poset.full_mask
-    for u, j in zip(carrier, star_table):
-        s = carrier[j]
-        if s & u or any(not up[p] & u for p in bits(full & ~s)):
-            raise AssertionError(
-                "pseudocomplement axiom fails at %s with star %s"
-                % (poset.labels_of(u), poset.labels_of(s)))
-    return PcdLattice(poset, lattice, star_table)
+    A = UpSetLattice(poset)
+    A.star_table  # computed and certified on this first read
+    return A
 
 
 @cache
-def fan_algebra(n: int) -> PcdLattice:
+def fan_algebra(n: int) -> UpSetLattice:
     """The 2^n-plus-new-unit algebra: up-sets of the n-top fan."""
     return make_pcdl(fan(n))
 
 
 def pcdl_from_abstract(lat):
-    """Rebuild an abstract PCDL over its dual poset.
+    """An abstract PCDL as the up-set lattice of its dual poset.
 
-    Returns (algebra, unit) where unit is the canonical isomorphism from
-    lat onto the algebra's carrier, certified when lat was built. A finite
-    distributive lattice is pseudocomplemented, and an isomorphism carries
-    its star onto the algebra's star.
+    Returns (algebra, unit): the algebra is the target of the canonical
+    isomorphism unit, certified when lat was built. A finite distributive
+    lattice is pseudocomplemented, and an isomorphism carries its star
+    onto the algebra's star, which is certified when first read.
     """
-    return make_pcdl(lat.unit.target.base), lat.unit
+    return lat.unit.target, lat.unit
 
 
 # -- p-morphisms -------------------------------------------------------------
@@ -216,9 +141,9 @@ def p_morphisms(source: Poset, target: Poset, onto: bool = False) -> list:
 
 # -- star homomorphisms ------------------------------------------------------
 
-def star_hom_failure(hom: LatticeHom, src_star, tgt_star,
-                     one_to_one: bool = False, onto: bool = False):
-    """None if hom is a {0,1}-hom carrying src_star to tgt_star, else why.
+def star_hom_failure(hom: LatticeHom, one_to_one: bool = False,
+                     onto: bool = False):
+    """None if hom is a {0,1}-hom between up-set lattices keeping star.
 
     one_to_one and onto additionally demand those properties. The reason
     reads after the hom's name, as in "embedding is not one-to-one".
@@ -229,13 +154,15 @@ def star_hom_failure(hom: LatticeHom, src_star, tgt_star,
         return "is not one-to-one"
     if onto and not hom.is_onto():
         return "is not onto"
-    tab = hom.table
-    if any(tab[s] != tgt_star[tab[i]] for i, s in enumerate(src_star)):
+    tab, tgt_star = hom.table, hom.target.star_table
+    if any(tab[s] != tgt_star[tab[i]]
+           for i, s in enumerate(hom.source.star_table)):
         return "does not preserve star"
     return None
 
 
-def hom_of_dual_map(g: OrderMap, A: PcdLattice, B: PcdLattice) -> LatticeHom:
+def hom_of_dual_map(g: OrderMap, A: UpSetLattice,
+                    B: UpSetLattice) -> LatticeHom:
     """Transport a p-morphism g: P(B) -> P(A) to the hom A -> B it encodes.
 
     The hom sends an up-set to its preimage under g. Preimage along an
@@ -250,21 +177,21 @@ def hom_of_dual_map(g: OrderMap, A: PcdLattice, B: PcdLattice) -> LatticeHom:
     if failure is not None:
         raise ValueError("map is not a p-morphism: %r" % (failure,))
     table = tuple(B.index_of_mask(g.preimage_mask(u)) for u in A.carrier)
-    return LatticeHom(A.lattice, B.lattice, table)
+    return LatticeHom(A, B, table)
 
 
-def star_hom_pairs(A: PcdLattice, B: PcdLattice) -> list:
+def star_hom_pairs(A: UpSetLattice, B: UpSetLattice) -> list:
     """All (dual p-morphism, hom A -> B) pairs, each dual map certified."""
     return [(g, hom_of_dual_map(g, A, B))
             for g in p_morphisms(B.base, A.base)]
 
 
-def star_homs(A: PcdLattice, B: PcdLattice) -> list:
+def star_homs(A: UpSetLattice, B: UpSetLattice) -> list:
     """All star-preserving {0,1}-homomorphisms A -> B."""
     return [hom for _, hom in star_hom_pairs(A, B)]
 
 
-def star_embeddings(A: PcdLattice, B: PcdLattice) -> list:
+def star_embeddings(A: UpSetLattice, B: UpSetLattice) -> list:
     """All one-to-one star homs A -> B; dual maps must be onto."""
     out = []
     for g, hom in star_hom_pairs(A, B):
@@ -275,7 +202,7 @@ def star_embeddings(A: PcdLattice, B: PcdLattice) -> list:
     return out
 
 
-def embedding_p_morphism_witness(A: PcdLattice, i: int):
+def embedding_p_morphism_witness(A: UpSetLattice, i: int):
     """An order-embedding p-morphism from the i-top fan into P(A), or None.
 
     Such an embedding exists exactly when A has an onto star hom to the
@@ -302,12 +229,12 @@ def embedding_p_morphism_witness(A: PcdLattice, i: int):
     return None
 
 
-def onto_star_hom_exists(A: PcdLattice, i: int) -> bool:
+def onto_star_hom_exists(A: UpSetLattice, i: int) -> bool:
     """Whether some star hom maps A onto the 2^i-plus-unit algebra."""
     return embedding_p_morphism_witness(A, i) is not None
 
 
-def variety_index(A: PcdLattice) -> int:
+def variety_index(A: UpSetLattice) -> int:
     """Largest maximal-set size in the dual; 0 for the trivial algebra.
 
     A lies in the variety generated by the 2^n-plus-unit algebra exactly
@@ -319,5 +246,5 @@ def variety_index(A: PcdLattice) -> int:
     return max(base.max_above(x).bit_count() for x in range(base.n))
 
 
-def in_variety(A: PcdLattice, n: int) -> bool:
+def in_variety(A: UpSetLattice, n: int) -> bool:
     return variety_index(A) <= n

@@ -13,15 +13,16 @@ import concurrent.futures
 from itertools import cycle, repeat
 from typing import NamedTuple, Optional
 
-from .algebras import (PcdLattice, _iter_p_morphisms,
-                       embedding_p_morphism_witness, fan_algebra, in_variety,
-                       is_p_morphism, onto_star_hom_exists, p_morphisms,
-                       star_hom_failure, star_homs, variety_index)
+from .algebras import (_iter_p_morphisms, embedding_p_morphism_witness,
+                       fan_algebra, in_variety, is_p_morphism,
+                       onto_star_hom_exists, p_morphisms, star_hom_failure,
+                       star_homs, variety_index)
+from .duality import UpSetLattice
 from .enumeration import poset_classes_upto
 from .posets import OrderMap, Poset, bits, fan
 
 
-def forbidden_images(A: PcdLattice, n: int) -> list:
+def forbidden_images(A: UpSetLattice, n: int) -> list:
     """Fan sizes i with 2 <= i < n that A maps onto.
 
     Nonempty output certifies that A is not an amalgamation base of the
@@ -38,7 +39,8 @@ class AmalgamationVerdict(NamedTuple):
     witnesses: dict
 
 
-def is_amalgamation_base_finite(A: PcdLattice, n: int) -> AmalgamationVerdict:
+def is_amalgamation_base_finite(A: UpSetLattice,
+                                n: int) -> AmalgamationVerdict:
     """Decide whether A is an amalgamation base of the index-n variety.
 
     witnesses maps each forbidden size to an embedding of the fan of that
@@ -232,7 +234,7 @@ def _extension_class_task(Y: Poset, P: Poset, alpha_tables: list) -> tuple:
     return instances, None
 
 
-def extension_property_bounded(A: PcdLattice, n: int, bound: int,
+def extension_property_bounded(A: UpSetLattice, n: int, bound: int,
                                jobs: int = 1,
                                max_instances=None) -> ExtensionResult:
     """Check that every map of A to the top fan extends along extensions.
@@ -286,7 +288,8 @@ class SeparationResult(NamedTuple):
     checked_pairs: int
 
 
-def amalgamate_or_separate(A: PcdLattice, B0: PcdLattice, B1: PcdLattice,
+def amalgamate_or_separate(A: UpSetLattice, B0: UpSetLattice,
+                           B1: UpSetLattice,
                            e0, e1, n: int) -> SeparationResult:
     """Amalgamate two extensions of A inside the index-n variety, or refute.
 
@@ -301,12 +304,11 @@ def amalgamate_or_separate(A: PcdLattice, B0: PcdLattice, B1: PcdLattice,
             raise ValueError("%s is outside the variety of index %d"
                              % (name, n))
     for name, emb, tgt in (("e0", e0, B0), ("e1", e1, B1)):
-        if emb.source is not A.lattice and emb.source != A.lattice:
+        if emb.source != A:
             raise ValueError("%s does not start at A" % name)
-        if emb.target is not tgt.lattice and emb.target != tgt.lattice:
+        if emb.target != tgt:
             raise ValueError("%s does not land in its extension" % name)
-        failure = star_hom_failure(emb, A.star_table, tgt.star_table,
-                                   one_to_one=True)
+        failure = star_hom_failure(emb, one_to_one=True)
         if failure is not None:
             raise ValueError("%s %s" % (name, failure))
     D = fan_algebra(n)

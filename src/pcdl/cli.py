@@ -74,14 +74,7 @@ def _load_algebra(path: str):
 
 
 def _load_map(path: str) -> OrderMap:
-    obj = _load_json(path)
-    if not isinstance(obj, dict) or \
-            not {"source", "target", "map"} <= set(obj):
-        raise CliInputError("%s: expected an object with source, target "
-                            "and map" % path)
-    src = Poset.from_dict(obj["source"])
-    tgt = Poset.from_dict(obj["target"])
-    return OrderMap.from_labels(src, tgt, obj["map"])
+    return OrderMap.from_dict(_load_json(path))
 
 
 def _lattice_order_poset(lat) -> Poset:
@@ -188,8 +181,10 @@ def _cmd_variety_index(args) -> int:
 
 
 def _cmd_congruences(args) -> int:
-    A, _, _ = _load_algebra(args.infile)
-    thetas = enumerate_congruences(A.base, args.bound)
+    obj = _load_poset_or_lattice(args.infile)
+    # the congruences live on the dual poset; no up-set lattice is built
+    base = obj if isinstance(obj, Poset) else obj.unit.target.base
+    thetas = enumerate_congruences(base, args.bound)
     payload = {
         "count": len(thetas),
         "congruences": [{"erased": list(t.labels())} for t in thetas],
@@ -204,7 +199,7 @@ def _cmd_quotient(args) -> int:
     theta = dual_congruence(A.base, erased)
     q = quotient(A, theta)
     payload = {
-        "algebra": q.algebra.lattice.to_dict(),
+        "algebra": q.algebra.to_dict(),
         "projection": q.projection.map_labels(),
     }
     _emit(args, payload)

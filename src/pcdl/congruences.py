@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .algebras import (PcdLattice, in_variety, make_pcdl, p_morphism_failure,
-                       star_hom_failure, upset_star_table)
+from .algebras import (in_variety, make_pcdl, p_morphism_failure,
+                       star_hom_failure)
 from .amalgamation import (ExtensionResult, _extension_classes,
                            _require_room)
 from .duality import LatticeHom, UpSetLattice
@@ -64,11 +64,11 @@ def congruence_relates(theta: DualCongruence, u1: int, u2: int) -> bool:
 
 
 class Quotient(NamedTuple):
-    algebra: PcdLattice
+    algebra: UpSetLattice
     projection: LatticeHom
 
 
-def quotient(A: PcdLattice, theta: DualCongruence) -> Quotient:
+def quotient(A: UpSetLattice, theta: DualCongruence) -> Quotient:
     """A modulo theta, with its canonical projection.
 
     The quotient's dual is the restriction of the dual poset to the
@@ -93,7 +93,7 @@ def quotient(A: PcdLattice, theta: DualCongruence) -> Quotient:
         for old in bits(u & keep):
             m |= 1 << pos[old]
         table.append(Q.index_of_mask(m))
-    return Quotient(Q, LatticeHom(A.lattice, Q.lattice, tuple(table)))
+    return Quotient(Q, LatticeHom(A, Q, tuple(table)))
 
 
 def validate_star_embedding(emb: LatticeHom):
@@ -101,8 +101,7 @@ def validate_star_embedding(emb: LatticeHom):
     if not isinstance(emb.source, UpSetLattice) or \
             not isinstance(emb.target, UpSetLattice):
         raise ValueError("embedding must run between up-set lattices")
-    failure = star_hom_failure(emb, upset_star_table(emb.source),
-                               upset_star_table(emb.target), one_to_one=True)
+    failure = star_hom_failure(emb, one_to_one=True)
     if failure is not None:
         raise ValueError("embedding %s" % failure)
 
@@ -178,7 +177,7 @@ def pullback_congruence(h: OrderMap, theta: DualCongruence) -> DualCongruence:
     return DualCongruence(h.source, psi_mask)
 
 
-def is_congruence_extensile_bounded(B: PcdLattice, n: int, bound: int,
+def is_congruence_extensile_bounded(B: UpSetLattice, n: int, bound: int,
                                     max_instances=None) -> ExtensionResult:
     """Check that every congruence of B extends to every bounded extension.
 
@@ -220,7 +219,7 @@ def is_congruence_extensile_bounded(B: PcdLattice, n: int, bound: int,
     return ExtensionResult("yes", None, instances, bound)
 
 
-def is_subdirectly_irreducible(A: PcdLattice) -> bool:
+def is_subdirectly_irreducible(A: UpSetLattice) -> bool:
     """Whether the nonempty dual congruences have a least member.
 
     By Lakser's theorem the subdirectly irreducible algebras are the

@@ -20,16 +20,53 @@ def _set_label(base: Poset, mask: int) -> str:
     return "{" + ",".join(base.labels[i] for i in bits(mask)) + "}"
 
 
-class UpSetLattice:
-    """The lattice of up-sets of a poset, ordered by inclusion."""
+def _star_mask(poset: Poset, mask: int) -> int:
+    return poset.full_mask & ~poset.down_closure(mask)
 
-    __slots__ = ("base", "carrier", "labels", "_index")
+
+class UpSetLattice:
+    """The lattice of up-sets of a poset, ordered by inclusion.
+
+    It is the finite PCDL dual to the poset: the pseudocomplement of an
+    up-set u is the complement of the down-closure of u, the largest
+    up-set disjoint from u.
+    """
+
+    __slots__ = ("base", "carrier", "labels", "_index", "_star")
 
     def __init__(self, base: Poset):
         self.base = base
         self.carrier = base.up_sets()
         self.labels = tuple(_set_label(base, m) for m in self.carrier)
         self._index = {m: i for i, m in enumerate(self.carrier)}
+        self._star = None
+
+    @property
+    def star_table(self) -> tuple:
+        """Index of the pseudocomplement of each element. Computed once.
+
+        The defining biconditional (x below u-star exactly when x meets u
+        at bottom) is certified at every size, in one pass over the
+        up-sets u with O(n) work each: u-star must miss u, and every point
+        outside u-star must see u above it. The first gives the forward
+        direction; the second puts every up-set that misses u below u-star.
+        """
+        if self._star is None:
+            base = self.base
+            up, full = base.up, base.full_mask
+            table = []
+            for u in self.carrier:
+                s = _star_mask(base, u)
+                if s & u or any(not up[p] & u for p in bits(full & ~s)):
+                    raise AssertionError(
+                        "pseudocomplement axiom fails at %s with star %s"
+                        % (base.labels_of(u), base.labels_of(s)))
+                table.append(self.index_of_mask(s))
+            self._star = tuple(table)
+        return self._star
+
+    def star(self, i: int) -> int:
+        return self.star_table[i]
 
     @property
     def size(self) -> int:
@@ -168,6 +205,11 @@ class AbstractLattice:
         for key in ("elements", "joins", "meets"):
             if key not in d:
                 raise ValueError("lattice document needs %r" % key)
+            if not isinstance(d[key], list):
+                raise ValueError("%r must be a list" % key)
+        for key in ("joins", "meets"):
+            if not all(isinstance(row, list) for row in d[key]):
+                raise ValueError("every row of %r must be a list" % key)
         return cls(d["elements"], d["joins"], d["meets"])
 
 

@@ -398,7 +398,15 @@ class OrderMap:
         for s in source.labels:
             if s not in assignment:
                 raise ValueError("map is not total: %r unassigned" % (s,))
-            tab.append(target.index_of(assignment[s]))
+            value = assignment[s]
+            if not isinstance(value, str):
+                raise ValueError("map sends %r to %r, not a target label"
+                                 % (s, value))
+            tab.append(target.index_of(value))
+        extra = [s for s in assignment if s not in source._index]
+        if extra:
+            raise ValueError("map assigns %r, not a source label"
+                             % (extra[0],))
         return cls(source, target, tab)
 
     @classmethod

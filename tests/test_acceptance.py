@@ -15,8 +15,7 @@ from pcdl import (AbstractLattice, OrderMap, build_quotient_model,
                   is_amalgamation_base_finite, is_p_morphism,
                   is_subdirectly_irreducible, make_pcdl,
                   classes_with_upsets_bounded, poset_classes_upto,
-                  upset_star_table, verify_collapse, verify_separation,
-                  chain)
+                  verify_collapse, verify_separation, chain)
 
 from _oracles import congruences_algebra_side, cube_plus_one_tables
 
@@ -46,7 +45,7 @@ def test_acceptance_2_star_axiom_and_dictionary():
     axiom_checked = 0
     for P in poset_classes_upto(5):
         lat = dual_lattice(P)
-        star = upset_star_table(lat)
+        star = lat.star_table
         for a in range(lat.size):
             assert lat.meet(a, star[a]) == lat.bottom
             for b in range(lat.size):
@@ -58,10 +57,10 @@ def test_acceptance_2_star_axiom_and_dictionary():
     maps_checked = 0
     for P in classes:
         LP = dual_lattice(P)
-        star_p = upset_star_table(LP)
+        star_p = LP.star_table
         for Q in classes:
             LQ = dual_lattice(Q)
-            star_q = upset_star_table(LQ)
+            star_q = LQ.star_table
             for table in product(range(Q.n), repeat=P.n):
                 f = OrderMap(P, Q, table)
                 if not f.is_order_preserving():
@@ -80,10 +79,9 @@ def test_acceptance_3_congruence_counts():
     checked = 0
     for P in classes_with_upsets_bounded(9):
         A = make_pcdl(P)
-        lat = A.lattice
-        joins = [[lat.join(i, j) for j in range(A.size)]
+        joins = [[A.join(i, j) for j in range(A.size)]
                  for i in range(A.size)]
-        meets = [[lat.meet(i, j) for j in range(A.size)]
+        meets = [[A.meet(i, j) for j in range(A.size)]
                  for i in range(A.size)]
         brute = congruences_algebra_side(A.size, joins, meets,
                                          list(A.star_table))

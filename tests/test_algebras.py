@@ -2,19 +2,19 @@ import random
 
 import pytest
 
-from pcdl import algebras
+from pcdl import duality
 from pcdl import (AbstractLattice, OrderMap, antichain, chain,
                   disjoint_sum, dual_lattice, embedding_p_morphism_witness,
                   fan, fan_algebra, hom_of_dual_map, in_variety,
                   is_p_morphism, make_pcdl, onto_star_hom_exists,
                   p_morphism_failure, p_morphisms, pcdl_from_abstract,
                   poset_classes_upto, pseudocomplement, star_embeddings,
-                  star_hom_pairs, star_homs, upset_star_table, variety_index)
+                  star_hom_pairs, star_homs, variety_index)
 
 from _oracles import (all_p_morphisms_raw, cube_plus_one_tables,
-                      is_p_morphism_raw, is_star_hom_raw,
-                      order_preserving_maps_raw, random_poset,
-                      star_table_brute)
+                      cube_tables, is_p_morphism_raw, is_star_hom_raw,
+                      order_preserving_maps_raw, product_tables,
+                      random_poset, star_table_brute)
 
 
 def test_pseudocomplement_masks():
@@ -43,12 +43,12 @@ def test_star_axiom_brute():
 def test_make_pcdl_certifies_star_at_every_size(monkeypatch):
     # 2048 elements, above the size the former pair scan stopped at
     assert make_pcdl(antichain(11)).size == 2048
-    star_mask = algebras._star_mask
+    star_mask = duality._star_mask
 
     def drops_a_point(poset, mask):
         s = star_mask(poset, mask)
         return s & (s - 1)
-    monkeypatch.setattr(algebras, "_star_mask", drops_a_point)
+    monkeypatch.setattr(duality, "_star_mask", drops_a_point)
     with pytest.raises(AssertionError, match="pseudocomplement axiom"):
         make_pcdl(antichain(11))
 
@@ -56,13 +56,34 @@ def test_make_pcdl_certifies_star_at_every_size(monkeypatch):
 def test_star_table_matches_brute_oracle():
     for n in range(5):
         A = fan_algebra(n)
-        lat = A.lattice
-        joins = [[lat.join(i, j) for j in range(A.size)]
+        joins = [[A.join(i, j) for j in range(A.size)]
                  for i in range(A.size)]
-        meets = [[lat.meet(i, j) for j in range(A.size)]
+        meets = [[A.meet(i, j) for j in range(A.size)]
                  for i in range(A.size)]
         brute = star_table_brute(A.size, joins, meets)
         assert list(A.star_table) == brute
+
+
+def test_star_table_matches_brute_oracle_on_random_posets():
+    for seed in range(8):
+        rng = random.Random(7000 + seed)
+        A = make_pcdl(random_poset(rng.randrange(7, 10), rng))
+        elems = range(A.size)
+        joins = [[A.join(i, j) for j in elems] for i in elems]
+        meets = [[A.meet(i, j) for j in elems] for i in elems]
+        assert list(A.star_table) == star_table_brute(A.size, joins, meets)
+
+
+@pytest.mark.parametrize("tables", [
+    cube_tables(3), product_tables(cube_tables(1), cube_plus_one_tables(2)),
+], ids=["cube", "product"])
+def test_pcdl_from_abstract_is_the_unit_target(tables):
+    lat = AbstractLattice(*tables)
+    A, unit = pcdl_from_abstract(lat)
+    assert A is lat.unit.target and unit is lat.unit
+    star_abs = star_table_brute(lat.size, tables[1], tables[2])
+    for a in range(lat.size):
+        assert unit.table[star_abs[a]] == A.star(unit.table[a])
 
 
 def test_pcdl_from_abstract_transport():
@@ -78,7 +99,8 @@ def test_pcdl_from_abstract_transport():
 
 def test_upset_star_table():
     A = fan_algebra(2)
-    assert list(upset_star_table(A.lattice)) == list(A.star_table)
+    assert A.star_table == tuple(
+        A.index_of_mask(pseudocomplement(A.base, u)) for u in A.carrier)
 
 
 def test_p_morphisms_match_brute_exhaustively():

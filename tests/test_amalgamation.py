@@ -342,7 +342,7 @@ def test_amalgamate_or_separate_rejects_star_breaking_embedding():
     # a lattice embedding of the 3-chain into the square that breaks star
     square, three = make_pcdl(antichain(2)), make_pcdl(fan(1))
     x0 = square.index_of_mask(square.base.mask_of(["x0"]))
-    emb = LatticeHom(three.lattice, square.lattice,
+    emb = LatticeHom(three, square,
                      (square.bottom, x0, square.top))
     assert emb.is_homomorphism() and emb.is_one_to_one()
     with pytest.raises(ValueError, match="e0 does not preserve star"):

@@ -323,6 +323,43 @@ def test_congruences_rejects_non_distributive_lattice(tmp_path, k):
     assert r.stderr.count("\n") == 1
 
 
+POINT_A = {"elements": ["a"], "covers": []}
+POINT_X = {"elements": ["x"], "covers": []}
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("check-pspace-map", {"source": POINT_A, "target": POINT_X,
+                          "map": ["a"]}),
+    ("check-pspace-map", {"source": POINT_A, "target": POINT_X,
+                          "map": {"a": ["x"]}}),
+    ("check-pspace-map", {"source": POINT_A, "target": POINT_X,
+                          "map": {"a": "x", "b": "y"}}),
+    ("dual", {"elements": ["a"], "joins": 5, "meets": [[0]]}),
+    ("dual", {"elements": ["a"], "joins": [5], "meets": [[0]]}),
+], ids=["map-list", "map-value-list", "map-extra-key", "joins-int",
+        "joins-row-int"])
+def test_malformed_documents_exit_3_with_one_line(tmp_path, capsys, command,
+                                                  doc):
+    path = write(tmp_path, "doc.json", doc)
+    assert cli.main([command, "--in", path]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("doc, count", [
+    (FAN3, 9), (_lattice_doc(*cube_tables(2)), 4)], ids=["poset", "lattice"])
+def test_congruences_reads_only_the_dual_poset(tmp_path, monkeypatch, capsys,
+                                               doc, count):
+    def no_algebra(_):
+        raise AssertionError("congruences built an up-set lattice")
+    monkeypatch.setattr(cli, "make_pcdl", no_algebra)
+    monkeypatch.setattr(cli, "pcdl_from_abstract", no_algebra)
+    path = write(tmp_path, "in.json", doc)
+    assert cli.main(["congruences", "--in", path]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == count
+
+
 def test_broken_invariant_exits_4_with_one_line(fan2, monkeypatch, capsys):
     def broken(_):
         raise AssertionError("index out of step")

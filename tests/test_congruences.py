@@ -15,9 +15,8 @@ from _oracles import (congruences_algebra_side, is_star_hom_raw,
 
 
 def _algebra_side_count(A):
-    lat = A.lattice
-    joins = [[lat.join(i, j) for j in range(A.size)] for i in range(A.size)]
-    meets = [[lat.meet(i, j) for j in range(A.size)] for i in range(A.size)]
+    joins = [[A.join(i, j) for j in range(A.size)] for i in range(A.size)]
+    meets = [[A.meet(i, j) for j in range(A.size)] for i in range(A.size)]
     return congruences_algebra_side(A.size, joins, meets,
                                     list(A.star_table))
 
@@ -135,7 +134,7 @@ def test_restrict_and_essential_frozen_values():
     for emb in star_embeddings(B2, B3):
         assert is_essential_extension(emb)
 
-    prod = product_lattice(B3.lattice, two.lattice)
+    prod = product_lattice(B3, two)
     PA, _ = pcdl_from_abstract(prod)
     for emb in star_embeddings(B3, PA):
         assert not is_essential_extension(emb)
@@ -161,7 +160,7 @@ def test_validate_star_embedding_rejects_non_star():
     three = make_pcdl(fan(1))
     from pcdl import LatticeHom
     x0 = sq.index_of_mask(sq.base.mask_of(["x0"]))
-    emb = LatticeHom(three.lattice, sq.lattice,
+    emb = LatticeHom(three, sq,
                      (sq.bottom, x0, sq.top))
     assert emb.is_homomorphism() and emb.is_one_to_one()
     with pytest.raises(ValueError, match="star"):

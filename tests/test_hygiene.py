@@ -1,15 +1,17 @@
 """Repository hygiene checks that need only the standard library.
 
 Unused imports in the package are found by walking each module's syntax
-tree, and every name in pcdl.__all__ must resolve, once. The per-layer
-tracer of the benchmark wraps pcdl entry points by name; installing and
-uninstalling it here keeps a renamed or deleted entry point from
-silently breaking traced benchmark runs.
+tree, and every name in pcdl.__all__ must resolve, once. The README's
+quick tour runs, and each value its comments state is checked. The
+per-layer tracer of the benchmark wraps pcdl entry points by name;
+installing and uninstalling it here keeps a renamed or deleted entry
+point from silently breaking traced benchmark runs.
 """
 
 import ast
 import importlib.util
 import pathlib
+import re
 import sys
 
 import pytest
@@ -57,6 +59,27 @@ def test_all_exports_resolve_once():
     names = pcdl.__all__
     assert sorted(n for n in set(names) if names.count(n) > 1) == []
     assert [n for n in names if not hasattr(pcdl, n)] == []
+
+
+def test_readme_quick_tour_runs():
+    # each expression line of the tour states its value in its comment
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"```python\n(.*?)```", text, re.S).group(1)
+    lines = block.splitlines()
+    env = {}
+    checked = []
+    for node in ast.parse(block).body:
+        if not isinstance(node, ast.Expr):
+            exec(compile(ast.Module([node], []), "README.md", "exec"), env)
+            continue
+        comment = lines[node.end_lineno - 1].split("#", 1)[1]
+        want = ast.literal_eval(
+            re.match(r"\s*(\(.*?\)|\w+)", comment).group(1))
+        got = eval(compile(ast.Expression(node.value), "README.md", "eval"),
+                   env)
+        assert got == want, lines[node.end_lineno - 1]
+        checked.append(want)
+    assert checked == [3, 9, 4, True, (2,), True]
 
 
 def _load_tracer():
