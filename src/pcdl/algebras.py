@@ -75,68 +75,95 @@ def is_p_morphism(f: OrderMap) -> bool:
 
 def _iter_p_morphisms(source: Poset, target: Poset, onto: bool = False,
                       fibers=None, prefer_max: bool = False):
-    """Backtracking generator of p-morphisms source -> target.
+    """Tables of the p-morphisms source -> target, in search order.
 
-    Points are assigned top down, so when a point comes up all maximals
-    above it already have images and the maximal-set condition prunes
-    exactly. fibers optionally restricts each source point to a candidate
-    mask; prefer_max yields candidates that are maximal in target first.
+    The one p-morphism search: every caller reads plain tuples (index of
+    the image of each source point) and builds an OrderMap only for a map
+    it keeps. Points are assigned top down, so when a point comes up all
+    maximals above it already have images and the maximal-set condition
+    prunes exactly: a maximal point takes a maximal target point, and any
+    other point y takes a target point whose maximal set is exactly the
+    image of M(y), read from a map built once per call, below the images
+    of its upper covers. The search is iterative: one candidate mask per
+    position, taken lowest point first, on an explicit stack. fibers
+    optionally restricts each source point to a candidate mask;
+    prefer_max tries candidates that are maximal in target first. With
+    onto, a branch is cut once its unhit target points outnumber the
+    points left to assign. The empty source has the one empty map, onto
+    only the empty target.
     """
     ns, nt = source.n, target.n
     if ns == 0:
         if nt == 0 or not onto:
-            yield OrderMap(source, target, ())
+            yield ()
         return
-    if nt == 0:
+    if nt == 0 or onto and nt > ns:
         return
+    # source rows in search order, computed once per call
     order = sorted(range(ns), key=lambda i: (source.up[i].bit_count(), i))
     smax = source.maximals_mask
-    tmax = target.maximals_mask
-    t_above = [target.max_above(p) for p in range(nt)]
-    s_above = [source.max_above(y) for y in range(ns)]
-    tfull = target.full_mask
+    covers = [tuple(bits(source.covers_up[y])) for y in order]
+    is_max = [smax >> y & 1 for y in order]
+    above = [tuple(bits(source.up[y] & smax)) for y in order]
+    tfull, tmax, tdown = target.full_mask, target.maximals_mask, target.down
+    with_above = {}
+    for p in range(nt):
+        key = target.up[p] & tmax
+        with_above[key] = with_above.get(key, 0) | 1 << p
+    allow = [tfull] * ns if fibers is None else [fibers[y] for y in order]
+    last = ns - 1
     assign = [0] * ns
-
-    if prefer_max:
-        def cand_order(mask):
-            yield from bits(mask & tmax)
-            yield from bits(mask & ~tmax)
-    else:
-        def cand_order(mask):
-            yield from bits(mask)
-
-    def rec(pos: int, image: int):
-        if pos == ns:
-            if not onto or image == tfull:
-                yield OrderMap(source, target, tuple(assign))
-            return
-        if onto and (tfull & ~image).bit_count() > ns - pos:
-            return
-        y = order[pos]
-        allowed = tfull
-        for z in bits(source.covers_up[y]):
-            allowed &= target.down[assign[z]]
-        if fibers is not None:
-            allowed &= fibers[y]
-        if smax >> y & 1:
-            for p in cand_order(allowed & tmax):
-                assign[y] = p
-                yield from rec(pos + 1, image | 1 << p)
+    image = [0] * ns
+    cand = [0] * ns
+    later = [0] * ns
+    pos = 0
+    mask = allow[0] & tmax  # the first point in search order is maximal
+    while True:
+        # candidates of the point at pos: maximal targets first if asked
+        if prefer_max:
+            cand[pos], later[pos] = mask & tmax, mask & ~tmax
+        else:
+            cand[pos] = mask
+        # take the next candidate, backtracking past exhausted positions
+        while True:
+            m = cand[pos]
+            if not m:
+                m = later[pos]
+                later[pos] = 0
+                if not m:
+                    if pos == 0:
+                        return
+                    pos -= 1
+                    continue
+            low = m & -m
+            cand[pos] = m ^ low
+            img = image[pos] | low
+            assign[order[pos]] = low.bit_length() - 1
+            if pos == last:
+                if not onto or img == tfull:
+                    yield tuple(assign)
+                continue
+            if onto and (tfull & ~img).bit_count() > last - pos:
+                continue
+            break
+        pos += 1
+        image[pos] = img
+        mask = allow[pos]
+        for z in covers[pos]:
+            mask &= tdown[assign[z]]
+        if is_max[pos]:
+            mask &= tmax
         else:
             want = 0
-            for t in bits(s_above[y]):
+            for t in above[pos]:
                 want |= 1 << assign[t]
-            for p in cand_order(allowed):
-                if t_above[p] == want:
-                    assign[y] = p
-                    yield from rec(pos + 1, image | 1 << p)
-
-    yield from rec(0, 0)
+            mask &= with_above.get(want, 0)
 
 
 def p_morphisms(source: Poset, target: Poset, onto: bool = False) -> list:
     """All p-morphisms source -> target, onto ones only if requested."""
-    return list(_iter_p_morphisms(source, target, onto=onto))
+    return [OrderMap(source, target, t)
+            for t in _iter_p_morphisms(source, target, onto=onto)]
 
 
 # -- star homomorphisms ------------------------------------------------------

@@ -68,7 +68,7 @@ def _find_lift(gamma: OrderMap, alpha: OrderMap) -> Optional[OrderMap]:
               for v in range(alpha.source.n)]
     for beta in _iter_p_morphisms(alpha.source, gamma.source, fibers=fibers,
                                   prefer_max=True):
-        return beta
+        return OrderMap(alpha.source, gamma.source, beta)
     return None
 
 
@@ -101,15 +101,15 @@ def _max_rows(Y: Poset) -> list:
     return [tuple(bits(Y.max_above(y))) for y in range(Y.n)]
 
 
-def _fiber_profiles(rows: list, gamma: OrderMap) -> dict:
+def _fiber_profiles(rows: list, table: tuple, m: int) -> dict:
     """Point p -> {profile: least point of Y over p with that profile}.
 
-    rows is _max_rows(Y) for the source Y of gamma. The profile of y
-    counts, for each point of the target, the maximal points above y
-    that gamma sends there. Points are read in order, so each inner dict
-    lists its profiles by their least points.
+    rows is _max_rows(Y) and table the table of a map gamma from Y onto
+    a poset of m points. The profile of y counts, for each of those m
+    points, the maximal points above y that gamma sends there. Points
+    are read in order, so each inner dict lists its profiles by their
+    least points.
     """
-    table, m = gamma.table, gamma.target.n
     out = {}
     for y, row in enumerate(rows):
         counts = [0] * m
@@ -222,14 +222,14 @@ def _extension_class_task(Y: Poset, P: Poset, alpha_tables: list) -> tuple:
     rows = _max_rows(Y)
     instances = 0
     for gamma in _iter_p_morphisms(Y, P, onto=True):
-        fibers = _fiber_profiles(rows, gamma)
+        fibers = _fiber_profiles(rows, gamma, P.n)
         lifts = {}
         for k, key in enumerate(keys):
             ok = lifts.get(key)
             if ok is None:
                 ok = lifts[key] = _fan_lift(fibers, key) is not None
             if not ok:
-                return instances + k + 1, (gamma.table, alpha_tables[k])
+                return instances + k + 1, (gamma, alpha_tables[k])
         instances += len(keys)
     return instances, None
 

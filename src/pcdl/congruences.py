@@ -186,14 +186,15 @@ def is_congruence_extensile_bounded(B: UpSetLattice, n: int, bound: int,
     p-morphism to P(B). The verdict is yes when the whole search space
     within the bound was exhausted, or inconclusive when max_instances cut
     the run short. The congruence extension property of these varieties
-    (Gratzer and Lakser 1971) is certified on points, onto once per
-    gamma: preimage along an onto gamma is injective and commutes with
+    (Gratzer and Lakser 1971) is certified on points. Each gamma's fiber
+    masks are built once from its table, and gamma is onto when no fiber
+    is empty: preimage along an onto gamma is injective and commutes with
     set difference, so the pullback of theta relates two preimages
     exactly when theta relates the originals, and it restricts to theta.
-    The pullback mask itself is checked to be a congruence mask for every
-    theta. A gamma or pullback that fails is a broken invariant and
-    raises. A bound below the size of P(B) is refused, as it would
-    answer yes vacuously.
+    The pullback of theta, the union of the fibers over its points, is
+    checked to be a congruence mask for every theta. A gamma or pullback
+    that fails is a broken invariant and raises. A bound below the size
+    of P(B) is refused, as it would answer yes vacuously.
     """
     if not in_variety(B, n):
         raise ValueError("algebra is outside the variety of index %d" % n)
@@ -202,17 +203,23 @@ def is_congruence_extensile_bounded(B: UpSetLattice, n: int, bound: int,
     P = B.base
     _require_room(P, bound)
     thetas = enumerate_congruences(P)
+    erased = [tuple(bits(theta.mask)) for theta in thetas]
     instances = 0
     for Y in _extension_classes(P, n, bound):
         for gamma in _iter_p_morphisms(Y, P, onto=True):
-            onto = gamma.is_onto()
-            for theta in thetas:
+            fiber = [0] * P.n
+            for y, p in enumerate(gamma):
+                fiber[p] |= 1 << y
+            onto = all(fiber)
+            for theta, points in zip(thetas, erased):
                 instances += 1
                 if max_instances is not None and instances > max_instances:
                     return ExtensionResult("inconclusive", None,
                                            instances - 1, bound)
-                if not (onto and is_congruence_mask(
-                        Y, gamma.preimage_mask(theta.mask))):
+                pullback = 0
+                for p in points:
+                    pullback |= fiber[p]
+                if not (onto and is_congruence_mask(Y, pullback)):
                     raise AssertionError(
                         "pullback of %s is not a congruence restricting "
                         "to it" % (theta.labels(),))

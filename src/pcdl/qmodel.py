@@ -201,15 +201,15 @@ def _classify_alpha(model: QuotientModel, alpha: OrderMap) -> str:
 
 
 def _onto_maps(model: QuotientModel, bound: int):
-    """(Y, onto p-morphisms from Y onto the quotient), one source at a time.
+    """(Y, tables of onto p-morphisms from Y onto the quotient).
 
     The identity on the quotient and the collapse from the big poset come
     first, then every extension class of at most bound points, whose
     onto maps are searched only when it is reached.
     """
     P = model.quotient
-    for gamma in (OrderMap.identity(P), model.collapse):
-        yield gamma.source, (gamma,)
+    yield P, (tuple(range(P.n)),)
+    yield model.total, (model.collapse.table,)
     for Y in _extension_classes(P, 3, bound):
         yield Y, _iter_p_morphisms(Y, P, onto=True)
 
@@ -248,7 +248,7 @@ def check_lift_cases(model: QuotientModel, bound: int) -> LiftCaseReport:
     for Y, gammas in _onto_maps(model, bound):
         rows = _max_rows(Y)
         for gamma in gammas:
-            fibers = _fiber_profiles(rows, gamma)
+            fibers = _fiber_profiles(rows, gamma, P.n)
             for alpha, key, case in alphas:
                 instances += 1
                 y = _fan_lift(fibers, key)
@@ -256,14 +256,14 @@ def check_lift_cases(model: QuotientModel, bound: int) -> LiftCaseReport:
                     if case == "3":
                         uncovered += 1
                     else:
-                        failures.append((gamma, alpha, "no lift in case %s"
-                                         % case))
+                        failures.append((OrderMap(Y, P, gamma), alpha,
+                                         "no lift in case %s" % case))
                     continue
                 failure = _fan_lift_failure(
-                    Y, gamma.table, alpha.table,
-                    _fan_lift_table(rows, gamma.table, alpha.table, y))
+                    Y, gamma, alpha.table,
+                    _fan_lift_table(rows, gamma, alpha.table, y))
                 if failure is not None:
-                    failures.append((gamma, alpha, failure))
+                    failures.append((OrderMap(Y, P, gamma), alpha, failure))
                 elif case == "3":
                     counts["3a" if len(rows[y]) == 2 else "3b"] += 1
                 else:

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from pcdl import duality
+from pcdl.algebras import _iter_p_morphisms
 from pcdl import (AbstractLattice, OrderMap, antichain, chain,
                   disjoint_sum, dual_lattice, embedding_p_morphism_witness,
                   fan, fan_algebra, hom_of_dual_map, in_variety,
@@ -113,6 +114,31 @@ def test_p_morphisms_match_brute_exhaustively():
             want_onto = set(all_p_morphisms_raw(src, tgt, onto=True))
             got_onto = {f.table for f in p_morphisms(src, tgt, onto=True)}
             assert got_onto == want_onto
+
+
+def test_search_core_matches_brute_on_random_sources():
+    # the core's tables against the product scan of _oracles, onto and
+    # not; the scan lists each table once, in order, so a duplicate
+    # yield or a missing table fails the sorted comparison
+    rng = random.Random(808)
+    sources = [random_poset(n, rng) for n in (5, 5, 6, 6, 7, 7)]
+    targets = poset_classes_upto(3)
+    for src in sources:
+        for tgt in targets:
+            for onto in (False, True):
+                got = list(_iter_p_morphisms(src, tgt, onto=onto))
+                assert sorted(got) == all_p_morphisms_raw(src, tgt, onto), \
+                    (src.to_dict(), tgt.to_dict(), onto)
+
+
+def test_search_core_empty_source_and_target():
+    empty, point = antichain(0), antichain(1)
+    assert list(_iter_p_morphisms(empty, empty)) == [()]
+    assert list(_iter_p_morphisms(empty, empty, onto=True)) == [()]
+    assert list(_iter_p_morphisms(empty, point)) == [()]
+    assert list(_iter_p_morphisms(empty, point, onto=True)) == []
+    assert list(_iter_p_morphisms(point, empty)) == []
+    assert list(_iter_p_morphisms(point, empty, onto=True)) == []
 
 
 def test_p_morphism_failure_reports():

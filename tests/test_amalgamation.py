@@ -147,7 +147,7 @@ def _lift_agreement(Y: Poset, P: Poset, n: int) -> tuple:
     instances = missing = 0
     rows = amalgamation._max_rows(Y)
     for gamma in p_morphisms(Y, P, onto=True):
-        fibers = amalgamation._fiber_profiles(rows, gamma)
+        fibers = amalgamation._fiber_profiles(rows, gamma.table, P.n)
         for alpha in alphas:
             backtracked = amalgamation._find_lift(gamma, alpha)
             y = amalgamation._fan_lift(
@@ -198,7 +198,8 @@ def test_fan_lift_table_check_agrees_on_corrupted_lifts():
                     continue
                 rows = amalgamation._max_rows(Y)
                 for gamma in p_morphisms(Y, P, onto=True):
-                    fibers = amalgamation._fiber_profiles(rows, gamma)
+                    fibers = amalgamation._fiber_profiles(
+                        rows, gamma.table, P.n)
                     for alpha in alphas:
                         y = amalgamation._fan_lift(
                             fibers,

@@ -133,6 +133,11 @@ def test_tracer_installs_and_uninstalls_cleanly():
     # the q-model's onto search is named after the check that runs it
     assert tracer.calls["qmodel.check_lift_cases"] == 1
     assert tracer.counts["qmodel.gamma_search.yields"] > 0
+    # the searches read tables: a map object built per gamma would make
+    # the maps outnumber the gammas of the three bounded searches
+    gammas = sum(tracer.counts[name + ".gamma_search.yields"]
+                 for name in ("amalgamation", "congruences", "qmodel"))
+    assert tracer.calls["posets.OrderMap"] < gammas
     # quotients and transported homs are certified on the dual points; an
     # element-level homomorphism scan coming back shows up here
     assert tracer.calls["congruences.quotient"] == 1

@@ -118,8 +118,9 @@ def test_uncovered_exactly_when_backtracking_finds_no_lift(full, merged,
     instances = missing = 0
     for Y, gammas in qmodel._onto_maps(m, bound):
         rows = amalgamation._max_rows(Y)
-        for gamma in gammas:
-            fibers = amalgamation._fiber_profiles(rows, gamma)
+        for table in gammas:
+            fibers = amalgamation._fiber_profiles(rows, table, P.n)
+            gamma = OrderMap(Y, P, table)
             for alpha in alphas:
                 instances += 1
                 closed = amalgamation._fan_lift(
