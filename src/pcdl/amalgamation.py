@@ -10,6 +10,7 @@ separation routine settles concrete two-sided embedding instances.
 from __future__ import annotations
 
 import concurrent.futures
+import os
 from itertools import cycle, repeat
 from typing import NamedTuple, Optional
 
@@ -256,9 +257,11 @@ def extension_property_bounded(A: UpSetLattice, n: int, bound: int,
     V = fan(n)
     tables = [a.table for a in p_morphisms(V, P)]
     classes = _extension_classes(P, n, bound)
+    # a fork pool starts all of its workers at the first submit
+    workers = min(jobs, len(classes), os.cpu_count() or 1)
     ex = None
-    if jobs > 1 and len(classes) > 1:
-        ex = concurrent.futures.ProcessPoolExecutor(max_workers=jobs)
+    if workers > 1:
+        ex = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
         results = ex.map(_extension_class_task, classes,
                          repeat(P), repeat(tables))
     else:

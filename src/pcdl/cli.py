@@ -22,7 +22,7 @@ from .amalgamation import (extension_property_bounded,
 from .catalog import catalog
 from .congruences import (dual_congruence, enumerate_congruences,
                           is_congruence_extensile_bounded, quotient)
-from .duality import AbstractLattice, dual_lattice
+from .duality import AbstractLattice, _order_masks, dual_lattice
 from .posets import OrderMap, Poset, bits, classify_map
 from .qmodel import (build_quotient_model, check_lift_cases,
                      divergence_report, verify_collapse, verify_separation)
@@ -45,6 +45,8 @@ def _load_json(path: str):
     except json.JSONDecodeError as e:
         raise CliInputError("%s: line %d column %d: %s"
                             % (path, e.lineno, e.colno, e.msg))
+    except RecursionError:
+        raise CliInputError("%s: JSON nested too deeply" % path)
 
 
 def _load_poset_or_lattice(path: str):
@@ -75,13 +77,6 @@ def _load_algebra(path: str):
 
 def _load_map(path: str) -> OrderMap:
     return OrderMap.from_dict(_load_json(path))
-
-
-def _lattice_order_poset(lat) -> Poset:
-    pairs = [(lat.labels[i], lat.labels[j])
-             for i in range(lat.size) for j in range(lat.size)
-             if i != j and lat.leq(i, j)]
-    return Poset.from_covers(list(lat.labels), pairs)
 
 
 def _hom_label_maps(homs, labels_s, to_rep_s, labels_t, to_rep_t):
@@ -140,7 +135,8 @@ def _cmd_dual(args) -> int:
         # certified distributive by its unit isomorphism when it was loaded
         out = obj.unit.target.base
     if args.dot:
-        drawn = _lattice_order_poset(out) if isinstance(obj, Poset) else out
+        drawn = (Poset(out.labels, _order_masks(out)[0])
+                 if isinstance(obj, Poset) else out)
         _emit(args, {}, drawn.to_dot("dual"))
     else:
         _emit(args, out.to_dict())

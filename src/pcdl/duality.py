@@ -249,14 +249,10 @@ def _join_irreducibles(lat) -> list:
 
 def _dual_space_data(lat):
     jis = _join_irreducibles(lat)
-    labels = [lat.labels[j] for j in jis]
-    pairs = []
-    for a in jis:
-        for b in jis:
-            # reversed order: below in the dual means above in the lattice
-            if a != b and lat.leq(b, a):
-                pairs.append((lat.labels[a], lat.labels[b]))
-    return Poset.from_covers(labels, pairs), tuple(jis)
+    # reversed order: above in the dual means below in the lattice
+    up = [sum(1 << k for k, b in enumerate(jis) if lat.leq(b, a))
+          for a in jis]
+    return Poset([lat.labels[j] for j in jis], up), tuple(jis)
 
 
 def dual_space(lat) -> Poset:

@@ -8,18 +8,13 @@ from __future__ import annotations
 
 from functools import cache
 
-from .posets import Poset, bits
+from .posets import Poset
 
 
 def _add_maximal(base: Poset, down_mask: int, new_label: str) -> Poset:
-    labels = list(base.labels) + [new_label]
-    pairs = []
-    for i in range(base.n):
-        for j in bits(base.covers_up[i]):
-            pairs.append((base.labels[i], base.labels[j]))
-    for i in bits(down_mask):
-        pairs.append((base.labels[i], new_label))
-    return Poset.from_covers(labels, pairs)
+    new = 1 << base.n
+    up = [u | new if down_mask >> i & 1 else u for i, u in enumerate(base.up)]
+    return Poset(base.labels + (new_label,), up + [new])
 
 
 @cache
@@ -28,7 +23,7 @@ def poset_classes_exactly(n: int) -> tuple:
     if n < 0:
         raise ValueError("size must be nonnegative")
     if n == 0:
-        return (Poset.from_covers([], []),)
+        return (Poset((), ()),)
     seen = {}
     for base in poset_classes_exactly(n - 1):
         for dmask in base.down_sets():
@@ -56,7 +51,7 @@ def classes_with_upsets_bounded(max_upsets: int) -> tuple:
     """
     if max_upsets < 1:
         return ()
-    start = Poset.from_covers([], [])
+    start = Poset((), ())
     frontier = {start.canonical_key(): start}
     out = dict(frontier)
     while frontier:

@@ -1,8 +1,9 @@
 """Finite posets on bitmask subsets.
 
 Elements are opaque string labels with a fixed index; any subset of the
-carrier is an int whose bit i stands for element i. The order relation is
-transitively closed once at construction and instances never mutate.
+carrier is an int whose bit i stands for element i. A poset is its labels
+and up-set masks, certified as a partial order once at construction;
+instances never mutate, and derived posets are built from masks.
 """
 
 from __future__ import annotations
@@ -18,24 +19,65 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _label_index(labels: tuple) -> dict:
+    """Position of each label; labels must be distinct strings."""
+    index = {}
+    for i, s in enumerate(labels):
+        if not isinstance(s, str):
+            raise ValueError("element label %r is not a string" % (s,))
+        index[s] = i
+    if len(index) != len(labels):
+        raise ValueError("duplicate element labels")
+    return index
+
+
 class Poset:
-    """Immutable finite poset.
+    """Immutable finite poset, given by its labels and up-set masks.
 
     up[i] / down[i] are reflexive up-set and down-set masks of element i;
-    covers_up[i] / covers_down[i] hold the Hasse relation.
+    covers_up[i] / covers_down[i] hold the Hasse relation. The constructor
+    certifies up as a partial order and derives the other three.
     """
 
     __slots__ = ("labels", "up", "down", "covers_up", "covers_down",
                  "_index", "_upsets", "_canon", "_maximals")
 
-    def __init__(self, labels: tuple, up: tuple, down: tuple,
-                 covers_up: tuple, covers_down: tuple):
+    def __init__(self, labels: Iterable[str], up: Iterable[int]):
+        labels = tuple(labels)
+        up = tuple(up)
+        n = len(labels)
+        index = _label_index(labels)
+        if len(up) != n:
+            raise ValueError("%d up-sets for %d elements" % (len(up), n))
+        outside = ~((1 << n) - 1)
+        for i, row in enumerate(up):
+            if not isinstance(row, int) or row & outside or not row >> i & 1:
+                raise ValueError("up-set of %r must hold it and lie in the "
+                                 "carrier" % (labels[i],))
+        # transitive and antisymmetric: each strict upper point's up-set
+        # lies inside the row and misses the point
+        down = [0] * n
+        covers_up = [0] * n
+        covers_down = [0] * n
+        for i, row in enumerate(up):
+            strict = row ^ 1 << i
+            above = 0
+            for j in bits(strict):
+                if up[j] & ~row or up[j] >> i & 1:
+                    raise ValueError("up-sets are not a partial order at %r"
+                                     % (labels[i],))
+                above |= up[j] ^ 1 << j
+                down[j] |= 1 << i
+            down[i] |= 1 << i
+            covers_up[i] = strict & ~above
+            for j in bits(covers_up[i]):
+                covers_down[j] |= 1 << i
         self.labels = labels
         self.up = up
-        self.down = down
-        self.covers_up = covers_up
-        self.covers_down = covers_down
-        self._index = {s: i for i, s in enumerate(labels)}
+        self.down = tuple(down)
+        self.covers_up = tuple(covers_up)
+        self.covers_down = tuple(covers_down)
+        self._index = index
         self._upsets = None
         self._canon = None
         self._maximals = None
@@ -45,14 +87,12 @@ class Poset:
                     covers: Iterable[tuple]) -> "Poset":
         """Build a poset from labels and generating strict-order pairs.
 
-        The pairs need not be a Hasse diagram; any acyclic set of strict
-        relations is accepted and the cover relation is recomputed from the
-        transitive closure. Cycles and unknown labels raise ValueError.
+        Labels and cover endpoints are stringified. The pairs need not be a
+        Hasse diagram; any acyclic set of strict relations is accepted and
+        closed transitively. Cycles and unknown labels raise ValueError.
         """
         labels = tuple(str(s) for s in labels)
-        if len(set(labels)) != len(labels):
-            raise ValueError("duplicate element labels")
-        index = {s: i for i, s in enumerate(labels)}
+        index = _label_index(labels)
         n = len(labels)
         above = [0] * n
         for lo, hi in covers:
@@ -74,26 +114,7 @@ class Poset:
         for i in range(n):
             if (above[i] >> i) & 1:
                 raise ValueError("order cycle through %r" % (labels[i],))
-        up = tuple(above[i] | (1 << i) for i in range(n))
-        down = [0] * n
-        for i in range(n):
-            for j in bits(up[i]):
-                down[j] |= 1 << i
-        down = tuple(down)
-        covers_up = []
-        for i in range(n):
-            strict = up[i] ^ (1 << i)
-            cov = 0
-            for j in bits(strict):
-                if not strict & (down[j] ^ (1 << j)):
-                    cov |= 1 << j
-            covers_up.append(cov)
-        covers_up = tuple(covers_up)
-        covers_dn = [0] * n
-        for i in range(n):
-            for j in bits(covers_up[i]):
-                covers_dn[j] |= 1 << i
-        return cls(labels, up, down, covers_up, tuple(covers_dn))
+        return cls(labels, (above[i] | 1 << i for i in range(n)))
 
     # -- basic queries ----------------------------------------------------
 
@@ -169,21 +190,14 @@ class Poset:
     def up_sets(self) -> tuple:
         """All up-set masks, sorted by (size, mask). Computed once."""
         if self._upsets is None:
-            n = len(self.labels)
-            # visit elements top down so an element may enter only after
-            # all of its upper covers had the chance to
-            order = sorted(range(n), key=lambda i: (self.up[i].bit_count(), i))
-            covers_up = self.covers_up
-            acc = []
-            def walk(pos: int, mask: int):
-                if pos == n:
-                    acc.append(mask)
-                    return
-                e = order[pos]
-                walk(pos + 1, mask)
-                if not covers_up[e] & ~mask:
-                    walk(pos + 1, mask | (1 << e))
-            walk(0, 0)
+            # add elements top down: acc holds the up-sets of the elements
+            # added so far, and e may join one holding its upper covers
+            order = sorted(range(len(self.labels)),
+                           key=lambda i: (self.up[i].bit_count(), i))
+            acc = [0]
+            for e in order:
+                cover, bit = self.covers_up[e], 1 << e
+                acc += [m | bit for m in acc if not cover & ~m]
             acc.sort(key=lambda m: (m.bit_count(), m))
             self._upsets = tuple(acc)
         return self._upsets
@@ -199,20 +213,17 @@ class Poset:
     def restrict(self, mask: int) -> "Poset":
         """Induced sub-poset on the elements of mask, labels kept."""
         kept = list(bits(mask))
-        labels = [self.labels[i] for i in kept]
-        pairs = []
+        pos = {i: k for k, i in enumerate(kept)}
+        up = []
         for i in kept:
-            for j in kept:
-                if i != j and self.leq(i, j):
-                    pairs.append((self.labels[i], self.labels[j]))
-        return Poset.from_covers(labels, pairs)
+            row = 0
+            for j in bits(self.up[i] & mask):
+                row |= 1 << pos[j]
+            up.append(row)
+        return Poset([self.labels[i] for i in kept], up)
 
     def dual(self) -> "Poset":
-        pairs = []
-        for i in range(len(self.labels)):
-            for j in bits(self.covers_up[i]):
-                pairs.append((self.labels[j], self.labels[i]))
-        return Poset.from_covers(self.labels, pairs)
+        return Poset(self.labels, self.down)
 
     def components(self) -> list:
         """Masks of the connected components of the comparability graph."""
@@ -370,7 +381,7 @@ class Poset:
                                          + ("..." if len(self.labels) > 8 else ""))
 
     def __reduce__(self):
-        return (Poset.from_dict, (self.to_dict(),))
+        return (Poset, (self.labels, self.up))
 
 
 class OrderMap:
@@ -541,12 +552,7 @@ def fan(n: int) -> Poset:
 
 
 def _relabel(poset: Poset, suffix: str) -> Poset:
-    labels = [s + suffix for s in poset.labels]
-    pairs = []
-    for i in range(poset.n):
-        for j in bits(poset.covers_up[i]):
-            pairs.append((labels[i], labels[j]))
-    return Poset.from_covers(labels, pairs)
+    return Poset([s + suffix for s in poset.labels], poset.up)
 
 
 def ordinal_sum(lower: Poset, upper: Poset) -> Poset:
@@ -554,16 +560,11 @@ def ordinal_sum(lower: Poset, upper: Poset) -> Poset:
     if set(lower.labels) & set(upper.labels):
         lower = _relabel(lower, ".0")
         upper = _relabel(upper, ".1")
-    labels = list(lower.labels) + list(upper.labels)
-    pairs = []
-    for p in (lower, upper):
-        for i in range(p.n):
-            for j in bits(p.covers_up[i]):
-                pairs.append((p.labels[i], p.labels[j]))
-    for i in bits(lower.maximals_mask):
-        for j in bits(upper.minimals_mask):
-            pairs.append((lower.labels[i], upper.labels[j]))
-    return Poset.from_covers(labels, pairs)
+    # every lower point lies below all of upper
+    above = upper.full_mask << lower.n
+    return Poset(lower.labels + upper.labels,
+                 [u | above for u in lower.up]
+                 + [u << lower.n for u in upper.up])
 
 
 class DisjointSum(NamedTuple):
@@ -586,11 +587,9 @@ def disjoint_sum(parts: Iterable[Poset]) -> DisjointSum:
         parts = [_relabel(p, ".%d" % k) for k, p in enumerate(parts)]
     labels = []
     part_of = []
-    pairs = []
+    up = []
     for k, p in enumerate(parts):
+        up.extend(u << len(labels) for u in p.up)
         labels.extend(p.labels)
         part_of.extend([k] * p.n)
-        for i in range(p.n):
-            for j in bits(p.covers_up[i]):
-                pairs.append((p.labels[i], p.labels[j]))
-    return DisjointSum(Poset.from_covers(labels, pairs), tuple(part_of))
+    return DisjointSum(Poset(labels, up), tuple(part_of))

@@ -49,36 +49,32 @@ class QuotientModel:
 def build_quotient_model(full: int, merged: int) -> QuotientModel:
     if full < 0 or merged < 0 or full + merged < 1:
         raise ValueError("need at least one component")
-    t_labels, t_covers, t_roles, t_comp = [], [], [], []
-    q_labels, q_covers, q_roles, q_comp = [], [], [], []
-    assignment = {}
+    labels, covers = [], []
     for z in range(1, full + merged + 1):
         g, a, b, c = ("%s%d" % (r, z) for r in "gabc")
-        t_labels += [g, a, b, c]
-        t_covers += [(g, a), (g, b), (g, c)]
-        t_roles += ["george", "a", "b", "c"]
-        t_comp += [z] * 4
-        is_merged = z > full
-        kept = [g, a, b] if is_merged else [g, a, b, c]
-        q_labels += kept
-        q_covers += [(g, x) for x in kept[1:]]
-        q_roles += ["george", "a", "b", "c"][:len(kept)]
-        q_comp += [z] * len(kept)
-        for x in kept:
-            assignment[x] = x
-        if is_merged:
-            assignment[c] = a
-    total = Poset.from_covers(t_labels, t_covers)
-    quotient = Poset.from_covers(q_labels, q_covers)
-    collapse = OrderMap.from_labels(total, quotient, assignment)
+        labels += [g, a, b, c]
+        covers += [(g, a), (g, b), (g, c)]
+    total = Poset.from_covers(labels, covers)
+    roles = ("george", "a", "b", "c") * (full + merged)
+    comp = tuple(i // 4 + 1 for i in range(total.n))
+    # merged components lose their c point, which collapses onto their a
+    keep = total.full_mask
+    for z in range(full, full + merged):
+        keep ^= 1 << 4 * z + 3
+    quotient = total.restrict(keep)
+    kept = list(bits(keep))
+    pos = {i: k for k, i in enumerate(kept)}
+    collapse = OrderMap(total, quotient,
+                        [pos[i if keep >> i & 1 else i - 2]
+                         for i in range(total.n)])
     failure = p_morphism_failure(collapse)
     if failure is not None:
         raise AssertionError("collapse is not a p-morphism: %r" % (failure,))
     if not collapse.is_onto():
         raise AssertionError("collapse is not onto")
     return QuotientModel(full, merged, total, quotient, collapse,
-                         tuple(t_roles), tuple(q_roles), tuple(t_comp),
-                         tuple(q_comp))
+                         roles, tuple(roles[i] for i in kept), comp,
+                         tuple(comp[i] for i in kept))
 
 
 class CollapseReport(NamedTuple):

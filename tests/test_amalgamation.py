@@ -104,6 +104,34 @@ def test_extension_property_jobs_deterministic():
         assert [r.instances for r in results] == [instances] * 2
 
 
+class _InProcessPool:
+    """Stands in for the process pool: records its size, maps in-process."""
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+# fan_algebra(3) at bound 6 has 64 extension classes; one worker is serial
+@pytest.mark.parametrize("jobs, cpus, workers", [
+    (5000, 3, [3]), (2, 8, [2]), (5000, 5000, [64]), (5000, 1, []),
+    (5000, None, [])], ids=["cpus", "jobs", "classes", "one-cpu", "no-count"])
+def test_oracle_pool_is_capped(monkeypatch, jobs, cpus, workers):
+    monkeypatch.setattr(amalgamation.concurrent.futures,
+                        "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(amalgamation.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    result = extension_property_bounded(fan_algebra(3), 3, 6, jobs=jobs)
+    assert _InProcessPool.sizes == workers
+    assert (result.verdict, result.instances) == ("holds", 2916)
+
+
 def _count_class_tasks(monkeypatch) -> list:
     calls = []
     task = amalgamation._extension_class_task

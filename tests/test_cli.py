@@ -347,6 +347,25 @@ def test_malformed_documents_exit_3_with_one_line(tmp_path, capsys, command,
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_deeply_nested_json_exits_3_with_one_line(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    assert cli.main(["dual", "--in", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_variety_index_of_a_long_chain(tmp_path, capsys):
+    # more points than the interpreter's recursion limit
+    labels = ["c%d" % i for i in range(1200)]
+    path = write(tmp_path, "chain.json", {
+        "elements": labels, "covers": [list(p) for p in zip(labels,
+                                                            labels[1:])]})
+    assert cli.main(["variety-index", "--in", path]) == 0
+    assert json.loads(capsys.readouterr().out)["variety_index"] == 1
+
+
 @pytest.mark.parametrize("doc, count", [
     (FAN3, 9), (_lattice_doc(*cube_tables(2)), 4)], ids=["poset", "lattice"])
 def test_congruences_reads_only_the_dual_poset(tmp_path, monkeypatch, capsys,

@@ -18,6 +18,7 @@ import pytest
 
 import pcdl
 import pcdl.cli  # noqa: F401  (the tracer wraps cli entry points too)
+from pcdl.enumeration import classes_with_upsets_bounded
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "pcdl").glob("*.py"))
@@ -120,6 +121,10 @@ def test_tracer_installs_and_uninstalls_cleanly():
         pcdl.quotient(pcdl.fan_algebra(3),
                       pcdl.dual_congruence(pcdl.fan(3), ["g", "t1"]))
         pcdl.star_hom_pairs(pcdl.fan_algebra(2), pcdl.fan_algebra(3))
+        closed_before_growth = tracer.calls["posets.from_covers"]
+        classes_with_upsets_bounded.__wrapped__(9)
+        closed_by_growth = (tracer.calls["posets.from_covers"]
+                            - closed_before_growth)
     finally:
         tracer.uninstall()
     assert _bindings() == before
@@ -143,3 +148,7 @@ def test_tracer_installs_and_uninstalls_cleanly():
     assert tracer.calls["congruences.quotient"] == 1
     assert tracer.calls["algebras.hom_of_dual_map"] > 0
     assert tracer.calls["duality.is_homomorphism"] == 0
+    # classes grow from masks: only the empty start poset may be closed
+    # from label pairs
+    assert tracer.counts["enumeration.candidates"] > 0
+    assert closed_by_growth <= 1

@@ -1,9 +1,12 @@
+import pickle
 import random
 
 import pytest
 
 from pcdl import (DisjointSum, OrderMap, Poset, antichain, bits, chain,
-                  classify_map, disjoint_sum, fan, max_above, ordinal_sum)
+                  classify_map, disjoint_sum, dual_lattice, dual_space, fan,
+                  max_above, ordinal_sum)
+from pcdl.enumeration import _add_maximal
 
 from _oracles import (check_partial_order, closure_from_covers, iso_brute,
                       random_poset, random_relabel, upsets_brute)
@@ -65,6 +68,14 @@ def test_up_sets_match_brute():
         ups = list(p.up_sets())
         assert sorted(ups) == upsets_brute(p)
         assert ups == sorted(ups, key=lambda m: (m.bit_count(), m))
+
+
+def test_up_sets_of_a_long_chain_are_its_suffixes():
+    # deeper than the interpreter's recursion limit
+    n = 1200
+    full = (1 << n) - 1
+    assert chain(n).up_sets() == tuple(full ^ ((1 << k) - 1)
+                                       for k in range(n, -1, -1))
 
 
 def test_up_set_predicates():
@@ -197,3 +208,79 @@ def test_order_map_embedding_checks_all_pairs():
     f = OrderMap.from_labels(p, q, {"x0": "c0", "x1": "c1"})
     assert f.is_order_preserving()
     assert not f.is_order_embedding()
+
+
+def _tables(p):
+    return p.labels, p.up, p.down, p.covers_up, p.covers_down
+
+
+def _strict_pairs(p, name=lambda s: s):
+    return [(name(p.labels[i]), name(p.labels[j]))
+            for i in range(p.n) for j in bits(p.up[i]) if i != j]
+
+
+def _assert_built_as(built, labels, pairs):
+    assert _tables(built) == _tables(Poset.from_covers(labels, pairs))
+
+
+def test_derived_posets_match_from_covers_on_random_sources():
+    # each derived poset is built from masks; the reference closes the
+    # same label pairs the old label-pair constructions passed on
+    rng = random.Random(19)
+    for n in range(9):
+        for _ in range(2):
+            p = random_poset(n, rng)
+            q = random_poset(rng.randrange(4), rng)
+            for _ in range(4):
+                mask = rng.getrandbits(n)
+                _assert_built_as(p.restrict(mask), p.labels_of(mask),
+                                 [(a, b) for a, b in _strict_pairs(p)
+                                  if p.mask_of([a, b]) & ~mask == 0])
+            _assert_built_as(p.dual(), p.labels,
+                             [(b, a) for a, b in _strict_pairs(p)])
+            # both sums relabel when q's labels collide with p's
+            clash = bool(set(p.labels) & set(q.labels))
+            lo = (lambda s: s + ".0") if clash else (lambda s: s)
+            hi = (lambda s: s + ".1") if clash else (lambda s: s)
+            labels = [lo(s) for s in p.labels] + [hi(s) for s in q.labels]
+            _assert_built_as(
+                ordinal_sum(p, q), labels,
+                _strict_pairs(p, lo) + _strict_pairs(q, hi)
+                + [(lo(a), hi(b)) for a in p.labels for b in q.labels])
+            d = disjoint_sum([p, q])
+            _assert_built_as(d.poset, labels,
+                             _strict_pairs(p, lo) + _strict_pairs(q, hi))
+            for down in p.down_sets():
+                _assert_built_as(_add_maximal(p, down, "new"),
+                                 p.labels + ("new",),
+                                 _strict_pairs(p)
+                                 + [(a, "new") for a in p.labels_of(down)])
+            L = dual_lattice(p)
+            principal = set(p.up)
+            jis = [i for i in range(L.size) if L.carrier[i] in principal]
+            _assert_built_as(dual_space(L), [L.labels[i] for i in jis],
+                             [(L.labels[a], L.labels[b]) for a in jis
+                              for b in jis if a != b and L.leq(b, a)])
+            assert dual_space(L).isomorphic(p)
+
+
+@pytest.mark.parametrize("labels, up", [
+    (["a", "b"], [0b10, 0b10]),
+    (["a"], [0b11]),
+    (["a", "b", "c"], [0b011, 0b110, 0b100]),
+    (["a", "b"], [0b11, 0b11]),
+    (["a", "a"], [0b01, 0b10]),
+    (["a", "b"], [0b01]),
+    ([1], [0b1]),
+], ids=["missing-own-point", "past-carrier", "not-transitive", "two-cycle",
+        "duplicate-labels", "length-mismatch", "label-not-string"])
+def test_constructor_certifies_up_masks(labels, up):
+    with pytest.raises(ValueError):
+        Poset(labels, up)
+
+
+def test_pickle_round_trip_keeps_tables():
+    rng = random.Random(23)
+    for n in (0, 1, 5, 8):
+        p = random_poset(n, rng)
+        assert _tables(pickle.loads(pickle.dumps(p))) == _tables(p)
