@@ -261,13 +261,13 @@ def onto_star_hom_exists(A: UpSetLattice, i: int) -> bool:
     return embedding_p_morphism_witness(A, i) is not None
 
 
-def variety_index(A: UpSetLattice) -> int:
+def variety_index(A) -> int:
     """Largest maximal-set size in the dual; 0 for the trivial algebra.
 
-    A lies in the variety generated by the 2^n-plus-unit algebra exactly
-    when its index is at most n.
+    A is an algebra or its dual poset. A lies in the variety generated by
+    the 2^n-plus-unit algebra exactly when its index is at most n.
     """
-    base = A.base
+    base = A if isinstance(A, Poset) else A.base
     if base.n == 0:
         return 0
     return max(base.max_above(x).bit_count() for x in range(base.n))

@@ -191,6 +191,13 @@ class ExtensionResult(NamedTuple):
     bound: int
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity, where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _require_room(P: Poset, bound: int) -> None:
     """Refuse a bound below the size of P: no extension would fit in it."""
     if bound < P.n:
@@ -258,7 +265,7 @@ def extension_property_bounded(A: UpSetLattice, n: int, bound: int,
     tables = [a.table for a in p_morphisms(V, P)]
     classes = _extension_classes(P, n, bound)
     # a fork pool starts all of its workers at the first submit
-    workers = min(jobs, len(classes), os.cpu_count() or 1)
+    workers = min(jobs, len(classes), _usable_cpus())
     ex = None
     if workers > 1:
         ex = concurrent.futures.ProcessPoolExecutor(max_workers=workers)

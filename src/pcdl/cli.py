@@ -61,6 +61,12 @@ def _load_poset_or_lattice(path: str):
                         "(joins and meets)" % path)
 
 
+def _load_dual(path: str) -> Poset:
+    """The dual poset of a poset or lattice file; a poset builds no lattice."""
+    obj = _load_poset_or_lattice(path)
+    return obj if isinstance(obj, Poset) else obj.unit.target.base
+
+
 def _load_algebra(path: str):
     """Returns (algebra, labels, to_rep) for a poset or lattice file.
 
@@ -171,16 +177,12 @@ def _cmd_star_homs(args) -> int:
 
 
 def _cmd_variety_index(args) -> int:
-    A, _, _ = _load_algebra(args.infile)
-    _emit(args, {"variety_index": variety_index(A)})
+    _emit(args, {"variety_index": variety_index(_load_dual(args.infile))})
     return 0
 
 
 def _cmd_congruences(args) -> int:
-    obj = _load_poset_or_lattice(args.infile)
-    # the congruences live on the dual poset; no up-set lattice is built
-    base = obj if isinstance(obj, Poset) else obj.unit.target.base
-    thetas = enumerate_congruences(base, args.bound)
+    thetas = enumerate_congruences(_load_dual(args.infile), args.bound)
     payload = {
         "count": len(thetas),
         "congruences": [{"erased": list(t.labels())} for t in thetas],

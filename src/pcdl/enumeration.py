@@ -1,20 +1,101 @@
 """Enumeration of finite poset isomorphism classes.
 
-Classes on n points are generated by adding one new maximal point over every
-down-set of every class on n - 1 points, deduplicating by canonical key.
+Classes on n points are generated by canonical augmentation (McKay,
+J. Algorithms 26, 1998): each class on n - 1 points, in sorted-key order,
+gains one new maximal point over a down-set D, and the child is kept only
+when (parent, D) is the first pair, in (parent order, down-set order), that
+builds its class. Every other pair comes from deleting another maximal
+point m of the child, so the test needs no table of classes seen:
+- D must be the least member of its orbit under the parent's automorphisms;
+- deleting m must not leave an earlier parent, which the sorted (up, down)
+  counts leading every key mostly settle without building anything;
+- where deleting m leaves the same parent, m's down-set, carried into the
+  parent by the two canonical orderings, must not have an earlier orbit.
+The representative of a class is thus the first candidate of the plain
+filter that labels every pair, and each class is labelled once.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from .posets import Poset
+from .posets import Poset, bits
 
 
 def _add_maximal(base: Poset, down_mask: int, new_label: str) -> Poset:
     new = 1 << base.n
     up = [u | new if down_mask >> i & 1 else u for i, u in enumerate(base.up)]
     return Poset(base.labels + (new_label,), up + [new])
+
+
+def _orbit_minima(base: Poset, down_sets: tuple) -> dict:
+    """Down-set -> least member of its Aut(base) orbit, when that differs."""
+    gens = base.automorphism_generators()
+    out = {}
+    if not gens:
+        return out
+    # down_sets is sorted, so the first member met of each orbit is least
+    for d in down_sets:
+        if d in out:
+            continue
+        out[d] = d
+        frontier = [d]
+        while frontier:
+            m = frontier.pop()
+            for g in gens:
+                image = 0
+                for i in bits(m):
+                    image |= 1 << g[i]
+                if image not in out:
+                    out[image] = d
+                    frontier.append(image)
+    return out
+
+
+def _round0_ties(base: Poset, counts: list, round0: list, dmask: int):
+    """Maximal points whose deletion may give the parent of the child.
+
+    counts holds the parent's (up, down) counts and round0 their sorted
+    list, the part of its key after the size. Deleting a maximal point m of
+    the child other than the new one keeps every down count and lowers the
+    up count of each point below m. None if some deletion sorts lower, so
+    gives an earlier parent.
+    """
+    grown = [(u + (dmask >> i & 1), d) for i, (u, d) in enumerate(counts)]
+    new = (1, dmask.bit_count() + 1)
+    ties = []
+    for m, (u, _) in enumerate(counts):
+        if u != 1 or dmask >> m & 1:
+            continue
+        below = base.down[m]
+        rest = [(u - (below >> i & 1), d)
+                for i, (u, d) in enumerate(grown) if i != m]
+        rest.append(new)
+        rest.sort()
+        if rest < round0:
+            return None
+        if rest == round0:
+            ties.append(m)
+    return ties
+
+
+def _deletion_not_earlier(child: Poset, m: int, base: Poset, dmask: int,
+                          orbit_min: dict) -> bool:
+    """Whether (class of child - m, m's down-set) comes no earlier."""
+    rest = child.restrict(child.full_mask ^ 1 << m)
+    key, mine = rest.canonical_form()
+    base_key, theirs = base.canonical_form()
+    if key != base_key:
+        return key > base_key
+    # rest -> base through the canonical orderings; rest skips index m
+    to_base = [0] * len(mine)
+    for r, b in zip(mine, theirs):
+        to_base[r] = b
+    image = 0
+    for i in bits(child.down[m] ^ 1 << m):
+        image |= 1 << to_base[i - (i > m)]
+    low = orbit_min.get(image, image)
+    return (low.bit_count(), low) >= (dmask.bit_count(), dmask)
 
 
 @cache
@@ -24,14 +105,27 @@ def poset_classes_exactly(n: int) -> tuple:
         raise ValueError("size must be nonnegative")
     if n == 0:
         return (Poset((), ()),)
-    seen = {}
+    label = "p%d" % (n - 1)
+    kept = []
     for base in poset_classes_exactly(n - 1):
-        for dmask in base.down_sets():
-            cand = _add_maximal(base, dmask, "p%d" % (n - 1))
-            key = cand.canonical_key()
-            if key not in seen:
-                seen[key] = cand
-    return tuple(seen[k] for k in sorted(seen))
+        counts = [(u.bit_count(), d.bit_count())
+                  for u, d in zip(base.up, base.down)]
+        round0 = sorted(counts)
+        down_sets = base.down_sets()
+        orbit_min = _orbit_minima(base, down_sets)
+        for dmask in down_sets:
+            if orbit_min.get(dmask, dmask) != dmask:
+                continue
+            ties = _round0_ties(base, counts, round0, dmask)
+            if ties is None:
+                continue
+            child = _add_maximal(base, dmask, label)
+            if all(_deletion_not_earlier(child, m, base, dmask, orbit_min)
+                   for m in ties):
+                kept.append((child.canonical_key(), child))
+    # keys are distinct, so no two children are compared
+    kept.sort()
+    return tuple(child for _, child in kept)
 
 
 @cache

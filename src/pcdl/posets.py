@@ -40,7 +40,7 @@ class Poset:
     """
 
     __slots__ = ("labels", "up", "down", "covers_up", "covers_down",
-                 "_index", "_upsets", "_canon", "_maximals")
+                 "_index", "_upsets", "_canon", "_aut", "_maximals")
 
     def __init__(self, labels: Iterable[str], up: Iterable[int]):
         labels = tuple(labels)
@@ -80,6 +80,7 @@ class Poset:
         self._index = index
         self._upsets = None
         self._canon = None
+        self._aut = None
         self._maximals = None
 
     @classmethod
@@ -249,60 +250,113 @@ class Poset:
 
     def _stable_colors(self) -> list:
         n = len(self.labels)
+        above = [list(bits(c)) for c in self.covers_up]
+        below = [list(bits(c)) for c in self.covers_down]
         color = [(self.up[i].bit_count(), self.down[i].bit_count())
                  for i in range(n)]
         while True:
             comp = {c: r for r, c in enumerate(sorted(set(color)))}
             ranks = [comp[c] for c in color]
             nxt = [(ranks[i],
-                    tuple(sorted(ranks[j] for j in bits(self.covers_up[i]))),
-                    tuple(sorted(ranks[j] for j in bits(self.covers_down[i]))))
+                    tuple(sorted([ranks[j] for j in above[i]])),
+                    tuple(sorted([ranks[j] for j in below[i]])))
                    for i in range(n)]
-            if len(set(nxt)) == len(set(color)):
+            if len(set(nxt)) == len(comp):
                 return ranks
             color = nxt
 
     def _canonical_search(self):
+        """Least relation code over color-respecting orderings of the points.
+
+        An ordering lists the points color class by color class; its code
+        gives, for each position, the leq bits of that point against every
+        earlier one. Returns (perm, code, generators): the least code, the
+        least ordering with that code, and generators of the automorphism
+        group as index tables. A branch is cut once its code prefix exceeds
+        the best one found, and a point is skipped while a twin of lower
+        index (an incomparable point with the same relations to all others)
+        is unplaced: the swapped subtree repeats the same codes with a
+        larger ordering. Every automorphism is then a product of twin
+        transpositions and the maps from the best ordering to the other
+        orderings reaching its code.
+        """
         n = len(self.labels)
         if n == 0:
-            return (), ()
+            return (), (), ()
+        up, down = self.up, self.down
         colors = self._stable_colors()
-        by_color = sorted(range(n), key=lambda i: (colors[i], i))
-        target = [colors[i] for i in by_color]
-        leq = self.leq
-        best = [None]
+        members = {}
+        for e in range(n):
+            members.setdefault(colors[e], []).append(e)
+        target = [members[c] for c in sorted(colors)]
+        # rel[e][x]: the code bits leq(x, e), leq(e, x) of x against e
+        rel = [[(down[e] >> x & 1) << 1 | (up[e] >> x & 1) for x in range(n)]
+               for e in range(n)]
+        twins_below = [0] * n
+        gens = []
+        last_twin = {}
+        for e in range(n):
+            sig = (up[e] ^ 1 << e, down[e] ^ 1 << e)
+            if sig in last_twin:
+                t = last_twin[sig]
+                twins_below[e] = twins_below[t] | 1 << t
+                swap = list(range(n))
+                swap[t], swap[e] = e, t
+                gens.append(tuple(swap))
+            last_twin[sig] = e
+        placed = []
+        code = []
+        best = None     # the least code found so far
+        leaves = []     # the orderings reaching it, in search order
 
-        def walk(placed, used, code):
-            k = len(placed)
+        def walk(k, used, enc, tight):
+            # tight: the code so far equals the best code's prefix
+            nonlocal best
             if k == n:
-                cand = (tuple(code), tuple(placed))
-                if best[0] is None or cand < best[0]:
-                    best[0] = cand
+                if tight and best is not None:
+                    leaves.append(tuple(placed))
+                else:
+                    best = tuple(code)
+                    leaves[:] = [tuple(placed)]
                 return
-            want = target[k]
-            exts = {}
-            for e in range(n):
-                if not used >> e & 1 and colors[e] == want:
-                    enc = 0
-                    for p in placed:
-                        enc = enc << 2 | leq(e, p) << 1 | leq(p, e)
-                    exts.setdefault(enc, []).append(e)
-            low = min(exts)
+            low = None
+            for e in target[k]:
+                if used >> e & 1 or twins_below[e] & ~used:
+                    continue
+                v = enc[e]
+                if low is None or v < low:
+                    low, cands = v, [e]
+                elif v == low:
+                    cands.append(e)
+            if tight and best is not None:
+                if low > best[k]:
+                    return
+                tight = low == best[k]
             code.append(low)
-            for e in exts[low]:
+            for e in cands:
                 placed.append(e)
-                walk(placed, used | 1 << e, code)
+                seen = best
+                walk(k + 1, used | 1 << e,
+                     [v << 2 | r for v, r in zip(enc, rel[e])], tight)
                 placed.pop()
+                # a better code found below shares this prefix
+                if best is not seen:
+                    tight = True
             code.pop()
 
-        walk([], 0, [])
-        code, perm = best[0]
-        return perm, code
+        walk(0, 0, [0] * n, True)
+        perm = leaves[0]
+        for leaf in leaves[1:]:
+            g = [0] * n
+            for p, q in zip(perm, leaf):
+                g[p] = q
+            gens.append(tuple(g))
+        return perm, best, tuple(gens)
 
     def canonical_key(self):
         """Hashable value equal across isomorphic posets only."""
         if self._canon is None:
-            perm, code = self._canonical_search()
+            perm, code, self._aut = self._canonical_search()
             n = len(self.labels)
             round0 = tuple(sorted((self.up[i].bit_count(),
                                    self.down[i].bit_count())
@@ -310,10 +364,26 @@ class Poset:
             self._canon = ((n, round0, code), perm)
         return self._canon[0]
 
+    def canonical_form(self) -> tuple:
+        """(canonical_key(), canonical_perm()), labelling at most once."""
+        if self._canon is None:
+            self.canonical_key()
+        return self._canon
+
     def canonical_perm(self) -> tuple:
         """Canonical ordering as a tuple position -> element index."""
-        self.canonical_key()
-        return self._canon[1]
+        return self.canonical_form()[1]
+
+    def automorphism_generators(self) -> tuple:
+        """Index tables generating the automorphism group.
+
+        The search that labels the poset finds them; they are handed out
+        once and then dropped, so a later call searches again.
+        """
+        gens, self._aut = self._aut, None
+        if gens is None:
+            gens = self._canonical_search()[2]
+        return gens
 
     def isomorphic(self, other: "Poset") -> bool:
         return self.canonical_key() == other.canonical_key()

@@ -348,3 +348,97 @@ def order_preserving_maps_raw(source, target) -> list:
                if source.leq(i, j)):
             out.append(table)
     return out
+
+
+def _stable_colors_plain(poset) -> list:
+    """Color refinement by (up, down) counts and cover-color multisets."""
+    n = poset.n
+    covers_up = [[j for j in range(n) if poset.covers_up[i] >> j & 1]
+                 for i in range(n)]
+    covers_down = [[j for j in range(n) if poset.covers_down[i] >> j & 1]
+                   for i in range(n)]
+    color = [(sum(poset.leq(i, j) for j in range(n)),
+              sum(poset.leq(j, i) for j in range(n))) for i in range(n)]
+    while True:
+        comp = {c: r for r, c in enumerate(sorted(set(color)))}
+        ranks = [comp[c] for c in color]
+        nxt = [(ranks[i], tuple(sorted(ranks[j] for j in covers_up[i])),
+                tuple(sorted(ranks[j] for j in covers_down[i])))
+               for i in range(n)]
+        if len(set(nxt)) == len(set(color)):
+            return ranks
+        color = nxt
+
+
+def canonical_form_brute(poset) -> tuple:
+    """(key, perm) by walking every color-respecting ordering.
+
+    At each position only the points with the least code against the points
+    already placed are tried, and nothing else is pruned: the key is
+    (n, sorted (up, down) counts, least code) and perm is the least
+    ordering reaching that code.
+    """
+    n = poset.n
+    leq = poset.leq
+    colors = _stable_colors_plain(poset)
+    target = sorted(colors)
+    best = []
+
+    def walk(placed, code):
+        k = len(placed)
+        if k == n:
+            best.append((tuple(code), tuple(placed)))
+            return
+        exts = {}
+        for e in range(n):
+            if e not in placed and colors[e] == target[k]:
+                enc = 0
+                for p in placed:
+                    enc = enc << 2 | leq(e, p) << 1 | leq(p, e)
+                exts.setdefault(enc, []).append(e)
+        low = min(exts)
+        for e in exts[low]:
+            walk(placed + [e], code + [low])
+
+    walk([], [])
+    code, perm = min(best)
+    round0 = tuple(sorted((sum(leq(i, j) for j in range(n)),
+                           sum(leq(j, i) for j in range(n)))
+                          for i in range(n)))
+    return (n, round0, code), perm
+
+
+def poset_classes_by_filter(n) -> list:
+    """Levels 0..n of (poset, key, perm) per class, each in key order.
+
+    Every class on k points, in key order, gains a new maximal point over
+    each of its down-sets in (size, mask) order; every candidate is
+    labelled and the first one of each key is kept.
+    """
+    from pcdl import Poset
+    empty = Poset((), ())
+    levels = [[(empty,) + canonical_form_brute(empty)]]
+    for k in range(n):
+        seen = {}
+        for base, _, _ in levels[-1]:
+            downs = sorted((m for m in range(1 << k)
+                            if all(not base.down[i] & ~m
+                                   for i in range(k) if m >> i & 1)),
+                           key=lambda m: (bin(m).count("1"), m))
+            for d in downs:
+                up = [u | 1 << k if d >> i & 1 else u
+                      for i, u in enumerate(base.up)]
+                cand = Poset(base.labels + ("p%d" % k,), up + [1 << k])
+                key, perm = canonical_form_brute(cand)
+                if key not in seen:
+                    seen[key] = (cand, key, perm)
+        levels.append([seen[key] for key in sorted(seen)])
+    return levels
+
+
+def automorphisms_brute(poset) -> list:
+    """Every automorphism as an index tuple, by permutation scan."""
+    n = poset.n
+    return [perm for perm in itertools.permutations(range(n))
+            if all(poset.leq(i, j) == poset.leq(perm[i], perm[j])
+                   for i in range(n) for j in range(n))]

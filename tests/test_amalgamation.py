@@ -118,14 +118,25 @@ class _InProcessPool:
         pass
 
 
-# fan_algebra(3) at bound 6 has 64 extension classes; one worker is serial
-@pytest.mark.parametrize("jobs, cpus, workers", [
-    (5000, 3, [3]), (2, 8, [2]), (5000, 5000, [64]), (5000, 1, []),
-    (5000, None, [])], ids=["cpus", "jobs", "classes", "one-cpu", "no-count"])
-def test_oracle_pool_is_capped(monkeypatch, jobs, cpus, workers):
+# fan_algebra(3) at bound 6 has 64 extension classes; one worker is serial.
+# affinity None stands for a platform without os.sched_getaffinity, where
+# os.cpu_count() is read instead.
+@pytest.mark.parametrize("jobs, cpus, affinity, workers", [
+    (5000, 3, 3, [3]), (2, 8, 8, [2]), (5000, 5000, 5000, [64]),
+    (5000, 1, 1, []), (5000, None, None, []), (2, 2, 1, []),
+    (5000, 3, None, [3])],
+    ids=["cpus", "jobs", "classes", "one-cpu", "no-count", "affinity",
+         "no-affinity"])
+def test_oracle_pool_is_capped(monkeypatch, jobs, cpus, affinity, workers):
     monkeypatch.setattr(amalgamation.concurrent.futures,
                         "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(amalgamation.os, "cpu_count", lambda: cpus)
+    if affinity is None:
+        monkeypatch.delattr(amalgamation.os, "sched_getaffinity",
+                            raising=False)
+    else:
+        monkeypatch.setattr(amalgamation.os, "sched_getaffinity",
+                            lambda pid: set(range(affinity)), raising=False)
     monkeypatch.setattr(_InProcessPool, "sizes", [])
     result = extension_property_bounded(fan_algebra(3), 3, 6, jobs=jobs)
     assert _InProcessPool.sizes == workers

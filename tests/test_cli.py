@@ -379,6 +379,18 @@ def test_congruences_reads_only_the_dual_poset(tmp_path, monkeypatch, capsys,
     assert json.loads(capsys.readouterr().out)["count"] == count
 
 
+def test_variety_index_reads_only_the_dual_poset(tmp_path, monkeypatch,
+                                                capsys):
+    # 2^24 up-sets would take minutes to list
+    def no_algebra(_):
+        raise AssertionError("variety-index built an up-set lattice")
+    monkeypatch.setattr(cli, "make_pcdl", no_algebra)
+    path = write(tmp_path, "antichain.json", {
+        "elements": ["x%d" % i for i in range(24)], "covers": []})
+    assert cli.main(["variety-index", "--in", path]) == 0
+    assert json.loads(capsys.readouterr().out)["variety_index"] == 1
+
+
 def test_broken_invariant_exits_4_with_one_line(fan2, monkeypatch, capsys):
     def broken(_):
         raise AssertionError("index out of step")

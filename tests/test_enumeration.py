@@ -3,7 +3,7 @@ import random
 from pcdl import (classes_with_upsets_bounded, poset_classes_exactly,
                   poset_classes_upto)
 
-from _oracles import iso_brute, random_poset
+from _oracles import iso_brute, poset_classes_by_filter, random_poset
 
 KNOWN_COUNTS = [1, 1, 2, 5, 16, 63, 318, 2045]
 
@@ -11,6 +11,14 @@ KNOWN_COUNTS = [1, 1, 2, 5, 16, 63, 318, 2045]
 def test_class_counts_match_known_sequence():
     for n, want in enumerate(KNOWN_COUNTS):
         assert len(poset_classes_exactly(n)) == want
+
+
+def test_augmentation_matches_the_filter():
+    # same keys, order and representatives as labelling every candidate
+    for n, level in enumerate(poset_classes_by_filter(7)):
+        got = [(p.labels, p.up, p.canonical_key(), p.canonical_perm())
+               for p in poset_classes_exactly(n)]
+        assert got == [(p.labels, p.up, key, perm) for p, key, perm in level]
 
 
 def test_upto_is_cumulative():

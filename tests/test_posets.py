@@ -5,10 +5,11 @@ import pytest
 
 from pcdl import (DisjointSum, OrderMap, Poset, antichain, bits, chain,
                   classify_map, disjoint_sum, dual_lattice, dual_space, fan,
-                  max_above, ordinal_sum)
-from pcdl.enumeration import _add_maximal
+                  max_above, ordinal_sum, poset_classes_upto)
+from pcdl.enumeration import _add_maximal, _orbit_minima
 
-from _oracles import (check_partial_order, closure_from_covers, iso_brute,
+from _oracles import (automorphisms_brute, canonical_form_brute,
+                      check_partial_order, closure_from_covers, iso_brute,
                       random_poset, random_relabel, upsets_brute)
 
 
@@ -132,6 +133,52 @@ def test_canonical_key_separates_non_isomorphic():
         for b in pool:
             same_key = a.canonical_key() == b.canonical_key()
             assert same_key == (iso_brute(a, b) is not None)
+
+
+def test_canonical_form_matches_exhaustive_search():
+    rng = random.Random(23)
+    shapes = [random_poset(rng.randrange(7, 10), rng) for _ in range(40)]
+    # large automorphism groups, with and without twins
+    shapes += [antichain(7), fan(6), chain(7),
+               disjoint_sum([chain(2)] * 4).poset,
+               ordinal_sum(antichain(3), antichain(4))]
+    # crowns of 6 and 4 points: color refinement cannot tell their points
+    # apart, so the orderings reach different codes and the bound cuts
+    crowns = Poset.from_covers(
+        ["a0", "a1", "a2", "b0", "b1", "b2", "c0", "c1", "d0", "d1"],
+        [("a0", "b0"), ("a0", "b1"), ("a1", "b1"), ("a1", "b2"),
+         ("a2", "b2"), ("a2", "b0"), ("c0", "d0"), ("c0", "d1"),
+         ("c1", "d0"), ("c1", "d1")])
+    shapes += [crowns] + [random_relabel(crowns, rng) for _ in range(5)]
+    for p in shapes:
+        assert (p.canonical_key(), p.canonical_perm()) == \
+            canonical_form_brute(p)
+
+
+def _group_closure(gens, n) -> set:
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        g = frontier.pop()
+        for h in gens:
+            gh = tuple(h[i] for i in g)
+            if gh not in group:
+                group.add(gh)
+                frontier.append(gh)
+    return group
+
+
+def test_automorphism_generators_and_down_set_orbits_match_brute():
+    for p in poset_classes_upto(5) + (antichain(7), fan(6), chain(6)):
+        auts = automorphisms_brute(p)
+        gens = p.automorphism_generators()
+        assert set(gens) <= set(auts)
+        assert len(_group_closure(gens, p.n)) == len(auts)
+        downs = p.down_sets()
+        minima = _orbit_minima(p, downs)
+        for d in downs:
+            orbit = {sum(1 << a[i] for i in bits(d)) for a in auts}
+            assert minima.get(d, d) == min(orbit)
 
 
 def test_constructions():
