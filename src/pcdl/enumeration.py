@@ -28,9 +28,8 @@ def _add_maximal(base: Poset, down_mask: int, new_label: str) -> Poset:
     return Poset(base.labels + (new_label,), up + [new])
 
 
-def _orbit_minima(base: Poset, down_sets: tuple) -> dict:
-    """Down-set -> least member of its Aut(base) orbit, when that differs."""
-    gens = base.automorphism_generators()
+def _orbit_minima(gens: tuple, down_sets: tuple) -> dict:
+    """Down-set -> least member of its orbit under the group of gens."""
     out = {}
     if not gens:
         return out
@@ -112,7 +111,7 @@ def poset_classes_exactly(n: int) -> tuple:
                   for u, d in zip(base.up, base.down)]
         round0 = sorted(counts)
         down_sets = base.down_sets()
-        orbit_min = _orbit_minima(base, down_sets)
+        orbit_min = _orbit_minima(base._take_automorphisms(), down_sets)
         for dmask in down_sets:
             if orbit_min.get(dmask, dmask) != dmask:
                 continue

@@ -276,9 +276,13 @@ class Poset:
         the best one found, and a point is skipped while a twin of lower
         index (an incomparable point with the same relations to all others)
         is unplaced: the swapped subtree repeats the same codes with a
-        larger ordering. Every automorphism is then a product of twin
-        transpositions and the maps from the best ordering to the other
-        orderings reaching its code.
+        larger ordering. Two orderings with one code differ by an
+        automorphism, so once an ordering ties the first one reaching the
+        best code so far, the rest of the subtree where it left that first
+        ordering holds no smaller code and is cut. The automorphism group
+        is generated by the twin transpositions and the map from the best
+        ordering to the tie found in each subtree left from it, at most one
+        per point of each level, so there are fewer than n * n generators.
         """
         n = len(self.labels)
         if n == 0:
@@ -307,17 +311,21 @@ class Poset:
         placed = []
         code = []
         best = None     # the least code found so far
-        leaves = []     # the orderings reaching it, in search order
+        first = None    # the first ordering reaching it
+        ties = []       # one later ordering reaching it per subtree left
+        jump = n        # after a tie: the level to resume the search at
 
         def walk(k, used, enc, tight):
             # tight: the code so far equals the best code's prefix
-            nonlocal best
+            nonlocal best, first, jump
             if k == n:
+                leaf = tuple(placed)
                 if tight and best is not None:
-                    leaves.append(tuple(placed))
+                    ties.append(leaf)
+                    jump = next(i for i in range(n) if leaf[i] != first[i])
                 else:
-                    best = tuple(code)
-                    leaves[:] = [tuple(placed)]
+                    best, first = tuple(code), leaf
+                    ties.clear()
                 return
             low = None
             for e in target[k]:
@@ -339,19 +347,22 @@ class Poset:
                 walk(k + 1, used | 1 << e,
                      [v << 2 | r for v, r in zip(enc, rel[e])], tight)
                 placed.pop()
+                if jump <= k:
+                    if jump < k:
+                        break
+                    jump = n
                 # a better code found below shares this prefix
                 if best is not seen:
                     tight = True
             code.pop()
 
         walk(0, 0, [0] * n, True)
-        perm = leaves[0]
-        for leaf in leaves[1:]:
+        for leaf in ties:
             g = [0] * n
-            for p, q in zip(perm, leaf):
+            for p, q in zip(first, leaf):
                 g[p] = q
             gens.append(tuple(g))
-        return perm, best, tuple(gens)
+        return first, best, tuple(gens)
 
     def canonical_key(self):
         """Hashable value equal across isomorphic posets only."""
@@ -374,11 +385,12 @@ class Poset:
         """Canonical ordering as a tuple position -> element index."""
         return self.canonical_form()[1]
 
-    def automorphism_generators(self) -> tuple:
-        """Index tables generating the automorphism group.
+    def _take_automorphisms(self) -> tuple:
+        """Index tables generating the automorphism group, handed out once.
 
-        The search that labels the poset finds them; they are handed out
-        once and then dropped, so a later call searches again.
+        The search that labels the poset finds them and keeps them for
+        `enumeration.poset_classes_exactly`, which takes them from each
+        parent; taking drops them, so a later call searches again.
         """
         gens, self._aut = self._aut, None
         if gens is None:

@@ -1,5 +1,6 @@
 import pickle
 import random
+from math import factorial
 
 import pytest
 
@@ -171,14 +172,24 @@ def _group_closure(gens, n) -> set:
 def test_automorphism_generators_and_down_set_orbits_match_brute():
     for p in poset_classes_upto(5) + (antichain(7), fan(6), chain(6)):
         auts = automorphisms_brute(p)
-        gens = p.automorphism_generators()
+        gens = p._canonical_search()[2]
         assert set(gens) <= set(auts)
         assert len(_group_closure(gens, p.n)) == len(auts)
         downs = p.down_sets()
-        minima = _orbit_minima(p, downs)
+        minima = _orbit_minima(gens, downs)
         for d in downs:
             orbit = {sum(1 << a[i] for i in bits(d)) for a in auts}
             assert minima.get(d, d) == min(orbit)
+
+
+def test_automorphism_generators_stay_few():
+    # k 2-chains side by side have k! automorphisms and no twins
+    for k in range(2, 11):
+        p = disjoint_sum([chain(2)] * k).poset
+        gens = p._canonical_search()[2]
+        assert len(gens) <= k * (k - 1) // 2
+        if k <= 5:
+            assert len(_group_closure(gens, p.n)) == factorial(k)
 
 
 def test_constructions():

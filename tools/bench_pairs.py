@@ -1,7 +1,7 @@
 """Paired benchmark runs of a parent commit against the working tree.
 
     python3 tools/bench_pairs.py --parent REF --seeds 1 2 3 --pr N
-        [--seconds S] [--claim WORKLOAD.METRIC] [--notes NOTES.json]
+        [--seconds S]
 
 Run from anywhere inside a pcdl checkout. The parent is a git archive of
 REF in a temporary directory; the change is the working tree. For each seed
@@ -11,8 +11,7 @@ change first on the next, and so on. Each run's last stdout line is its
 result. BENCH_<N>.json at the root of the checkout then holds every run,
 and for each end-to-end metric of BENCHMARK.json and each workload the
 runs of both sides, their medians and quartiles, and the number of pairs
-in which the change was better. An object read from --notes is merged in
-at the top level, for what the runs alone do not say. Stdlib only.
+in which the change was better. Stdlib only.
 """
 
 from __future__ import annotations
@@ -43,7 +42,10 @@ def export(ref: str, dest: Path) -> None:
         fh.write(archive)
         fh.seek(0)
         with tarfile.open(fileobj=fh) as tar:
-            tar.extractall(dest, filter="data")
+            if hasattr(tarfile, "data_filter"):
+                tar.extractall(dest, filter="data")
+            else:   # Python before 3.10.12 and 3.11.4
+                tar.extractall(dest)
 
 
 def run_side(root: Path, seed: int, seconds: float) -> dict:
@@ -106,10 +108,6 @@ def main(argv=None) -> int:
     parser.add_argument("--pr", required=True,
                         help="names the output, BENCH_<pr>.json")
     parser.add_argument("--seconds", type=float, default=15)
-    parser.add_argument("--claim", default=None,
-                        help="the WORKLOAD.METRIC a gain is claimed on")
-    parser.add_argument("--notes", default=None,
-                        help="JSON object merged into the output")
     args = parser.parse_args(argv)
     better = {m["name"]: m["better"] for m in
               json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
@@ -124,10 +122,7 @@ def main(argv=None) -> int:
                    "--seconds %g, from the root of each copy" % args.seconds,
         "method": "One pair per seed; the side run first alternates, the "
                   "parent first on the first seed. Runs are serial.",
-        "claim": args.claim,
     }
-    if args.notes:
-        doc.update(json.loads(Path(args.notes).read_text()))
     out = ROOT / ("BENCH_%s.json" % args.pr)
     pairs = []
     with tempfile.TemporaryDirectory() as tmp:
