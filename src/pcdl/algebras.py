@@ -229,17 +229,23 @@ def star_embeddings(A: UpSetLattice, B: UpSetLattice) -> list:
     return out
 
 
-def embedding_p_morphism_witness(A: UpSetLattice, i: int):
+def _dual(A) -> Poset:
+    """The dual poset of A, which is an algebra or already its dual."""
+    return A if isinstance(A, Poset) else A.base
+
+
+def embedding_p_morphism_witness(A, i: int):
     """An order-embedding p-morphism from the i-top fan into P(A), or None.
 
-    Such an embedding exists exactly when A has an onto star hom to the
-    2^i-plus-unit algebra. For i of at least 2 it is witnessed by a point
-    with exactly i maximals above it; for i = 1 the point must also be
-    non-maximal, otherwise the dual 2-chain map would collapse.
+    A is an algebra or its dual poset. Such an embedding exists exactly
+    when A has an onto star hom to the 2^i-plus-unit algebra. For i of at
+    least 2 it is witnessed by a point with exactly i maximals above it;
+    for i = 1 the point must also be non-maximal, otherwise the dual
+    2-chain map would collapse.
     """
     if i < 0:
         raise ValueError("fan size must be nonnegative")
-    base = A.base
+    base = _dual(A)
     source = fan(i)
     if i == 0:
         for x in bits(base.maximals_mask):
@@ -256,7 +262,7 @@ def embedding_p_morphism_witness(A: UpSetLattice, i: int):
     return None
 
 
-def onto_star_hom_exists(A: UpSetLattice, i: int) -> bool:
+def onto_star_hom_exists(A, i: int) -> bool:
     """Whether some star hom maps A onto the 2^i-plus-unit algebra."""
     return embedding_p_morphism_witness(A, i) is not None
 
@@ -267,11 +273,11 @@ def variety_index(A) -> int:
     A is an algebra or its dual poset. A lies in the variety generated by
     the 2^n-plus-unit algebra exactly when its index is at most n.
     """
-    base = A if isinstance(A, Poset) else A.base
+    base = _dual(A)
     if base.n == 0:
         return 0
     return max(base.max_above(x).bit_count() for x in range(base.n))
 
 
-def in_variety(A: UpSetLattice, n: int) -> bool:
+def in_variety(A, n: int) -> bool:
     return variety_index(A) <= n

@@ -14,20 +14,20 @@ import os
 from itertools import cycle, repeat
 from typing import NamedTuple, Optional
 
-from .algebras import (_iter_p_morphisms, embedding_p_morphism_witness,
-                       fan_algebra, in_variety, is_p_morphism,
-                       onto_star_hom_exists, p_morphisms, star_hom_failure,
-                       star_homs, variety_index)
+from .algebras import (_dual, _iter_p_morphisms,
+                       embedding_p_morphism_witness, fan_algebra, in_variety,
+                       is_p_morphism, onto_star_hom_exists, p_morphisms,
+                       star_hom_failure, star_homs, variety_index)
 from .duality import UpSetLattice
 from .enumeration import poset_classes_upto
 from .posets import OrderMap, Poset, bits, fan
 
 
-def forbidden_images(A: UpSetLattice, n: int) -> list:
+def forbidden_images(A, n: int) -> list:
     """Fan sizes i with 2 <= i < n that A maps onto.
 
-    Nonempty output certifies that A is not an amalgamation base of the
-    variety of index n.
+    A is an algebra or its dual poset. Nonempty output certifies that A is
+    not an amalgamation base of the variety of index n.
     """
     if variety_index(A) > n:
         raise ValueError("algebra is outside the variety of index %d" % n)
@@ -40,12 +40,11 @@ class AmalgamationVerdict(NamedTuple):
     witnesses: dict
 
 
-def is_amalgamation_base_finite(A: UpSetLattice,
-                                n: int) -> AmalgamationVerdict:
+def is_amalgamation_base_finite(A, n: int) -> AmalgamationVerdict:
     """Decide whether A is an amalgamation base of the index-n variety.
 
-    witnesses maps each forbidden size to an embedding of the fan of that
-    size into the dual of A.
+    A is an algebra or its dual poset. witnesses maps each forbidden size
+    to an embedding of the fan of that size into the dual of A.
     """
     forb = forbidden_images(A, n)
     witnesses = {}
@@ -242,24 +241,24 @@ def _extension_class_task(Y: Poset, P: Poset, alpha_tables: list) -> tuple:
     return instances, None
 
 
-def extension_property_bounded(A: UpSetLattice, n: int, bound: int,
-                               jobs: int = 1,
+def extension_property_bounded(A, n: int, bound: int, jobs: int = 1,
                                max_instances=None) -> ExtensionResult:
     """Check that every map of A to the top fan extends along extensions.
 
-    Extensions range over duals of at most bound points inside the index-n
-    variety that map onto the dual of A; the maps are the duals of all
-    algebra maps into the fan algebra of rank n, so each lift is a map of
-    fan(n) and is decided in closed form (_fan_lift) with no
-    search. holds means every such map lifted; a failed lift is returned
-    as a witness triple. Classes are read in order and the search stops
-    at the first witness. The max_instances cap is applied between
-    isomorphism classes, so results are identical for any jobs value. A
-    bound below the size of P(A) is refused, as it would hold vacuously.
+    A is an algebra or its dual poset. Extensions range over duals of at
+    most bound points inside the index-n variety that map onto the dual
+    of A; the maps are the duals of all algebra maps into the fan algebra
+    of rank n, so each lift is a map of fan(n) and is decided in closed
+    form (_fan_lift) with no search. holds means every such map lifted;
+    a failed lift is returned as a witness triple. Classes are read in
+    order and the search stops at the first witness. The max_instances
+    cap is applied between isomorphism classes, so results are identical
+    for any jobs value. A bound below the size of P(A) is refused, as it
+    would hold vacuously.
     """
     if not in_variety(A, n):
         raise ValueError("algebra is outside the variety of index %d" % n)
-    P = A.base
+    P = _dual(A)
     _require_room(P, bound)
     V = fan(n)
     tables = [a.table for a in p_morphisms(V, P)]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .algebras import make_pcdl, variety_index
+from .algebras import variety_index
 from .amalgamation import extension_property_bounded, forbidden_images
 from .enumeration import poset_classes_exactly
 
@@ -15,20 +15,20 @@ def catalog(max_points: int, n: int, oracle: bool = False, bound=None,
     cover set sizes, the criterion verdict for the index-n variety, and
     the forbidden sizes behind it. With oracle=True the bounded extension
     search is run as an independent check, at bound points (default the
-    poset size plus three).
+    poset size plus three). Every column is read off the dual poset, so
+    no algebra is built.
     """
     if max_points > 6:
         raise ValueError("catalog is limited to posets on at most 6 points")
     rows = []
     for P in poset_classes_exactly(max_points):
-        A = make_pcdl(P)
-        idx = variety_index(A)
+        idx = variety_index(P)
         d = P.to_dict()
         row = {
             "elements": d["elements"],
             "covers": d["covers"],
             "points": P.n,
-            "algebra_size": A.size,
+            "algebra_size": len(P.up_sets()),
             "variety_index": idx,
             "m_sizes": sorted(P.max_above(x).bit_count()
                               for x in range(P.n)),
@@ -37,12 +37,12 @@ def catalog(max_points: int, n: int, oracle: bool = False, bound=None,
             row["verdict"] = "not_in_variety"
             row["forbidden"] = []
         else:
-            forb = forbidden_images(A, n)
+            forb = forbidden_images(P, n)
             row["verdict"] = "base" if not forb else "not_base"
             row["forbidden"] = forb
         if oracle and idx <= n:
             res = extension_property_bounded(
-                A, n, bound if bound is not None else P.n + 3, jobs=jobs)
+                P, n, bound if bound is not None else P.n + 3, jobs=jobs)
             row["oracle"] = res.verdict
             row["oracle_instances"] = res.instances
         rows.append(row)

@@ -11,9 +11,11 @@ bad input, 4 for a broken internal invariant.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
+from itertools import islice
 
 from .algebras import (make_pcdl, p_morphism_failure, pcdl_from_abstract,
                        star_homs, variety_index)
@@ -116,21 +118,24 @@ def _render_text(value, indent: int = 0) -> str:
 
 
 def _emit(args, payload, dot_text=None) -> None:
-    if dot_text is not None:
-        out = dot_text
-    else:
+    if dot_text is None:
         payload["format"] = FORMAT_TAG
         if getattr(args, "seed", None) is not None:
             payload["seed"] = args.seed
-        if args.format == "json":
-            out = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    with (open(args.out, "w") if args.out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        if dot_text is not None:
+            fh.write(dot_text)
+        elif args.format == "json":
+            # the bytes of json.dumps, written in blocks: a lattice's join
+            # and meet tables would otherwise make one report-sized string
+            chunks = json.JSONEncoder(sort_keys=True,
+                                      indent=2).iterencode(payload)
+            while block := "".join(islice(chunks, 1 << 14)):
+                fh.write(block)
+            fh.write("\n")
         else:
-            out = _render_text(payload) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
+            fh.write(_render_text(payload) + "\n")
 
 
 def _cmd_dual(args) -> int:
@@ -205,8 +210,8 @@ def _cmd_quotient(args) -> int:
 
 
 def _cmd_extensile(args) -> int:
-    A, _, _ = _load_algebra(args.infile)
-    res = is_congruence_extensile_bounded(A, args.n, args.bound,
+    res = is_congruence_extensile_bounded(_load_dual(args.infile), args.n,
+                                          args.bound,
                                           max_instances=args.max_instances)
     payload = {
         "verdict": res.verdict,
@@ -219,19 +224,19 @@ def _cmd_extensile(args) -> int:
 
 
 def _cmd_amalgam(args) -> int:
-    A, _, _ = _load_algebra(args.infile)
-    verdict = is_amalgamation_base_finite(A, args.n)
+    P = _load_dual(args.infile)
+    verdict = is_amalgamation_base_finite(P, args.n)
     payload = {
         "is_base": verdict.is_base,
         "forbidden_is": list(verdict.forbidden),
-        "variety_index": variety_index(A),
+        "variety_index": variety_index(P),
         "witnesses": {str(i): w.map_labels()
                       for i, w in verdict.witnesses.items()},
     }
     code = 0 if verdict.is_base else 1
     if args.oracle:
-        bound = args.bound if args.bound is not None else A.base.n + 3
-        res = extension_property_bounded(A, args.n, bound, jobs=args.jobs)
+        bound = args.bound if args.bound is not None else P.n + 3
+        res = extension_property_bounded(P, args.n, bound, jobs=args.jobs)
         payload["oracle"] = res.verdict
         payload["oracle_instances"] = res.instances
         payload["oracle_bound"] = res.bound

@@ -339,6 +339,57 @@ def restriction_matches(gamma_pres, keep_big, carrier, keep_small) -> bool:
     return True
 
 
+def _maximal_downs(poset) -> dict:
+    """Maximal point -> mask of the points below it, by leq scan."""
+    n = poset.n
+    return {m: sum(1 << y for y in range(n) if poset.leq(y, m))
+            for m in range(n)
+            if all(z == m or not poset.leq(m, z) for z in range(n))}
+
+
+def _is_congruence_mask_raw(downs, mask) -> bool:
+    return not any(mask >> m & 1 and down & ~mask
+                   for m, down in downs.items())
+
+
+def extensile_per_pair(P, classes, onto_tables, max_instances=None) -> tuple:
+    """The bounded congruence-extension search, one (gamma, theta) at a time.
+
+    classes lists the extension duals Y in search order, and onto_tables(Y)
+    the tables of the onto p-morphisms Y -> P in search order. The thetas
+    are the congruence masks of P, found by scanning every subset. Each
+    pair is one instance: gamma must hit every point of P, and the union
+    of its fibers over the points theta erases must be a congruence mask
+    of Y, or AssertionError is raised. Returns (verdict, instances), cut
+    to ("inconclusive", max_instances) once the pairs outnumber the cap.
+    """
+    p_downs = _maximal_downs(P)
+    thetas = [t for t in range(1 << P.n)
+              if _is_congruence_mask_raw(p_downs, t)]
+    instances = 0
+    for Y in classes:
+        y_downs = _maximal_downs(Y)
+        for gamma in onto_tables(Y):
+            fiber = [0] * P.n
+            for y, p in enumerate(gamma):
+                fiber[p] |= 1 << y
+            if not all(fiber):
+                raise AssertionError("gamma %r is not onto" % (gamma,))
+            for theta in thetas:
+                instances += 1
+                if max_instances is not None and instances > max_instances:
+                    return "inconclusive", instances - 1
+                pullback = 0
+                for p in range(P.n):
+                    if theta >> p & 1:
+                        pullback |= fiber[p]
+                if not _is_congruence_mask_raw(y_downs, pullback):
+                    raise AssertionError(
+                        "pullback of %s along %r is not a congruence mask"
+                        % (bin(theta), gamma))
+    return "yes", instances
+
+
 def order_preserving_maps_raw(source, target) -> list:
     """Every order-preserving table source -> target, by product scan."""
     out = []

@@ -5,9 +5,10 @@ import sys
 
 import pytest
 
-from pcdl import cli, qmodel
+from pcdl import Poset, cli, duality, qmodel
 
-from _oracles import cube_tables, diamond_tables, product_tables
+from _oracles import (cube_tables, diamond_tables, product_tables,
+                      upsets_brute)
 
 FAN2 = {"format": "pcdl/1", "elements": ["g", "t1", "t2"],
         "covers": [["g", "t1"], ["g", "t2"]]}
@@ -298,6 +299,19 @@ def test_out_file_and_seed(tmp_path, fan2):
     assert json.loads(r.stdout)["seed"] == 7
 
 
+def test_json_reports_have_the_bytes_of_json_dumps(tmp_path, capsys):
+    # 128 elements: the join and meet tables span several written blocks
+    path = write(tmp_path, "ac7.json", {
+        "elements": ["x%d" % i for i in range(7)], "covers": []})
+    out = tmp_path / "lattice.json"
+    assert cli.main(["dual", "--in", path, "--out", str(out)]) == 0
+    assert cli.main(["dual", "--in", path]) == 0
+    for text in (out.read_text(), capsys.readouterr().out):
+        doc = json.loads(text)
+        assert len(doc["joins"]) == 128
+        assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 def _lattice_doc(labels, joins, meets):
     return {"elements": labels, "joins": joins, "meets": meets}
 
@@ -389,6 +403,33 @@ def test_variety_index_reads_only_the_dual_poset(tmp_path, monkeypatch,
         "elements": ["x%d" % i for i in range(24)], "covers": []})
     assert cli.main(["variety-index", "--in", path]) == 0
     assert json.loads(capsys.readouterr().out)["variety_index"] == 1
+
+
+@pytest.mark.parametrize("args, code, key, value", [
+    (("amalgam", "--n", "3"), 1, "forbidden_is", [2]),
+    (("amalgam", "--n", "3", "--oracle", "--bound", "5"), 1, "oracle",
+     "fails_with_witness"),
+    (("extensile", "--n", "3", "--bound", "5"), 0, "instances", 710),
+], ids=["amalgam", "amalgam-oracle", "extensile"])
+def test_searches_read_only_the_dual_poset(fan2, monkeypatch, capsys, args,
+                                           code, key, value):
+    def no_algebra(*_):
+        raise AssertionError("%s built an up-set lattice" % args[0])
+    monkeypatch.setattr(duality.UpSetLattice, "__init__", no_algebra)
+    assert cli.main([args[0], "--in", fan2, *args[1:]]) == code
+    assert json.loads(capsys.readouterr().out)[key] == value
+
+
+def test_catalog_reads_only_the_dual_posets(monkeypatch, capsys):
+    def no_algebra(*_):
+        raise AssertionError("catalog built an up-set lattice")
+    monkeypatch.setattr(duality.UpSetLattice, "__init__", no_algebra)
+    assert cli.main(["catalog", "--max-points", "4", "--n", "3"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert len(rows) == 16
+    for row in rows:
+        P = Poset.from_dict(row)
+        assert row["algebra_size"] == len(upsets_brute(P))
 
 
 def test_broken_invariant_exits_4_with_one_line(fan2, monkeypatch, capsys):

@@ -8,10 +8,12 @@ from pcdl import (DualCongruence, OrderMap, PullbackError, amalgamation,
                   make_pcdl, p_morphisms, poset_classes_upto,
                   product_lattice, pcdl_from_abstract, pullback_congruence,
                   quotient, restrict_congruence, star_embeddings,
-                  validate_star_embedding)
+                  validate_star_embedding, variety_index)
+from pcdl.algebras import _iter_p_morphisms
 
-from _oracles import (congruences_algebra_side, is_star_hom_raw,
-                      kernel_is_erasure, restriction_matches)
+from _oracles import (congruences_algebra_side, extensile_per_pair,
+                      is_star_hom_raw, kernel_is_erasure,
+                      restriction_matches)
 
 
 def _algebra_side_count(A):
@@ -187,8 +189,8 @@ def test_pullback_congruence():
 
 
 def test_extensile_certificate_matches_restriction_scan():
-    # every (gamma, theta) the search certifies by onto and the pullback
-    # mask also passes the pairwise restriction scan
+    # every (gamma, theta) pair the search counts has a pullback that is
+    # a congruence mask and passes the pairwise restriction scan
     total = 0
     for P in poset_classes_upto(3):
         B = make_pcdl(P)
@@ -220,6 +222,27 @@ def test_pullback_error_type_is_value_error():
     assert issubclass(PullbackError, ValueError)
 
 
+def _per_pair(P, n, bound, max_instances=None):
+    classes = amalgamation._extension_classes(P, n, bound)
+    return extensile_per_pair(
+        P, classes, lambda Y: _iter_p_morphisms(Y, P, onto=True),
+        max_instances)
+
+
+def test_extensile_count_matches_per_pair_oracle():
+    # the library counts onto maps; the oracle checks every pullback
+    cases = total = 0
+    for P in poset_classes_upto(4):
+        for n in (1, 2, 3):
+            if variety_index(P) > n:
+                continue
+            r = is_congruence_extensile_bounded(P, n, P.n + 2)
+            assert (r.verdict, r.instances) == _per_pair(P, n, P.n + 2)
+            cases += 1
+            total += r.instances
+    assert (cases, total) == (67, 710979)
+
+
 def test_extensile_frozen_results():
     r = is_congruence_extensile_bounded(fan_algebra(2), 3, 5)
     assert r.verdict == "yes" and r.instances == 710
@@ -230,6 +253,16 @@ def test_extensile_frozen_results():
     r = is_congruence_extensile_bounded(fan_algebra(2), 3, 5,
                                         max_instances=10)
     assert r.verdict == "inconclusive" and r.instances == 10
+
+    # fan(2) has 5 congruences, counted per gamma: a cut inside a gamma's
+    # group still reports exactly the cap
+    for cap, verdict, instances in ((0, "inconclusive", 0),
+                                    (5, "inconclusive", 5),
+                                    (709, "inconclusive", 709),
+                                    (710, "yes", 710), (711, "yes", 710)):
+        r = is_congruence_extensile_bounded(fan(2), 3, 5, max_instances=cap)
+        assert (r.verdict, r.instances) == (verdict, instances)
+        assert _per_pair(fan(2), 3, 5, cap) == (verdict, instances)
 
     with pytest.raises(ValueError, match="variety"):
         is_congruence_extensile_bounded(fan_algebra(3), 2, 4)
