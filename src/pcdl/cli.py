@@ -15,10 +15,12 @@ import contextlib
 import json
 import os
 import sys
-from itertools import islice
+from functools import cache
+from json.encoder import encode_basestring_ascii
+from operator import or_
 
-from .algebras import (make_pcdl, p_morphism_failure, pcdl_from_abstract,
-                       star_homs, variety_index)
+from .algebras import (make_pcdl, p_morphism_failure, star_homs,
+                       variety_index)
 from .amalgamation import (extension_property_bounded,
                            is_amalgamation_base_finite, lift_through)
 from .catalog import catalog
@@ -66,7 +68,7 @@ def _load_poset_or_lattice(path: str):
 def _load_dual(path: str) -> Poset:
     """The dual poset of a poset or lattice file; a poset builds no lattice."""
     obj = _load_poset_or_lattice(path)
-    return obj if isinstance(obj, Poset) else obj.unit.target.base
+    return obj if isinstance(obj, Poset) else obj.algebra.base
 
 
 def _load_algebra(path: str):
@@ -79,8 +81,7 @@ def _load_algebra(path: str):
     if isinstance(obj, Poset):
         alg = make_pcdl(obj)
         return alg, list(alg.labels), range(alg.size)
-    alg, unit = pcdl_from_abstract(obj)
-    return alg, list(obj.labels), unit.table
+    return obj.algebra, list(obj.labels), obj.unit_table
 
 
 def _load_map(path: str) -> OrderMap:
@@ -117,6 +118,48 @@ def _render_text(value, indent: int = 0) -> str:
     return "%s%s" % (pad, value)
 
 
+def _write_json(write, value, nl: str = "\n") -> None:
+    """Write the bytes of json.dumps(value, sort_keys=True, indent=2).
+
+    Every line after the first is indented as nl says. Dicts with string
+    keys and lists of lists or dicts are written here, and so are lists
+    of plain ints or of plain strings, in one join each; any other value
+    goes to json.dumps, a container re-indented to the current depth, so
+    no value comes out in a form the encoder would not give.
+    """
+    inner = nl + "  "
+    kind = type(value)
+    if kind is dict and value and all(type(k) is str for k in value):
+        sep = "{" + inner
+        for key in sorted(value):
+            write(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(write, value[key], inner)
+            sep = "," + inner
+        write(nl + "}")
+        return
+    if kind is list and value:
+        kinds = set(map(type, value))
+        if kinds == {int} or kinds == {str}:
+            text = map(int.__repr__ if kinds == {int}
+                       else encode_basestring_ascii, value)
+            write("[" + inner + ("," + inner).join(text) + nl + "]")
+            return
+        if kinds <= {list, dict}:
+            sep = "[" + inner
+            for item in value:
+                write(sep)
+                _write_json(write, item, inner)
+                sep = "," + inner
+            write(nl + "]")
+            return
+    if value and isinstance(value, (dict, list, tuple)):
+        write(json.dumps(value, sort_keys=True, indent=2).replace("\n", nl))
+    else:
+        # the layout does not change a scalar or an empty container, and
+        # the default encoder leaves no cyclic garbage behind
+        write(json.dumps(value))
+
+
 def _emit(args, payload, dot_text=None) -> None:
     if dot_text is None:
         payload["format"] = FORMAT_TAG
@@ -127,12 +170,8 @@ def _emit(args, payload, dot_text=None) -> None:
         if dot_text is not None:
             fh.write(dot_text)
         elif args.format == "json":
-            # the bytes of json.dumps, written in blocks: a lattice's join
-            # and meet tables would otherwise make one report-sized string
-            chunks = json.JSONEncoder(sort_keys=True,
-                                      indent=2).iterencode(payload)
-            while block := "".join(islice(chunks, 1 << 14)):
-                fh.write(block)
+            # the bytes of json.dumps, written a table row at a time
+            _write_json(fh.write, payload)
             fh.write("\n")
         else:
             fh.write(_render_text(payload) + "\n")
@@ -144,9 +183,9 @@ def _cmd_dual(args) -> int:
         out = dual_lattice(obj)
     else:
         # certified distributive by its unit isomorphism when it was loaded
-        out = obj.unit.target.base
+        out = obj.algebra.base
     if args.dot:
-        drawn = (Poset(out.labels, _order_masks(out)[0])
+        drawn = (Poset(out.labels, _order_masks(out, or_))
                  if isinstance(obj, Poset) else out)
         _emit(args, {}, drawn.to_dot("dual"))
     else:
@@ -348,7 +387,9 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="pcdl",
         description="finite pseudocomplemented distributive lattices "

@@ -44,14 +44,34 @@ def dual_congruence(poset: Poset, elems) -> DualCongruence:
 
 
 def enumerate_congruences(poset: Poset, bound: int = 12) -> list:
-    """All dual congruences, sorted by size then mask."""
+    """All dual congruences, sorted by size then mask.
+
+    Each mask is built once, as down(S) | R: S is a set of maximal points
+    and R any set of non-maximal points outside down(S). A congruence
+    mask T is down(S) | R for exactly one such pair, S = T & M and R = T
+    minus down(S): down(S) meets M in S, as nothing lies above a maximal
+    point, and the condition puts down(S) inside T. Conversely every such
+    union holds the down-set of each maximal point in it.
+    """
     if poset.n > bound:
         raise ValueError("poset has %d points, over the bound %d"
                          % (poset.n, bound))
-    out = [DualCongruence(poset, m) for m in range(1 << poset.n)
-           if is_congruence_mask(poset, m)]
-    out.sort(key=lambda t: (t.mask.bit_count(), t.mask))
-    return out
+    closures = [0]  # down(S) for every set S of maximal points
+    for m in bits(poset.maximals_mask):
+        down_m = poset.down[m]
+        closures += [d | down_m for d in closures]
+    non_max = poset.full_mask & ~poset.maximals_mask
+    masks = []
+    for d in closures:
+        free = non_max & ~d
+        r = free
+        while True:  # every submask r of free, from free down to 0
+            masks.append(d | r)
+            if not r:
+                break
+            r = (r - 1) & free
+    masks.sort(key=lambda m: (m.bit_count(), m))
+    return [DualCongruence(poset, m) for m in masks]
 
 
 def congruence_relates(theta: DualCongruence, u1: int, u2: int) -> bool:

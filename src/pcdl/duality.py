@@ -11,9 +11,18 @@ least element h maps above j.
 
 from __future__ import annotations
 
-from typing import Iterable
+from itertools import repeat
+from operator import and_, eq, ne, or_
+from typing import Iterable, Iterator
 
 from .posets import OrderMap, Poset, bits
+
+_BIT_CHARS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _mask_where(flags) -> int:
+    """The mask of the positions at which flags (bools) is true."""
+    return int(b"0" + bytes(flags).translate(_BIT_CHARS)[::-1], 2)
 
 
 def _set_label(base: Poset, mask: int) -> str:
@@ -106,38 +115,51 @@ class UpSetLattice:
         return "UpSetLattice(%d up-sets of %d points)" % (self.size,
                                                           self.base.n)
 
+    def rows(self, op) -> Iterator[list]:
+        """The rows of the join table (op is or_) or meet table (and_)."""
+        get, carrier = self._index.__getitem__, self.carrier
+        for a in carrier:
+            yield list(map(get, map(op, repeat(a), carrier)))
+
     def to_dict(self) -> dict:
-        rng = range(self.size)
         return {"elements": list(self.labels),
-                "joins": [[self.join(i, j) for j in rng] for i in rng],
-                "meets": [[self.meet(i, j) for j in rng] for i in rng]}
+                "joins": list(self.rows(or_)),
+                "meets": list(self.rows(and_))}
 
 
 class AbstractLattice:
     """Finite distributive lattice given by join and meet tables.
 
-    Construction certifies the tables: unit is the canonical isomorphism
-    onto the up-sets of the dual poset, and it exists exactly when the
-    tables form a bounded distributive lattice.
+    Construction certifies the tables by the unit, the canonical
+    isomorphism onto the up-sets of the dual poset (unit_iso), which
+    exists exactly when the tables form a bounded distributive lattice.
+    The unit's table and its target algebra are kept as plain fields;
+    unit itself is built on first read, so a lattice holds no reference
+    back to itself until then.
     """
 
-    __slots__ = ("labels", "joins", "meets", "bottom", "top", "unit")
+    __slots__ = ("labels", "joins", "meets", "bottom", "top", "unit_table",
+                 "algebra", "_unit")
 
     def __init__(self, labels: Iterable[str], joins, meets):
         self.labels = tuple(str(s) for s in labels)
         n = len(self.labels)
         if len(set(self.labels)) != n:
             raise ValueError("duplicate element labels")
-        self.joins = tuple(tuple(row) for row in joins)
-        self.meets = tuple(tuple(row) for row in meets)
+        self.joins = tuple(map(tuple, joins))
+        self.meets = tuple(map(tuple, meets))
         for name, tab in (("joins", self.joins), ("meets", self.meets)):
             if len(tab) != n or any(len(row) != n for row in tab):
                 raise ValueError("%s table is not %d x %d" % (name, n, n))
             for row in tab:
-                for v in row:
-                    if not isinstance(v, int) or not 0 <= v < n:
-                        raise ValueError("%s table entry %r out of range"
-                                         % (name, v))
+                if set(map(type, row)) != {int} or min(row) < 0 \
+                        or max(row) >= n:
+                    # entry by entry: names the first bad entry, and
+                    # passes a row whose only odd entries are bools
+                    for v in row:
+                        if not isinstance(v, int) or not 0 <= v < n:
+                            raise ValueError("%s table entry %r out of "
+                                             "range" % (name, v))
         if n == 0:
             raise ValueError("a bounded lattice has at least one element")
         b = 0
@@ -147,12 +169,30 @@ class AbstractLattice:
             t = self.joins[t][i]
         self.bottom = b
         self.top = t
-        self._validate()
-        self.unit = unit_iso(self)
+        try:
+            unit = unit_iso(self)
+        except ValueError:
+            self._validate()  # a broken law is named before the unit
+            raise
+        self.unit_table = unit.table
+        self.algebra = unit.target
+        self._unit = None
+
+    @property
+    def unit(self) -> "LatticeHom":
+        """The unit isomorphism onto algebra; built once, on first read."""
+        if self._unit is None:
+            self._unit = LatticeHom(self, self.algebra, self.unit_table)
+        return self._unit
 
     def _validate(self):
-        # quadratic laws only; unit_iso proves the rest, but it reads each
-        # pair once (i <= j), so commutativity must be checked here
+        """Name the first broken law by a scan over every pair.
+
+        It runs only after unit_iso has rejected the tables, and its
+        message takes precedence. When every law it checks holds, the
+        tables are commutative, so unit_iso read the same order relation
+        as a scan over pairs i <= j would, and its message stands.
+        """
         n = len(self.labels)
         jn, mt = self.joins, self.meets
         for i in range(n):
@@ -184,6 +224,10 @@ class AbstractLattice:
 
     def leq(self, i: int, j: int) -> bool:
         return self.meets[i][j] == i
+
+    def rows(self, op) -> tuple:
+        """The join table (op is or_) or the meet table (and_)."""
+        return self.joins if op is or_ else self.meets
 
     def __eq__(self, other):
         return (isinstance(other, AbstractLattice) and self.labels == other.labels
@@ -218,41 +262,46 @@ def dual_lattice(poset: Poset) -> UpSetLattice:
     return UpSetLattice(poset)
 
 
-def _order_masks(lat) -> tuple:
-    n = lat.size
-    up = [0] * n
-    down = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if lat.leq(i, j):
-                up[i] |= 1 << j
-                down[j] |= 1 << i
-    return up, down
+def _order_masks(lat, op) -> list:
+    """Per element, the mask of the elements above it or below it.
+
+    With op or_ it reads i <= j as i join j == j, and with op and_ it
+    reads j <= i as i meet j == j: either way one row of one table.
+    """
+    rng = range(lat.size)
+    return [_mask_where(map(eq, row, rng)) for row in lat.rows(op)]
 
 
-def _join_irreducibles(lat) -> list:
-    """Indices of elements with exactly one lower cover."""
-    up, down = _order_masks(lat)
+def _join_irreducibles(downs) -> list:
+    """Elements with exactly one lower cover, read off the down-sets.
+
+    The lower covers of e are the points strictly below e that lie
+    strictly below no other point strictly below e.
+    """
     out = []
-    for e in range(lat.size):
-        strict = down[e] ^ 1 << e
-        covers = 0
-        for j in bits(strict):
-            if not strict & (up[j] ^ 1 << j):
-                covers += 1
-                if covers > 1:
-                    break
-        if covers == 1:
+    for e, d in enumerate(downs):
+        strict = d ^ 1 << e
+        below = 0
+        for k in bits(strict):
+            below |= downs[k] ^ 1 << k
+        if (strict & ~below).bit_count() == 1:
             out.append(e)
     return out
 
 
 def _dual_space_data(lat):
-    jis = _join_irreducibles(lat)
-    # reversed order: above in the dual means below in the lattice
-    up = [sum(1 << k for k, b in enumerate(jis) if lat.leq(b, a))
-          for a in jis]
-    return Poset([lat.labels[j] for j in jis], up), tuple(jis)
+    """(P(L), its join-irreducibles, the unit mask of each element).
+
+    The unit mask of a holds bit k when the k-th join-irreducible lies
+    below a; a join-irreducible's own mask is its up-set in P(L), where
+    the order is reversed.
+    """
+    downs = _order_masks(lat, and_)
+    jis = _join_irreducibles(downs)
+    masks = [sum(1 << k for k, j in enumerate(jis) if d >> j & 1)
+             for d in downs]
+    poset = Poset([lat.labels[j] for j in jis], [masks[j] for j in jis])
+    return poset, tuple(jis), masks
 
 
 def dual_space(lat) -> Poset:
@@ -355,8 +404,8 @@ def dual_of_lattice_hom(hom: LatticeHom) -> OrderMap:
     """
     if not hom.is_homomorphism():
         raise ValueError("not a bounded-lattice homomorphism")
-    src_poset, src_jis = _dual_space_data(hom.source)
-    tgt_poset, tgt_jis = _dual_space_data(hom.target)
+    src_poset, src_jis, _ = _dual_space_data(hom.source)
+    tgt_poset, tgt_jis, _ = _dual_space_data(hom.target)
     table = []
     for j in tgt_jis:
         m = hom.source.top
@@ -386,38 +435,41 @@ def unit_iso(lat) -> LatticeHom:
     Sends a to the set of join-irreducibles below a. Raising here is a
     certificate that the input was not a bounded distributive lattice.
     The map is certified on the masks before any up-set is enumerated:
-    n distinct up-sets holding every principal up-set, kept by joins,
-    meets and bounds, are all of Up(P), so the target has n elements.
+    they must be distinct up-sets, send the bounds to the empty and the
+    full set, and carry every entry of both tables, over the full square,
+    to the union or intersection of the masks of its row and column.
+
+    That certificate is complete. An injective map that carries the
+    tables onto unions and intersections makes the tables isomorphic to a
+    family of sets closed under both, so they obey every law that union
+    and intersection obey: idempotence, commutativity, associativity,
+    absorption and distributivity, with the bounds neutral because their
+    masks are the empty and the full set. In that lattice j <= a exactly
+    when a meet j is j, so the down-sets, the join-irreducibles and the
+    masks are the true ones, and a -> mask is Birkhoff's isomorphism onto
+    the up-sets of P(L): the target has exactly n elements.
     """
-    poset, jis = _dual_space_data(lat)
+    poset, _, masks = _dual_space_data(lat)
     n = lat.size
-    masks = []
-    for a in range(n):
-        mask = 0
-        for pos, j in enumerate(jis):
-            if lat.leq(j, a):
-                mask |= 1 << pos
-        masks.append(mask)
     if len(set(masks)) != n:
         raise ValueError("unit map is not one-to-one; "
                          "input is not distributive")
     # each j lies in its own mask, so a mask that is an up-set holds the
     # principal up-set of every join-irreducible in it
-    if not all(poset.is_up_set(m) for m in masks):
+    if not all(map(poset.is_up_set, masks)):
         raise ValueError("unit map leaves the up-sets; "
                          "input is not distributive")
     if masks[lat.bottom] != 0 or masks[lat.top] != poset.full_mask:
         raise ValueError("unit map misses the bounds; "
                          "input is not distributive")
-    for i in range(n):
-        mi = masks[i]
-        for j in range(i, n):
-            if (masks[lat.join(i, j)] != mi | masks[j]
-                    or masks[lat.meet(i, j)] != mi & masks[j]):
-                raise ValueError("unit map is not a homomorphism; "
-                                 "input is not distributive")
+    get = masks.__getitem__
+    for mi, jrow, mrow in zip(masks, lat.rows(or_), lat.rows(and_)):
+        if any(map(ne, map(get, jrow), map(mi.__or__, masks))) \
+                or any(map(ne, map(get, mrow), map(mi.__and__, masks))):
+            raise ValueError("unit map is not a homomorphism; "
+                             "input is not distributive")
     target = UpSetLattice(poset)
-    return LatticeHom(lat, target, [target.index_of_mask(m) for m in masks])
+    return LatticeHom(lat, target, map(target.index_of_mask, masks))
 
 
 def product_lattice(a, b) -> AbstractLattice:

@@ -493,3 +493,95 @@ def automorphisms_brute(poset) -> list:
     return [perm for perm in itertools.permutations(range(n))
             if all(poset.leq(i, j) == poset.leq(perm[i], perm[j])
                    for i in range(n) for j in range(n))]
+
+
+def congruence_masks_scan(poset) -> list:
+    """Every congruence mask, by scanning all subsets, sorted by size then
+    mask."""
+    downs = _maximal_downs(poset)
+    return sorted((t for t in range(1 << poset.n)
+                   if _is_congruence_mask_raw(downs, t)),
+                  key=lambda t: (t.bit_count(), t))
+
+
+def join_irreducibles_by_covers(size, leq) -> list:
+    """Elements with exactly one lower cover, by a scan over all pairs."""
+    out = []
+    for e in range(size):
+        strict = [j for j in range(size) if j != e and leq(j, e)]
+        covers = [j for j in strict
+                  if not any(k != j and leq(j, k) for k in strict)]
+        if len(covers) == 1:
+            out.append(e)
+    return out
+
+
+def certify_lattice_tables(labels, joins, meets) -> list:
+    """The lattice certificate as a pair-by-pair scan, or ValueError.
+
+    The checks run in a fixed order, each naming the first failure: the
+    table shapes and entries, the quadratic laws (idempotence,
+    commutativity, absorption, neutral bounds), the dual poset of the
+    join-irreducibles, and the unit map a -> {join-irreducibles below a}
+    (one-to-one, into the up-sets, bounds kept, a homomorphism on the
+    pairs i <= j). Returns the unit masks. Only the dual poset is built
+    by the library, whose Poset constructor certifies the order.
+    """
+    from pcdl import Poset
+    labels = tuple(str(s) for s in labels)
+    n = len(labels)
+    if len(set(labels)) != n:
+        raise ValueError("duplicate element labels")
+    for name, tab in (("joins", joins), ("meets", meets)):
+        if len(tab) != n or any(len(row) != n for row in tab):
+            raise ValueError("%s table is not %d x %d" % (name, n, n))
+        for row in tab:
+            for v in row:
+                if not isinstance(v, int) or not 0 <= v < n:
+                    raise ValueError("%s table entry %r out of range"
+                                     % (name, v))
+    if n == 0:
+        raise ValueError("a bounded lattice has at least one element")
+    jn, mt = joins, meets
+    bottom = top = 0
+    for i in range(n):
+        bottom, top = mt[bottom][i], jn[top][i]
+    for i in range(n):
+        if jn[i][i] != i or mt[i][i] != i:
+            raise ValueError("idempotence fails at %r" % (labels[i],))
+        for j in range(n):
+            if jn[i][j] != jn[j][i]:
+                raise ValueError("join is not commutative at (%r, %r)"
+                                 % (labels[i], labels[j]))
+            if mt[i][j] != mt[j][i]:
+                raise ValueError("meet is not commutative at (%r, %r)"
+                                 % (labels[i], labels[j]))
+            if jn[i][mt[i][j]] != i or mt[i][jn[i][j]] != i:
+                raise ValueError("absorption fails at (%r, %r)"
+                                 % (labels[i], labels[j]))
+        if jn[bottom][i] != i or mt[top][i] != i:
+            raise ValueError("bounds are not neutral at %r" % (labels[i],))
+
+    def leq(i, j):
+        return mt[i][j] == i
+
+    jis = join_irreducibles_by_covers(n, leq)
+    masks = [sum(1 << k for k, j in enumerate(jis) if leq(j, a))
+             for a in range(n)]
+    poset = Poset([labels[j] for j in jis], [masks[j] for j in jis])
+    if len(set(masks)) != n:
+        raise ValueError("unit map is not one-to-one; "
+                         "input is not distributive")
+    if not all(poset.is_up_set(m) for m in masks):
+        raise ValueError("unit map leaves the up-sets; "
+                         "input is not distributive")
+    if masks[bottom] != 0 or masks[top] != poset.full_mask:
+        raise ValueError("unit map misses the bounds; "
+                         "input is not distributive")
+    for i in range(n):
+        for j in range(i, n):
+            if (masks[jn[i][j]] != masks[i] | masks[j]
+                    or masks[mt[i][j]] != masks[i] & masks[j]):
+                raise ValueError("unit map is not a homomorphism; "
+                                 "input is not distributive")
+    return masks

@@ -1,3 +1,6 @@
+import contextlib
+import gc
+import io
 import json
 import os
 import subprocess
@@ -300,7 +303,7 @@ def test_out_file_and_seed(tmp_path, fan2):
 
 
 def test_json_reports_have_the_bytes_of_json_dumps(tmp_path, capsys):
-    # 128 elements: the join and meet tables span several written blocks
+    # 128 elements: the join and meet tables are written row by row
     path = write(tmp_path, "ac7.json", {
         "elements": ["x%d" % i for i in range(7)], "covers": []})
     out = tmp_path / "lattice.json"
@@ -310,6 +313,56 @@ def test_json_reports_have_the_bytes_of_json_dumps(tmp_path, capsys):
         doc = json.loads(text)
         assert len(doc["joins"]) == 128
         assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("payload", [
+    {}, [], {"a": [], "b": {}}, [[]], [[], [1]], [[1, 2], [3], []],
+    [True, 1, 0], [1, False], [False, True], None, {"x": None}, [None],
+    {"é": ["雪", "\u2028", 'say "hi"', "back\\slash", ""]},
+    ["a", 'b"c', "d\ne"], [1, "a", None, 2.5, {"k": [1]}],
+    [-3, 0, 12345678901234567890], [0.5, 1], (1, 2), {"t": (1, "a")},
+    {"b": 1, "a": {"d": [1, 2], "c": "x"}, "e": [{"f": [[0, 1], [1, 1]]}]},
+    {1: "a", 2: "b"}, [{}, []], {"n": float("nan"), "i": float("inf")},
+], ids=repr)
+def test_json_writer_keeps_the_bytes_of_json_dumps(payload):
+    chunks = []
+    cli._write_json(chunks.append, payload)
+    assert "".join(chunks) == json.dumps(payload, sort_keys=True, indent=2)
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_lattice_requests_leave_no_cyclic_lattice(tmp_path, fan2, fan3):
+    lattice = str(tmp_path / "lattice.json")
+    assert cli.main(["dual", "--in", fan3, "--out", lattice]) == 0
+    requests = [["dual", "--in", lattice], ["congruences", "--in", lattice],
+                ["variety-index", "--in", lattice],
+                ["quotient", "--in", lattice, "--by", "g,t1"],
+                ["star-homs", "--from", lattice, "--to", fan2],
+                ["amalgam", "--in", lattice, "--n", "3"]]
+
+    def cyclic_lattices(run):
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                run()
+            gc.collect()
+            return sum(isinstance(o, duality.AbstractLattice)
+                       for o in gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+
+    def read_unit():
+        lat = cli._load_poset_or_lattice(lattice)
+        assert lat.unit is lat.unit
+    # the probe sees the cycle that a read of unit makes
+    assert cyclic_lattices(read_unit) == 1
+    assert cyclic_lattices(lambda: [cli.main(argv) for argv in requests]) \
+        == 0
 
 
 def _lattice_doc(labels, joins, meets):
@@ -387,7 +440,8 @@ def test_congruences_reads_only_the_dual_poset(tmp_path, monkeypatch, capsys,
     def no_algebra(_):
         raise AssertionError("congruences built an up-set lattice")
     monkeypatch.setattr(cli, "make_pcdl", no_algebra)
-    monkeypatch.setattr(cli, "pcdl_from_abstract", no_algebra)
+    # a lattice is read through its plain fields, never its unit
+    monkeypatch.setattr(duality.AbstractLattice, "unit", property(no_algebra))
     path = write(tmp_path, "in.json", doc)
     assert cli.main(["congruences", "--in", path]) == 0
     assert json.loads(capsys.readouterr().out)["count"] == count

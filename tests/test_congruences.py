@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from pcdl import (DualCongruence, OrderMap, PullbackError, amalgamation,
@@ -11,9 +13,9 @@ from pcdl import (DualCongruence, OrderMap, PullbackError, amalgamation,
                   validate_star_embedding, variety_index)
 from pcdl.algebras import _iter_p_morphisms
 
-from _oracles import (congruences_algebra_side, extensile_per_pair,
-                      is_star_hom_raw, kernel_is_erasure,
-                      restriction_matches)
+from _oracles import (congruence_masks_scan, congruences_algebra_side,
+                      extensile_per_pair, is_star_hom_raw, kernel_is_erasure,
+                      random_poset, restriction_matches)
 
 
 def _algebra_side_count(A):
@@ -35,6 +37,15 @@ def test_congruence_counts_match_algebra_side():
         A = make_pcdl(P)
         assert len(enumerate_congruences(P)) == _algebra_side_count(A), \
             P.to_dict()
+
+
+def test_enumerate_matches_the_subset_scan():
+    rng = random.Random(12)
+    posets = [random_poset(n, rng) for n in (7, 8, 9) for _ in range(6)]
+    posets += [antichain(9), chain(9), fan(8), antichain(0)]
+    for P in posets:
+        assert [t.mask for t in enumerate_congruences(P)] \
+            == congruence_masks_scan(P)
 
 
 def test_enumerate_bound():

@@ -1,15 +1,19 @@
 import itertools
 import random
 import time
+from collections import Counter
+from operator import and_
 
 import pytest
 
 from pcdl import (AbstractLattice, LatticeHom, OrderMap, antichain, chain,
-                  disjoint_sum, dual_lattice, dual_of_lattice_hom,
-                  dual_of_order_map, dual_space, fan, poset_classes_upto,
-                  product_lattice, unit_iso)
+                  disjoint_sum, dual_congruence, dual_lattice,
+                  dual_of_lattice_hom, dual_of_order_map, dual_space, fan,
+                  poset_classes_upto, product_lattice, quotient, unit_iso)
+from pcdl.duality import _join_irreducibles, _order_masks
 
-from _oracles import (cube_plus_one_tables, cube_tables, diamond_tables,
+from _oracles import (certify_lattice_tables, cube_plus_one_tables,
+                      cube_tables, diamond_tables, join_irreducibles_by_covers,
                       product_tables, random_poset)
 
 
@@ -182,3 +186,70 @@ def test_lattice_dict_round_trip():
     again = AbstractLattice.from_dict(lat.to_dict())
     assert again.labels == lat.labels
     assert again.joins == lat.joins and again.meets == lat.meets
+
+
+def _outcome(certify, tables):
+    try:
+        return "accepted", certify(*tables)
+    except ValueError as e:
+        return "rejected", str(e)
+
+
+def _unit_masks(labels, joins, meets):
+    lat = AbstractLattice(labels, joins, meets)
+    return [lat.algebra.carrier[k] for k in lat.unit_table]
+
+
+def _corruptions(labels, joins, meets):
+    """Each table with one entry, or one symmetric pair of entries, changed.
+
+    An entry takes every other element and a few bad values; a symmetric
+    pair keeps commutativity, so the laws pass and the unit must reject.
+    """
+    n = len(labels)
+    bad = [-1, n, 1.0, "x", True, None]
+    for which in (0, 1):
+        for i in range(n):
+            for j in range(n):
+                for v in list(range(n)) + bad:
+                    if type(v) is int and v == (joins, meets)[which][i][j]:
+                        continue
+                    tabs = [[list(r) for r in joins], [list(r) for r in meets]]
+                    tabs[which][i][j] = v
+                    yield labels, *tabs
+                    if i < j and type(v) is int and 0 <= v < n:
+                        tabs[which][j][i] = v
+                        yield labels, *tabs
+
+
+@pytest.mark.parametrize("tables", [
+    cube_plus_one_tables(2), diamond_tables(),
+    product_tables(cube_plus_one_tables(1), cube_tables(1))],
+    ids=["cube2+1", "diamond", "chain3x2"])
+def test_certificate_matches_the_pair_scan(tables):
+    messages = Counter()
+    for corrupted in [tables, *_corruptions(*tables)]:
+        want = _outcome(certify_lattice_tables, corrupted)
+        assert _outcome(_unit_masks, corrupted) == want, corrupted
+        if want[0] == "rejected":
+            messages[want[1].split(" at ")[0].split(";")[0]] += 1
+    # the laws and the unit each reject some of them
+    assert {"idempotence fails", "join is not commutative",
+            "meet is not commutative", "absorption fails"} < set(messages)
+    assert any(m.startswith("unit map") for m in messages), messages
+
+
+def test_join_irreducibles_match_the_cover_scan():
+    rng = random.Random(5)
+    posets = list(poset_classes_upto(4))
+    posets += [random_poset(n, rng) for n in (5, 6, 7) for _ in range(3)]
+    lattices = [dual_lattice(p) for p in posets]
+    lattices += [AbstractLattice(*cube_plus_one_tables(n)) for n in range(4)]
+    lattices += [AbstractLattice(*cube_tables(n)) for n in range(4)]
+    lattices += [AbstractLattice(*product_tables(cube_plus_one_tables(1),
+                                                 cube_plus_one_tables(2)))]
+    A = dual_lattice(fan(3))
+    lattices.append(quotient(A, dual_congruence(A.base, ["g", "t1"])).algebra)
+    for lat in lattices:
+        assert _join_irreducibles(_order_masks(lat, and_)) \
+            == join_irreducibles_by_covers(lat.size, lat.leq), lat
