@@ -19,7 +19,7 @@ from .algebras import (_dual, _iter_p_morphisms,
                        is_p_morphism, onto_star_hom_exists, p_morphisms,
                        star_hom_failure, star_homs, variety_index)
 from .duality import UpSetLattice
-from .enumeration import poset_classes_upto
+from .enumeration import poset_classes_exactly
 from .posets import OrderMap, Poset, bits, fan
 
 
@@ -205,16 +205,52 @@ def _require_room(P: Poset, bound: int) -> None:
 
 
 def _extension_classes(P: Poset, n: int, bound: int) -> list:
-    p_max = max((P.max_above(x).bit_count() for x in range(P.n)), default=0)
-    n_max = P.maximals_mask.bit_count()
+    """Classes Y of P.n to bound points, index at most n, in class order.
+
+    Every Y with an onto p-morphism gamma to P is kept; a Y is dropped
+    when one of these necessary conditions fails. Write M(y) for the
+    maximal points above y; gamma carries M(y) onto M(gamma(y)).
+    - Maximal points: for p maximal in P, a preimage y has gamma(M(y)) =
+      {p}, so some maximal point of Y maps to p. Y has at least as many
+      maximal points as P.
+    - Hall profile: a maximal y has M(y) = {y}, so gamma(y) is maximal,
+      and a non-maximal x of P has only non-maximal preimages, each with
+      |M(y)| >= |M(x)|. Picking one preimage per x matches the
+      non-maximal points of P to distinct non-maximal points of Y with at
+      least as many maximal points above. With a and b the |M| lists of
+      the non-maximal points of P and of Y, sorted largest first, such a
+      matching exists exactly when b is at least as long as a and
+      b_i >= a_i for every i.
+    - Components: gamma preserves order, so it sends each connected
+      component of Y into one component of P. Onto needs at least as
+      many components in Y as in P. The maximal points above one point
+      lie in one component, so Y has at most |M(Y)| - b_1 + 1 of them;
+      Y's components are counted only when P has more than one and that
+      bound does not settle it.
+    """
+    p_maxes = P.maximals_mask
+    n_max = p_maxes.bit_count()
+    need = sorted([(u & p_maxes).bit_count() for u in P.up if u & ~p_maxes],
+                  reverse=True)
+    parts = len(P.components())
     out = []
-    for Y in poset_classes_upto(bound):
-        if Y.n < P.n or Y.maximals_mask.bit_count() < n_max:
-            continue
-        sizes = [Y.max_above(y).bit_count() for y in range(Y.n)]
-        if sizes and (max(sizes) > n or max(sizes) < p_max):
-            continue
-        out.append(Y)
+    for k in range(P.n, bound + 1):
+        # a nonempty antichain has index 1
+        floor = min(k, 1)
+        for Y in poset_classes_exactly(k):
+            maxes = Y.maximals_mask
+            tops = maxes.bit_count()
+            if tops < n_max:
+                continue
+            sizes = sorted([(u & maxes).bit_count()
+                            for u in Y.up if u & ~maxes], reverse=True)
+            if (sizes[0] if sizes else floor) > n or len(sizes) < len(need) \
+                    or any(b < a for a, b in zip(need, sizes)):
+                continue
+            spread = tops - sizes[0] + 1 if sizes else tops
+            if spread < parts or parts > 1 and len(Y.components()) < parts:
+                continue
+            out.append(Y)
     return out
 
 

@@ -357,6 +357,7 @@ class Poset:
             code.pop()
 
         walk(0, 0, [0] * n, True)
+        walk = None     # walk's cell refers to walk: break the cycle
         for leaf in ties:
             g = [0] * n
             for p, q in zip(first, leaf):

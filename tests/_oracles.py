@@ -390,6 +390,28 @@ def extensile_per_pair(P, classes, onto_tables, max_instances=None) -> tuple:
     return "yes", instances
 
 
+def extension_classes_plain(P, n, bound) -> list:
+    """The extension-class filter kept before the Hall and component checks.
+
+    Every class of at most bound points, in class order, with at least as
+    many points and maximal points as P, index at most n, and some point
+    with as many maximal points above it as the most any point of P has.
+    The class list itself is read from the library.
+    """
+    from pcdl import poset_classes_upto
+    p_max = max((P.max_above(x).bit_count() for x in range(P.n)), default=0)
+    n_max = P.maximals_mask.bit_count()
+    out = []
+    for Y in poset_classes_upto(bound):
+        if Y.n < P.n or Y.maximals_mask.bit_count() < n_max:
+            continue
+        sizes = [Y.max_above(y).bit_count() for y in range(Y.n)]
+        if sizes and (max(sizes) > n or max(sizes) < p_max):
+            continue
+        out.append(Y)
+    return out
+
+
 def order_preserving_maps_raw(source, target) -> list:
     """Every order-preserving table source -> target, by product scan."""
     out = []

@@ -4,7 +4,9 @@ import pytest
 
 import pcdl
 from pcdl import amalgamation
+from pcdl.algebras import _iter_p_morphisms, variety_index
 from pcdl.enumeration import poset_classes_upto
+from _oracles import extension_classes_plain
 from pcdl import (ExtensionResult, LatticeHom, OrderMap,
                   amalgamate_or_separate, antichain, catalog,
                   extension_property_bounded, fan, fan_algebra,
@@ -173,6 +175,55 @@ def test_extension_property_cap_gives_inconclusive(monkeypatch):
     classes = amalgamation._extension_classes(fan_algebra(3).base, 3, 6)
     assert r.instances == 216
     assert calls == classes[:2]
+
+
+def test_cap_reached_after_the_last_class_with_an_onto_map_holds():
+    # after the class that reaches 76 instances, only classes with no onto
+    # map to the 2-antichain are left, so the search is exhausted; the
+    # filter drops those classes, and no kept class follows the cap
+    full = extension_property_bounded(antichain(2), 2, 4)
+    assert (full.verdict, full.instances) == ("holds", 76)
+    for cap in (75, 76):
+        r = extension_property_bounded(antichain(2), 2, 4, max_instances=cap)
+        assert (r.verdict, r.instances) == ("holds", 76)
+
+
+def _dropped_classes(P: Poset, n: int, bound: int) -> list:
+    """Classes of the plain filter that the extension filter drops.
+
+    Asserts that the kept list is the plain list with some classes
+    removed, in the same order, matched by identity.
+    """
+    kept = amalgamation._extension_classes(P, n, bound)
+    plain = iter(extension_classes_plain(P, n, bound))
+    dropped = []
+    for Y in kept:
+        for Z in plain:
+            if Z is Y:
+                break
+            dropped.append(Z)
+        else:
+            raise AssertionError("kept class %r is not in the plain list"
+                                 % (Y.canonical_key(),))
+    return dropped + list(plain)
+
+
+def test_extension_filter_drops_only_classes_with_no_onto_map():
+    cases = []
+    for P in poset_classes_upto(4):
+        for n in range(4):
+            if variety_index(P) <= n:
+                cases.append((P, n, P.n + 2))
+    for P in poset_classes_upto(4):
+        if P.n == 4 and len(P.components()) >= 2:
+            for n in range(variety_index(P), 4):
+                cases.append((P, n, 7))
+    dropped = 0
+    for P, n, bound in cases:
+        for Y in _dropped_classes(P, n, bound):
+            assert next(_iter_p_morphisms(Y, P, onto=True), None) is None
+            dropped += 1
+    assert (len(cases), dropped) == (85, 11518)
 
 
 def _lift_agreement(Y: Poset, P: Poset, n: int) -> tuple:

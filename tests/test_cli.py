@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from pcdl import Poset, cli, duality, qmodel
+from pcdl import (Poset, antichain, chain, cli, duality, fan,
+                  poset_classes_exactly, poset_classes_upto, qmodel)
 
 from _oracles import (cube_tables, diamond_tables, product_tables,
                       upsets_brute)
@@ -363,6 +364,27 @@ def test_lattice_requests_leave_no_cyclic_lattice(tmp_path, fan2, fan3):
     assert cyclic_lattices(read_unit) == 1
     assert cyclic_lattices(lambda: [cli.main(argv) for argv in requests]) \
         == 0
+
+
+def test_labelling_leaves_no_cyclic_garbage():
+    # fresh copies, so each one is labelled inside the probe; rebuilding
+    # the levels labels every kept child and searches the parents again
+    copies = [Poset(p.labels, p.up) for p in
+              (fan(3), chain(5), antichain(4)) + poset_classes_upto(5)]
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        keys = [p.canonical_form() for p in copies]
+        levels = [poset_classes_exactly.__wrapped__(k) for k in range(6)]
+        gc.collect()
+        garbage = len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert garbage == 0
+    assert keys[3:] == [p.canonical_form() for p in poset_classes_upto(5)]
+    assert [p.canonical_form() for level in levels for p in level] \
+        == keys[3:]
 
 
 def _lattice_doc(labels, joins, meets):

@@ -1,8 +1,9 @@
 """Repository hygiene checks that need only the standard library.
 
-Unused imports in the package are found by walking each module's syntax
-tree, and every name in pcdl.__all__ must resolve, once. The README's
-quick tour runs, and each value its comments state is checked. The
+Unused imports in the package and in the benchmark tools are found by
+walking each module's syntax tree, and every name in pcdl.__all__ must
+resolve, once. The README's quick tour runs, and each value its comments
+state is checked. The
 per-layer tracer of the benchmark wraps pcdl entry points by name;
 installing and uninstalling it here keeps a renamed or deleted entry
 point from silently breaking traced benchmark runs.
@@ -21,7 +22,8 @@ import pcdl.cli  # noqa: F401  (the tracer wraps cli entry points too)
 from pcdl.enumeration import classes_with_upsets_bounded
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "pcdl").glob("*.py"))
+SOURCES = sorted((ROOT / "src" / "pcdl").glob("*.py")) \
+    + sorted((ROOT / "tools").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
