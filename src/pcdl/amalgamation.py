@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import os
-from itertools import cycle, repeat
+from itertools import repeat
 from typing import NamedTuple, Optional
 
 from .algebras import (_dual, _iter_p_morphisms,
@@ -98,7 +98,8 @@ def lift_through(gamma: OrderMap, alpha: OrderMap) -> Optional[OrderMap]:
 
 def _max_rows(Y: Poset) -> list:
     """For each point y of Y, the indices of the maximal points above y."""
-    return [tuple(bits(Y.max_above(y))) for y in range(Y.n)]
+    maxes = Y.maximals_mask
+    return [tuple(bits(u & maxes)) for u in Y.up]
 
 
 def _fiber_profiles(rows: list, table: tuple, m: int) -> dict:
@@ -148,14 +149,16 @@ def _fan_lift_table(rows: list, gamma_table: tuple, alpha_table: tuple,
                     y: int) -> tuple:
     """The lift of alpha through gamma at a y found by _fan_lift.
 
-    The bottom goes to y, and the tops over each point p go round-robin
-    onto the maximal points of y over p; as y fits, that is onto M(y).
+    The bottom goes to y, and the k-th top over each point p (from 0)
+    goes to the (k mod j)-th of the j maximal points of y over p: dealt
+    round-robin, which is onto M(y) as y fits.
     """
     pools = {}
     for u in rows[y]:
         pools.setdefault(gamma_table[u], []).append(u)
-    turns = {p: cycle(pool) for p, pool in pools.items()}
-    return (y, *(next(turns[p]) for p in alpha_table[1:]))
+    tops = alpha_table[1:]
+    return (y, *(pools[p][tops[:k].count(p) % len(pools[p])]
+                 for k, p in enumerate(tops)))
 
 
 def _fan_lift_failure(Y: Poset, gamma_table: tuple, alpha_table: tuple,
@@ -173,7 +176,7 @@ def _fan_lift_failure(Y: Poset, gamma_table: tuple, alpha_table: tuple,
     tops = 0
     for b in beta_table[1:]:
         tops |= 1 << b
-    if tops != Y.max_above(beta_table[0]):
+    if tops != Y.up[beta_table[0]] & Y.maximals_mask:
         return "lift is not a p-morphism"
     return None
 
@@ -259,21 +262,21 @@ def _extension_class_task(Y: Poset, P: Poset, alpha_tables: list) -> tuple:
 
     Gammas are read in search order and, for each, the alphas in order;
     the alphas are maps of fan(n) into P, so each lift is the closed-form
-    test of _fan_lift.
+    test of _fan_lift, which reads only alpha's top profile. Each profile
+    is tested once per gamma, in the order of its first alpha, so the
+    first failing profile holds the first failing alpha.
     """
-    keys = [_top_profile(t, P.n) for t in alpha_tables]
+    first = {}
+    for k, table in enumerate(alpha_tables):
+        first.setdefault(_top_profile(table, P.n), k)
     rows = _max_rows(Y)
     instances = 0
     for gamma in _iter_p_morphisms(Y, P, onto=True):
         fibers = _fiber_profiles(rows, gamma, P.n)
-        lifts = {}
-        for k, key in enumerate(keys):
-            ok = lifts.get(key)
-            if ok is None:
-                ok = lifts[key] = _fan_lift(fibers, key) is not None
-            if not ok:
+        for key, k in first.items():
+            if _fan_lift(fibers, key) is None:
                 return instances + k + 1, (gamma, alpha_tables[k])
-        instances += len(keys)
+        instances += len(alpha_tables)
     return instances, None
 
 

@@ -7,10 +7,11 @@ of the index-3 variety, while the quotient acquires rank-2 fan images as
 soon as one merged component is present. The routines below verify the
 construction step by step: the collapse map, the separation facts the
 construction rests on, and the case analysis of lifts of maps into the
-rank-3 fan algebra. That analysis keeps no lift rule of its own: each
-lift is built from the closed form the extension oracle decides with,
-labelled by case, and certified on its table: the tops land exactly on
-the maximal points over the bottom's image, and the lift composes back.
+rank-3 fan algebra. That analysis keeps no lift rule of its own: one
+lift per top profile is built from the closed form the extension oracle
+decides with, labelled by case, and certified on its table: the tops
+land exactly on the maximal points over the bottom's image, and the
+lift composes back.
 """
 
 from __future__ import annotations
@@ -228,15 +229,26 @@ def check_lift_cases(model: QuotientModel, bound: int) -> LiftCaseReport:
     not compose back to alpha or is not a p-morphism is a failure too.
     failures must stay empty.
 
+    Alphas with one top profile (amalgamation._top_profile) differ by a
+    permutation s of the fan's tops, an automorphism of the fan, and if
+    beta lifts alpha, then beta o s lifts alpha o s: gamma o beta o s =
+    alpha o s, and a composite of p-morphisms is one. So each (gamma,
+    profile) is decided, built and certified once, for its first alpha,
+    and counted once per alpha; a failed profile adds one failure per
+    alpha, in alpha order.
+
     The identity on the quotient and the collapse map from the big poset
     are always included; extensions of at most bound points are
     enumerated on top of them.
     """
     P = model.quotient
-    V = fan(3)
-    alphas = [(alpha, _top_profile(alpha.table, P.n),
-               _classify_alpha(model, alpha))
-              for alpha in p_morphisms(V, P)]
+    alphas = p_morphisms(fan(3), P)
+    keys = [_top_profile(alpha.table, P.n) for alpha in alphas]
+    orbits = {}
+    for alpha, key in zip(alphas, keys):
+        if key not in orbits:
+            orbits[key] = [0, alpha.table, _classify_alpha(model, alpha)]
+        orbits[key][0] += 1
     counts = {"1": 0, "2": 0, "3a": 0, "3b": 0}
     failures = []
     uncovered = 0
@@ -245,25 +257,28 @@ def check_lift_cases(model: QuotientModel, bound: int) -> LiftCaseReport:
         rows = _max_rows(Y)
         for gamma in gammas:
             fibers = _fiber_profiles(rows, gamma, P.n)
-            for alpha, key, case in alphas:
-                instances += 1
+            failed = {}
+            for key, (size, first, case) in orbits.items():
+                instances += size
                 y = _fan_lift(fibers, key)
                 if y is None:
                     if case == "3":
-                        uncovered += 1
+                        uncovered += size
                     else:
-                        failures.append((OrderMap(Y, P, gamma), alpha,
-                                         "no lift in case %s" % case))
+                        failed[key] = "no lift in case %s" % case
                     continue
                 failure = _fan_lift_failure(
-                    Y, gamma, alpha.table,
-                    _fan_lift_table(rows, gamma, alpha.table, y))
+                    Y, gamma, first, _fan_lift_table(rows, gamma, first, y))
                 if failure is not None:
-                    failures.append((OrderMap(Y, P, gamma), alpha, failure))
+                    failed[key] = failure
                 elif case == "3":
-                    counts["3a" if len(rows[y]) == 2 else "3b"] += 1
+                    counts["3a" if len(rows[y]) == 2 else "3b"] += size
                 else:
-                    counts[case] += 1
+                    counts[case] += size
+            if failed:
+                failures += [(OrderMap(Y, P, gamma), alpha, failed[key])
+                             for alpha, key in zip(alphas, keys)
+                             if key in failed]
     return LiftCaseReport(counts, tuple(failures), uncovered, instances,
                           bound)
 

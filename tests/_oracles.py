@@ -412,6 +412,51 @@ def extension_classes_plain(P, n, bound) -> list:
     return out
 
 
+def lift_cases_per_alpha(model, bound):
+    """The q-model lift check with one closed-form lift per (gamma, alpha).
+
+    This is the loop of qmodel.check_lift_cases before it took one alpha
+    per top profile: every alpha is classified, lifted, built into a table
+    and certified on its own. The lift helpers are read off the
+    amalgamation module at call time, so a test may patch them.
+    """
+    from pcdl import OrderMap, amalgamation, fan, p_morphisms, qmodel
+    P = model.quotient
+    V = fan(3)
+    alphas = [(alpha, amalgamation._top_profile(alpha.table, P.n),
+               qmodel._classify_alpha(model, alpha))
+              for alpha in p_morphisms(V, P)]
+    counts = {"1": 0, "2": 0, "3a": 0, "3b": 0}
+    failures = []
+    uncovered = 0
+    instances = 0
+    for Y, gammas in qmodel._onto_maps(model, bound):
+        rows = amalgamation._max_rows(Y)
+        for gamma in gammas:
+            fibers = amalgamation._fiber_profiles(rows, gamma, P.n)
+            for alpha, key, case in alphas:
+                instances += 1
+                y = amalgamation._fan_lift(fibers, key)
+                if y is None:
+                    if case == "3":
+                        uncovered += 1
+                    else:
+                        failures.append((OrderMap(Y, P, gamma), alpha,
+                                         "no lift in case %s" % case))
+                    continue
+                failure = amalgamation._fan_lift_failure(
+                    Y, gamma, alpha.table,
+                    amalgamation._fan_lift_table(rows, gamma, alpha.table, y))
+                if failure is not None:
+                    failures.append((OrderMap(Y, P, gamma), alpha, failure))
+                elif case == "3":
+                    counts["3a" if len(rows[y]) == 2 else "3b"] += 1
+                else:
+                    counts[case] += 1
+    return qmodel.LiftCaseReport(counts, tuple(failures), uncovered,
+                                 instances, bound)
+
+
 def order_preserving_maps_raw(source, target) -> list:
     """Every order-preserving table source -> target, by product scan."""
     out = []

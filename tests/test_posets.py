@@ -72,6 +72,14 @@ def test_up_sets_match_brute():
         assert ups == sorted(ups, key=lambda m: (m.bit_count(), m))
 
 
+def test_up_sets_match_brute_on_larger_posets():
+    rng = random.Random(29)
+    for _ in range(24):
+        p = random_poset(rng.randrange(7, 10), rng)
+        assert list(p.up_sets()) == sorted(
+            upsets_brute(p), key=lambda m: (m.bit_count(), m))
+
+
 def test_up_sets_of_a_long_chain_are_its_suffixes():
     # deeper than the interpreter's recursion limit
     n = 1200

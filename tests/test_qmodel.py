@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -8,7 +8,11 @@ from pcdl import (OrderMap, build_quotient_model, check_lift_cases,
                   p_morphisms, variety_index, verify_collapse,
                   verify_separation)
 
-from _oracles import is_p_morphism_raw
+from _oracles import is_p_morphism_raw, lift_cases_per_alpha
+
+# the nine fan-row models of the benchmark's q-model requests
+NINE_MODELS = [(0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2), (2, 0),
+               (2, 1), (3, 0)]
 
 
 def test_build_shapes():
@@ -134,6 +138,64 @@ def test_uncovered_exactly_when_backtracking_finds_no_lift(full, merged,
     assert rep.failures == ()
     assert (rep.instances, rep.uncovered) == (instances, missing)
     assert missing > 0
+
+
+def test_lift_cases_match_per_alpha_oracle(monkeypatch):
+    # one lift per (gamma, top profile) reports what one lift per
+    # (gamma, alpha) reports, failures included
+    for full, merged in NINE_MODELS:
+        m = build_quotient_model(full, merged)
+        assert check_lift_cases(m, 7) == lift_cases_per_alpha(m, 7), \
+            (full, merged)
+
+    # alphas with one top profile differ by an automorphism of the fan
+    # that permutes its tops
+    V = fan(3)
+    for full, merged in NINE_MODELS:
+        P = build_quotient_model(full, merged).quotient
+        orbits = {}
+        for alpha in p_morphisms(V, P):
+            orbits.setdefault(amalgamation._top_profile(alpha.table, P.n),
+                              []).append(alpha.table)
+        for first, *rest in orbits.values():
+            for table in rest:
+                assert any(
+                    all(table[v] == first[s[v]] for v in range(V.n))
+                    for s in ((0, *tops) for tops in permutations((1, 2, 3)))
+                    if all(V.leq(i, j) == V.leq(s[i], s[j])
+                           for i in range(V.n) for j in range(V.n)))
+
+    # a certificate that fails on one profile fails every alpha of it, in
+    # alpha order within each gamma, on both sides
+    m = build_quotient_model(1, 1)
+    P = m.quotient
+    alphas = p_morphisms(V, P)
+    # case 2: the fan's bottom on g1 and its tops onto a1, b1, c1
+    target = amalgamation._top_profile(
+        tuple(P.index_of(x) for x in ("g1", "a1", "b1", "c1")), P.n)
+    orbit = [a for a in alphas
+             if amalgamation._top_profile(a.table, P.n) == target]
+    assert len(orbit) == 6
+    plain = check_lift_cases(m, 7)
+    certify = amalgamation._fan_lift_failure
+
+    def fail_on_target(Y, gamma, alpha_table, beta_table):
+        if amalgamation._top_profile(alpha_table, P.n) == target:
+            return "rejected on purpose"
+        return certify(Y, gamma, alpha_table, beta_table)
+
+    monkeypatch.setattr(amalgamation, "_fan_lift_failure", fail_on_target)
+    monkeypatch.setattr(qmodel, "_fan_lift_failure", fail_on_target)
+    rep = check_lift_cases(m, 7)
+    assert rep == lift_cases_per_alpha(m, 7)
+    assert rep.failures and len(rep.failures) % len(orbit) == 0
+    for k in range(0, len(rep.failures), len(orbit)):
+        chunk = rep.failures[k:k + len(orbit)]
+        assert [alpha for _, alpha, _ in chunk] == orbit
+        assert {(gamma, reason) for gamma, _, reason in chunk} == \
+            {(chunk[0][0], "rejected on purpose")}
+    assert rep.case_counts["2"] == plain.case_counts["2"] - len(rep.failures)
+    assert rep.instances == plain.instances
 
 
 def test_uncovered_instance_really_has_no_lift():
