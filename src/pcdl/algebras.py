@@ -74,7 +74,7 @@ def is_p_morphism(f: OrderMap) -> bool:
 
 
 def _iter_p_morphisms(source: Poset, target: Poset, onto: bool = False,
-                      fibers=None, prefer_max: bool = False):
+                      fibers=None):
     """Tables of the p-morphisms source -> target, in search order.
 
     The one p-morphism search: every caller reads plain tuples (index of
@@ -86,8 +86,7 @@ def _iter_p_morphisms(source: Poset, target: Poset, onto: bool = False,
     image of M(y), read from a map built once per call, below the images
     of its upper covers. The search is iterative: one candidate mask per
     position, taken lowest point first, on an explicit stack. fibers
-    optionally restricts each source point to a candidate mask;
-    prefer_max tries candidates that are maximal in target first. With
+    optionally restricts each source point to a candidate mask. With
     onto, a branch is cut once its unhit target points outnumber the
     points left to assign. The empty source has the one empty map, onto
     only the empty target.
@@ -115,26 +114,18 @@ def _iter_p_morphisms(source: Poset, target: Poset, onto: bool = False,
     assign = [0] * ns
     image = [0] * ns
     cand = [0] * ns
-    later = [0] * ns
     pos = 0
     mask = allow[0] & tmax  # the first point in search order is maximal
     while True:
-        # candidates of the point at pos: maximal targets first if asked
-        if prefer_max:
-            cand[pos], later[pos] = mask & tmax, mask & ~tmax
-        else:
-            cand[pos] = mask
+        cand[pos] = mask
         # take the next candidate, backtracking past exhausted positions
         while True:
             m = cand[pos]
             if not m:
-                m = later[pos]
-                later[pos] = 0
-                if not m:
-                    if pos == 0:
-                        return
-                    pos -= 1
-                    continue
+                if pos == 0:
+                    return
+                pos -= 1
+                continue
             low = m & -m
             cand[pos] = m ^ low
             img = image[pos] | low

@@ -14,10 +14,10 @@ import os
 from itertools import repeat
 from typing import NamedTuple, Optional
 
-from .algebras import (_dual, _iter_p_morphisms,
-                       embedding_p_morphism_witness, fan_algebra, in_variety,
-                       is_p_morphism, onto_star_hom_exists, p_morphisms,
-                       star_hom_failure, star_homs, variety_index)
+from .algebras import (_dual, _iter_p_morphisms, embedding_p_morphism_witness,
+                       fan_algebra, in_variety, is_p_morphism,
+                       onto_star_hom_exists, star_hom_failure, star_homs,
+                       variety_index)
 from .duality import UpSetLattice
 from .enumeration import poset_classes_exactly
 from .posets import OrderMap, Poset, bits, fan
@@ -62,13 +62,20 @@ def _find_lift(gamma: OrderMap, alpha: OrderMap) -> Optional[OrderMap]:
 
     It serves lift_through (the lift command) and is the test oracle for
     the closed-form fan lift that the extension oracle and the q-model
-    lift check use.
+    lift check use. The search runs into a copy of gamma's source listing
+    its maximal points first, so maximal images are tried first.
     """
-    fibers = [gamma.preimage_mask(1 << alpha(v))
-              for v in range(alpha.source.n)]
-    for beta in _iter_p_morphisms(alpha.source, gamma.source, fibers=fibers,
-                                  prefer_max=True):
-        return OrderMap(alpha.source, gamma.source, beta)
+    Y = gamma.source
+    order = sorted(range(Y.n), key=lambda y: Y.up[y] != 1 << y)
+    where = {y: k for k, y in enumerate(order)}
+    first = Poset([Y.labels[y] for y in order],
+                  [sum(1 << where[z] for z in bits(Y.up[y])) for y in order])
+    fiber = [0] * gamma.target.n
+    for k, y in enumerate(order):
+        fiber[gamma.table[y]] |= 1 << k
+    for beta in _iter_p_morphisms(alpha.source, first,
+                                  fibers=[fiber[a] for a in alpha.table]):
+        return OrderMap(alpha.source, Y, [order[b] for b in beta])
     return None
 
 
@@ -300,7 +307,7 @@ def extension_property_bounded(A, n: int, bound: int, jobs: int = 1,
     P = _dual(A)
     _require_room(P, bound)
     V = fan(n)
-    tables = [a.table for a in p_morphisms(V, P)]
+    tables = list(_iter_p_morphisms(V, P))
     classes = _extension_classes(P, n, bound)
     # a fork pool starts all of its workers at the first submit
     workers = min(jobs, len(classes), _usable_cpus())

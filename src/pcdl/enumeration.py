@@ -12,7 +12,8 @@ point m of the child, so the test needs no table of classes seen:
 - where deleting m leaves the same parent, m's down-set, carried into the
   parent by the two canonical orderings, must not have an earlier orbit.
 The representative of a class is thus the first candidate of the plain
-filter that labels every pair, and each class is labelled once.
+filter that labels every pair, and each class is labelled once. Classes
+with a bounded up-set count grow the same way, with the bound as a prune.
 """
 
 from __future__ import annotations
@@ -97,16 +98,16 @@ def _deletion_not_earlier(child: Poset, m: int, base: Poset, dmask: int,
     return (low.bit_count(), low) >= (dmask.bit_count(), dmask)
 
 
-@cache
-def poset_classes_exactly(n: int) -> tuple:
-    """One representative per isomorphism class on exactly n points."""
-    if n < 0:
-        raise ValueError("size must be nonnegative")
-    if n == 0:
-        return (Poset((), ()),)
-    label = "p%d" % (n - 1)
+def _grow(level: tuple, max_upsets=None) -> tuple:
+    """The classes one point larger than those of level, in key order.
+
+    level lists the classes on k points in key order. With max_upsets, a
+    child with more up-sets is pruned: it has the parent's up-sets, each
+    with the new point, and those missing the down-set, without it.
+    """
     kept = []
-    for base in poset_classes_exactly(n - 1):
+    for base in level:
+        ups = base.up_sets() if max_upsets is not None else ()
         counts = [(u.bit_count(), d.bit_count())
                   for u, d in zip(base.up, base.down)]
         round0 = sorted(counts)
@@ -115,16 +116,29 @@ def poset_classes_exactly(n: int) -> tuple:
         for dmask in down_sets:
             if orbit_min.get(dmask, dmask) != dmask:
                 continue
+            if max_upsets is not None and len(ups) + sum(
+                    1 for u in ups if not u & dmask) > max_upsets:
+                continue
             ties = _round0_ties(base, counts, round0, dmask)
             if ties is None:
                 continue
-            child = _add_maximal(base, dmask, label)
+            child = _add_maximal(base, dmask, "p%d" % base.n)
             if all(_deletion_not_earlier(child, m, base, dmask, orbit_min)
                    for m in ties):
                 kept.append((child.canonical_key(), child))
     # keys are distinct, so no two children are compared
     kept.sort()
     return tuple(child for _, child in kept)
+
+
+@cache
+def poset_classes_exactly(n: int) -> tuple:
+    """One representative per isomorphism class on exactly n points."""
+    if n < 0:
+        raise ValueError("size must be nonnegative")
+    if n == 0:
+        return (Poset((), ()),)
+    return _grow(poset_classes_exactly(n - 1))
 
 
 @cache
@@ -139,26 +153,15 @@ def poset_classes_upto(n: int) -> tuple:
 def classes_with_upsets_bounded(max_upsets: int) -> tuple:
     """All poset classes whose up-set lattice has at most max_upsets members.
 
-    Removing a maximal point strictly shrinks the up-set count, so growing
-    by one maximal point at a time with the bound as a prune is exhaustive.
+    Classes come by size, then key, as in poset_classes_exactly. Deleting a
+    maximal point strictly lowers the up-set count, so the deletions the
+    canonicity test makes stay inside the bound, which is a plain prune.
     """
     if max_upsets < 1:
         return ()
-    start = Poset((), ())
-    frontier = {start.canonical_key(): start}
-    out = dict(frontier)
-    while frontier:
-        nxt = {}
-        for base in frontier.values():
-            ups = base.up_sets()
-            for dmask in base.down_sets():
-                grown = len(ups) + sum(1 for u in ups if not u & dmask)
-                if grown > max_upsets:
-                    continue
-                cand = _add_maximal(base, dmask, "p%d" % base.n)
-                key = cand.canonical_key()
-                if key not in out:
-                    out[key] = cand
-                    nxt[key] = cand
-        frontier = nxt
-    return tuple(out[k] for k in sorted(out, key=lambda k: (k[0], k)))
+    level = (Poset((), ()),)
+    out = []
+    while level:
+        out.extend(level)
+        level = _grow(level, max_upsets)
+    return tuple(out)

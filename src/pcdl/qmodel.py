@@ -19,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .algebras import (_iter_p_morphisms, make_pcdl, p_morphism_failure,
-                       p_morphisms)
+from .algebras import _iter_p_morphisms, p_morphism_failure, p_morphisms
 from .amalgamation import (_extension_classes, _fan_lift, _fan_lift_failure,
                            _fan_lift_table, _fiber_profiles, _max_rows,
                            _top_profile, forbidden_images)
@@ -294,10 +293,8 @@ class DivergenceReport(NamedTuple):
 def divergence_report(model: QuotientModel, bound: int = 4) \
         -> DivergenceReport:
     """Contrast the base behaviour of the big algebra and its quotient."""
-    A_total = make_pcdl(model.total)
-    A_quot = make_pcdl(model.quotient)
-    tf = tuple(forbidden_images(A_total, 3))
-    qf = tuple(forbidden_images(A_quot, 3))
+    tf = tuple(forbidden_images(model.total, 3))
+    qf = tuple(forbidden_images(model.quotient, 3))
     lift = check_lift_cases(model, bound)
     diverges = not tf and bool(qf)
     if diverges:

@@ -96,6 +96,28 @@ def all_p_morphisms_raw(source, target, onto=False) -> list:
     return out
 
 
+def first_lift_brute(gamma, alpha, maximal_first=True):
+    """The least lift of alpha through gamma as an index tuple, or None.
+
+    Lifts are the p-morphisms beta of all_p_morphisms_raw with gamma o beta
+    = alpha. They are compared on their images of the source points taken
+    by (number of points above, index), each image ranked maximal points
+    of gamma's source first, then by index; with maximal_first false, by
+    index alone.
+    """
+    source, Y = alpha.source, gamma.source
+    order = sorted(range(source.n),
+                   key=lambda i: (sum(source.leq(i, j)
+                                      for j in range(source.n)), i))
+    rank = [(maximal_first and maximals_above(Y, t) != {t}, t)
+            for t in range(Y.n)]
+    lifts = [beta for beta in all_p_morphisms_raw(source, Y)
+             if all(gamma.table[beta[v]] == alpha.table[v]
+                    for v in range(source.n))]
+    return min(lifts, key=lambda beta: [rank[beta[v]] for v in order],
+               default=None)
+
+
 def iso_brute(p, q):
     """An isomorphism as an index tuple, or None. Permutation scan."""
     if p.n != q.n:
@@ -652,3 +674,34 @@ def certify_lattice_tables(labels, joins, meets) -> list:
                 raise ValueError("unit map is not a homomorphism; "
                                  "input is not distributive")
     return masks
+
+
+def classes_with_upsets_by_bfs(max_upsets: int) -> tuple:
+    """Classes with at most max_upsets up-sets, by breadth-first filter.
+
+    Each class found, level by level, gains a new maximal point over each
+    of its down-sets within the bound; every candidate is labelled and the
+    first one of each key is kept. Classes come by size, then key.
+    """
+    from pcdl import Poset
+    from pcdl.enumeration import _add_maximal
+    if max_upsets < 1:
+        return ()
+    start = Poset((), ())
+    frontier = {start.canonical_key(): start}
+    out = dict(frontier)
+    while frontier:
+        nxt = {}
+        for base in frontier.values():
+            ups = base.up_sets()
+            for dmask in base.down_sets():
+                grown = len(ups) + sum(1 for u in ups if not u & dmask)
+                if grown > max_upsets:
+                    continue
+                cand = _add_maximal(base, dmask, "p%d" % base.n)
+                key = cand.canonical_key()
+                if key not in out:
+                    out[key] = cand
+                    nxt[key] = cand
+        frontier = nxt
+    return tuple(out[k] for k in sorted(out, key=lambda k: (k[0], k)))

@@ -5,7 +5,7 @@ import pytest
 from pcdl import duality
 from pcdl.algebras import _iter_p_morphisms
 from pcdl import (AbstractLattice, OrderMap, antichain, chain,
-                  disjoint_sum, dual_lattice, embedding_p_morphism_witness,
+                  disjoint_sum, embedding_p_morphism_witness,
                   fan, fan_algebra, hom_of_dual_map, in_variety,
                   is_p_morphism, make_pcdl, onto_star_hom_exists,
                   p_morphism_failure, p_morphisms, pcdl_from_abstract,

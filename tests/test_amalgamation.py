@@ -6,14 +6,14 @@ import pcdl
 from pcdl import amalgamation
 from pcdl.algebras import _iter_p_morphisms, variety_index
 from pcdl.enumeration import poset_classes_upto
-from _oracles import extension_classes_plain
+from _oracles import extension_classes_plain, first_lift_brute
 from pcdl import (ExtensionResult, LatticeHom, OrderMap,
                   amalgamate_or_separate, antichain, catalog,
                   extension_property_bounded, fan, fan_algebra,
                   forbidden_images, is_amalgamation_base_finite,
                   is_congruence_extensile_bounded, is_p_morphism,
                   lift_through, make_pcdl, p_morphisms, Poset,
-                  star_hom_pairs, star_embeddings, star_homs, chain)
+                  star_embeddings, star_homs, chain)
 
 
 def test_forbidden_images_frozen():
@@ -263,6 +263,26 @@ def test_closed_form_fan_lift_matches_backtracking():
                 k, m = _lift_agreement(Y, P, n)
                 instances, missing = instances + k, missing + m
     assert (instances, missing) == (11712, 138)
+
+
+def test_find_lift_keeps_maximal_first_order():
+    # the first lift found is the least one with maximal images first;
+    # in some pairs index order alone would pick another lift
+    pairs = reordered = 0
+    sources = [S for S in poset_classes_upto(3) if S.n]
+    for P in poset_classes_upto(2)[1:]:
+        alphas = [alpha for S in sources for alpha in p_morphisms(S, P)]
+        for Y in amalgamation._extension_classes(P, 3, P.n + 2):
+            for gamma in p_morphisms(Y, P, onto=True):
+                for alpha in alphas:
+                    beta = amalgamation._find_lift(gamma, alpha)
+                    want = first_lift_brute(gamma, alpha)
+                    got = None if beta is None else beta.table
+                    assert got == want, (gamma, alpha)
+                    pairs += 1
+                    reordered += want != first_lift_brute(
+                        gamma, alpha, maximal_first=False)
+    assert (pairs, reordered) == (1884, 257)
 
 
 def _lift_verdict(gamma: OrderMap, alpha: OrderMap, table: tuple):

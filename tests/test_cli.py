@@ -213,6 +213,17 @@ def test_q_model_verify_all_runs_the_lift_check_once(monkeypatch, capsys):
         == 34
 
 
+def test_q_model_reads_only_the_dual_posets(monkeypatch, capsys):
+    def no_algebra(*_):
+        raise AssertionError("q-model built an up-set lattice")
+    monkeypatch.setattr(duality.UpSetLattice, "__init__", no_algebra)
+    assert cli.main(["q-model", "--N", "1", "--m", "1", "--verify", "all",
+                     "--bound", "5"]) == 0
+    divergence = json.loads(capsys.readouterr().out)["divergence"]
+    assert divergence["diverges"] is True
+    assert divergence["quotient_forbidden"] == [2]
+
+
 def test_q_model_warns_when_the_bound_leaves_no_extension(capsys):
     # the (2,1) quotient has 11 points, so bound 6 searches no extension
     # class: the report stands, with one warning line on stderr

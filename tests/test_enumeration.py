@@ -3,7 +3,8 @@ import random
 from pcdl import (classes_with_upsets_bounded, poset_classes_exactly,
                   poset_classes_upto)
 
-from _oracles import iso_brute, poset_classes_by_filter, random_poset
+from _oracles import (classes_with_upsets_by_bfs, iso_brute,
+                      poset_classes_by_filter, random_poset)
 
 KNOWN_COUNTS = [1, 1, 2, 5, 16, 63, 318, 2045]
 
@@ -59,6 +60,19 @@ def test_classes_with_upsets_bounded():
              if len(p.up_sets()) <= 9}
     assert keys == brute
     assert len(classes) == 62
+
+
+def test_bounded_growth_matches_bfs():
+    # same keys in the same order as the breadth-first filter; on classes
+    # of at most 7 points, the representatives of poset_classes_exactly
+    for cap in range(14):
+        got = classes_with_upsets_bounded(cap)
+        assert [p.canonical_key() for p in got] == \
+            [p.canonical_key() for p in classes_with_upsets_by_bfs(cap)]
+        for p in got:
+            if p.n <= 7:
+                exact = poset_classes_exactly(p.n)
+                assert (p.labels, p.up) in {(q.labels, q.up) for q in exact}
 
 
 def test_upset_count_grows_with_points():

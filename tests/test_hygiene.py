@@ -1,12 +1,12 @@
 """Repository hygiene checks that need only the standard library.
 
-Unused imports in the package and in the benchmark tools are found by
-walking each module's syntax tree, and every name in pcdl.__all__ must
-resolve, once. The README's quick tour runs, and each value its comments
-state is checked. The
-per-layer tracer of the benchmark wraps pcdl entry points by name;
-installing and uninstalling it here keeps a renamed or deleted entry
-point from silently breaking traced benchmark runs.
+Unused imports in the package, the benchmark tools and the tests are
+found by walking each module's syntax tree, and every name in
+pcdl.__all__ must resolve, once. The README's quick tour runs, and each
+value its comments state is checked. The per-layer tracer of the
+benchmark wraps pcdl entry points by name; installing and uninstalling
+it here keeps a renamed or deleted entry point from silently breaking
+traced benchmark runs.
 """
 
 import ast
@@ -23,7 +23,8 @@ from pcdl.enumeration import classes_with_upsets_bounded
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "pcdl").glob("*.py")) \
-    + sorted((ROOT / "tools").glob("*.py"))
+    + sorted((ROOT / "tools").glob("*.py")) \
+    + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
