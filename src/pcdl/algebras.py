@@ -11,6 +11,7 @@ called p-morphisms below.
 from __future__ import annotations
 
 from functools import cache
+from math import factorial
 
 from .duality import LatticeHom, UpSetLattice, _star_mask
 from .posets import OrderMap, Poset, bits, fan
@@ -73,8 +74,41 @@ def is_p_morphism(f: OrderMap) -> bool:
     return p_morphism_failure(f) is None
 
 
+def _twin_classes(poset: Poset) -> list:
+    """The twin classes of two or more points, each a tuple in index order.
+
+    Twins are points with the same strict up-set and the same strict
+    down-set. They are incomparable, and swapping two of them is an
+    automorphism of the poset.
+    """
+    groups = {}
+    for y in range(poset.n):
+        sig = (poset.up[y] ^ 1 << y, poset.down[y] ^ 1 << y)
+        groups.setdefault(sig, []).append(y)
+    return [tuple(g) for g in groups.values() if len(g) > 1]
+
+
+def _orbit_weight(table: tuple, classes: list) -> int:
+    """The number of maps in the twin-swap orbit of table.
+
+    classes is _twin_classes of the source. Swaps permute the images
+    within each class independently, so the orbit has, per class of k
+    points, k! / (product of c! over the multiplicities c of its images)
+    members, and the weight is the product of these.
+    """
+    weight = 1
+    for cls in classes:
+        weight *= factorial(len(cls))
+        counts = {}
+        for y in cls:
+            counts[table[y]] = counts.get(table[y], 0) + 1
+        for c in counts.values():
+            weight //= factorial(c)
+    return weight
+
+
 def _iter_p_morphisms(source: Poset, target: Poset, onto: bool = False,
-                      fibers=None):
+                      fibers=None, twins: bool = False):
     """Tables of the p-morphisms source -> target, in search order.
 
     The one p-morphism search: every caller reads plain tuples (index of
@@ -90,6 +124,15 @@ def _iter_p_morphisms(source: Poset, target: Poset, onto: bool = False,
     onto, a branch is cut once its unhit target points outnumber the
     points left to assign. The empty source has the one empty map, onto
     only the empty target.
+
+    With twins, only the least table of each orbit of the twin swaps of
+    source (_twin_classes) is yielded; _orbit_weight gives its orbit's
+    size. Twins have the same candidates and come up in index order, so a
+    twin enters with its previous twin's remaining candidates and that
+    twin's image: images never decrease along a twin class, which picks
+    exactly the least member of each orbit, and yields stay in search
+    order. fibers may tell twins apart, so the two cannot be combined
+    (ValueError). With twins off, each step reads one list entry more.
     """
     ns, nt = source.n, target.n
     if ns == 0:
@@ -110,6 +153,16 @@ def _iter_p_morphisms(source: Poset, target: Poset, onto: bool = False,
         key = target.up[p] & tmax
         with_above[key] = with_above.get(key, 0) | 1 << p
     allow = [tfull] * ns if fibers is None else [fibers[y] for y in order]
+    # with twins, the position of each point's previous twin, else -1
+    prev = [-1] * ns
+    if twins:
+        if fibers is not None:
+            raise ValueError("twins and fibers cannot be combined: fibers "
+                             "may tell twins apart")
+        where = {y: k for k, y in enumerate(order)}
+        for cls in _twin_classes(source):
+            for a, b in zip(cls, cls[1:]):
+                prev[where[b]] = where[a]
     last = ns - 1
     assign = [0] * ns
     image = [0] * ns
@@ -139,6 +192,12 @@ def _iter_p_morphisms(source: Poset, target: Poset, onto: bool = False,
             break
         pos += 1
         image[pos] = img
+        q = prev[pos]
+        if q >= 0:
+            # a twin enters as its previous twin did: the same covers and
+            # maximals above; it keeps that twin's image and later ones
+            mask = cand[q] | 1 << assign[order[q]]
+            continue
         mask = allow[pos]
         for z in covers[pos]:
             mask &= tdown[assign[z]]

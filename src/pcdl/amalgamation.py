@@ -14,10 +14,10 @@ import os
 from itertools import repeat
 from typing import NamedTuple, Optional
 
-from .algebras import (_dual, _iter_p_morphisms, embedding_p_morphism_witness,
-                       fan_algebra, in_variety, is_p_morphism,
-                       onto_star_hom_exists, star_hom_failure, star_homs,
-                       variety_index)
+from .algebras import (_dual, _iter_p_morphisms, _orbit_weight, _twin_classes,
+                       embedding_p_morphism_witness, fan_algebra, in_variety,
+                       is_p_morphism, onto_star_hom_exists, star_hom_failure,
+                       star_homs, variety_index)
 from .duality import UpSetLattice
 from .enumeration import poset_classes_exactly
 from .posets import OrderMap, Poset, bits, fan
@@ -272,11 +272,33 @@ def _extension_class_task(Y: Poset, P: Poset, alpha_tables: list) -> tuple:
     test of _fan_lift, which reads only alpha's top profile. Each profile
     is tested once per gamma, in the order of its first alpha, so the
     first failing profile holds the first failing alpha.
+
+    When Y has twins (_twin_classes), the gammas are first read one per
+    orbit of the twin swaps, and each adds its orbit's size
+    (_orbit_weight) times the alpha count. A swap sigma is an automorphism
+    of Y, and beta lifts alpha through gamma o sigma exactly when
+    sigma o beta lifts it through gamma, so a whole orbit fails or none of
+    it does. The representative is the least member of its orbit in
+    search order, so the first failing one is the first failing gamma;
+    but members of earlier orbits can sort after it, so the count up to
+    it is not the plain count. A class with a failure is therefore read
+    again with every gamma, which gives the witness and count of plain
+    enumeration.
     """
     first = {}
     for k, table in enumerate(alpha_tables):
         first.setdefault(_top_profile(table, P.n), k)
     rows = _max_rows(Y)
+    twins = _twin_classes(Y)
+    if twins:
+        gammas = 0
+        for gamma in _iter_p_morphisms(Y, P, onto=True, twins=True):
+            fibers = _fiber_profiles(rows, gamma, P.n)
+            if any(_fan_lift(fibers, key) is None for key in first):
+                break
+            gammas += _orbit_weight(gamma, twins)
+        else:
+            return gammas * len(alpha_tables), None
     instances = 0
     for gamma in _iter_p_morphisms(Y, P, onto=True):
         fibers = _fiber_profiles(rows, gamma, P.n)

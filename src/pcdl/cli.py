@@ -387,10 +387,20 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are bad input: exit 3, one line.
+
+    Subparsers are made with the parser's own class, so they share this.
+    """
+
+    def error(self, message):
+        raise CliInputError(message)
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and kept for the process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pcdl",
         description="finite pseudocomplemented distributive lattices "
                     "via their dual posets")
@@ -487,7 +497,8 @@ def _check_numbers(args) -> None:
             args.jobs = int(env)
         except ValueError:
             raise CliInputError("PCDL_JOBS is not an integer: %r" % env)
-    for name, least in (("jobs", 1), ("bound", 0), ("max_instances", 0)):
+    for name, least in (("jobs", 1), ("n", 0), ("bound", 0),
+                        ("max_instances", 0)):
         value = getattr(args, name, None)
         if value is not None and value < least:
             raise CliInputError("--%s must be at least %d, got %d"
@@ -495,8 +506,8 @@ def _check_numbers(args) -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         _check_numbers(args)
         return args.func(args)
     except (CliInputError, ValueError) as e:

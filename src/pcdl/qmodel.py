@@ -239,6 +239,12 @@ def check_lift_cases(model: QuotientModel, bound: int) -> LiftCaseReport:
     The identity on the quotient and the collapse map from the big poset
     are always included; extensions of at most bound points are
     enumerated on top of them.
+
+    Unlike the extension oracle, this reads every gamma, not one per
+    orbit of Y's twin swaps: the 3a/3b tally reads |M(y)| of the least
+    fitting y, and where twin classes interleave in index order a swap
+    can change which fitting point is least, so the tally is not known
+    to be the same along an orbit.
     """
     P = model.quotient
     alphas = p_morphisms(fan(3), P)

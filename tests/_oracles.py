@@ -434,6 +434,30 @@ def extension_classes_plain(P, n, bound) -> list:
     return out
 
 
+def extension_class_task_plain(Y, P, alpha_tables) -> tuple:
+    """The extension oracle's class task with every onto gamma read.
+
+    This is amalgamation._extension_class_task before it read the gammas
+    one per twin-swap orbit: (instances, (gamma table, alpha table) of the
+    first failure or None), each profile tested once per gamma in the
+    order of its first alpha. The search and lift helpers are read off
+    their modules at call time, so a test may patch them.
+    """
+    from pcdl import algebras, amalgamation
+    first = {}
+    for k, table in enumerate(alpha_tables):
+        first.setdefault(amalgamation._top_profile(table, P.n), k)
+    rows = amalgamation._max_rows(Y)
+    instances = 0
+    for gamma in algebras._iter_p_morphisms(Y, P, onto=True):
+        fibers = amalgamation._fiber_profiles(rows, gamma, P.n)
+        for key, k in first.items():
+            if amalgamation._fan_lift(fibers, key) is None:
+                return instances + k + 1, (gamma, alpha_tables[k])
+        instances += len(alpha_tables)
+    return instances, None
+
+
 def lift_cases_per_alpha(model, bound):
     """The q-model lift check with one closed-form lift per (gamma, alpha).
 

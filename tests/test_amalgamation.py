@@ -6,7 +6,8 @@ import pcdl
 from pcdl import amalgamation
 from pcdl.algebras import _iter_p_morphisms, variety_index
 from pcdl.enumeration import poset_classes_upto
-from _oracles import extension_classes_plain, first_lift_brute
+from _oracles import (extension_class_task_plain, extension_classes_plain,
+                      first_lift_brute)
 from pcdl import (ExtensionResult, LatticeHom, OrderMap,
                   amalgamate_or_separate, antichain, catalog,
                   extension_property_bounded, fan, fan_algebra,
@@ -188,6 +189,13 @@ def test_cap_reached_after_the_last_class_with_an_onto_map_holds():
         assert (r.verdict, r.instances) == ("holds", 76)
 
 
+def _small_oracle_cases() -> list:
+    """(P, n, bound) for every P of at most 4 points and n from its index
+    to 3, at bound P.n + 2."""
+    return [(P, n, P.n + 2) for P in poset_classes_upto(4)
+            for n in range(variety_index(P), 4)]
+
+
 def _dropped_classes(P: Poset, n: int, bound: int) -> list:
     """Classes of the plain filter that the extension filter drops.
 
@@ -209,11 +217,7 @@ def _dropped_classes(P: Poset, n: int, bound: int) -> list:
 
 
 def test_extension_filter_drops_only_classes_with_no_onto_map():
-    cases = []
-    for P in poset_classes_upto(4):
-        for n in range(4):
-            if variety_index(P) <= n:
-                cases.append((P, n, P.n + 2))
+    cases = _small_oracle_cases()
     for P in poset_classes_upto(4):
         if P.n == 4 and len(P.components()) >= 2:
             for n in range(variety_index(P), 4):
@@ -224,6 +228,156 @@ def test_extension_filter_drops_only_classes_with_no_onto_map():
             assert next(_iter_p_morphisms(Y, P, onto=True), None) is None
             dropped += 1
     assert (len(cases), dropped) == (85, 11518)
+
+
+def _answer(r: ExtensionResult) -> tuple:
+    witness = None
+    if r.witness is not None:
+        Y, gamma, alpha = r.witness
+        witness = (Y.canonical_key(), gamma.table, alpha.table)
+    return r.verdict, witness, r.instances
+
+
+def _plain_answer(monkeypatch, P, n, bound, jobs=1) -> tuple:
+    """_answer of the oracle with every gamma of every class read."""
+    with monkeypatch.context() as m:
+        m.setattr(amalgamation, "_extension_class_task",
+                  extension_class_task_plain)
+        return _answer(extension_property_bounded(P, n, bound, jobs=jobs))
+
+
+def _refuse(monkeypatch, refused) -> None:
+    """Make the closed-form lift refuse one top profile on some gammas.
+
+    It refuses where more than one profile lies over the image of alpha's
+    bottom. That set of profiles is the same for every gamma of a
+    twin-swap orbit, so each orbit still fails as a whole, and the
+    classes that fail are not only the first one with an onto gamma.
+    """
+    real = amalgamation._fan_lift
+
+    def fan_lift(fibers, key):
+        if key == refused and len(fibers[key[0]]) > 1:
+            return None
+        return real(fibers, key)
+    monkeypatch.setattr(amalgamation, "_fan_lift", fan_lift)
+
+
+def test_oracle_matches_plain_enumeration(monkeypatch):
+    # every class read with all of its gammas gives the same verdict,
+    # witness and instances as one gamma per twin-swap orbit
+    cases = _small_oracle_cases() + [(fan(2), 3, 6)]
+    verdicts = set()
+    for P, n, bound in cases:
+        got = _answer(extension_property_bounded(P, n, bound))
+        assert got == _plain_answer(monkeypatch, P, n, bound), (P, n)
+        verdicts.add(got[0])
+    assert (len(cases), verdicts) == (69, {"holds", "fails_with_witness"})
+
+
+def test_oracle_rerun_after_a_failing_orbit_matches_plain(monkeypatch):
+    # with one top profile refused, the failing class has twins; it is
+    # read again with every gamma, so its witness and the count before it
+    # are those of plain enumeration, also where the witness is not the
+    # class's first gamma
+    runs = later = 0
+    for P in poset_classes_upto(4):
+        if not amalgamation._twin_classes(P):
+            continue
+        profiles = {amalgamation._top_profile(t, P.n)
+                    for t in _iter_p_morphisms(fan(3), P)}
+        for refused in sorted(profiles):
+            with monkeypatch.context() as m:
+                _refuse(m, refused)
+                got = extension_property_bounded(P, 3, P.n + 2)
+                want = _plain_answer(m, P, 3, P.n + 2)
+            assert _answer(got) == want, (P, refused)
+            runs += 1
+            if got.witness is not None:
+                Y, gamma, _ = got.witness
+                assert amalgamation._twin_classes(Y)
+                later += gamma.table != next(_iter_p_morphisms(Y, P,
+                                                               onto=True))
+    assert (runs, later) == (57, 28)
+
+
+def test_oracle_in_process_pool_matches_plain(monkeypatch):
+    monkeypatch.setattr(amalgamation.concurrent.futures,
+                        "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(amalgamation.os, "sched_getaffinity",
+                        lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    # the witness is the fourth gamma of the sixth class, which has twins
+    P = antichain(3)
+    _refuse(monkeypatch, (0, (3, 0, 0)))
+    got = _answer(extension_property_bounded(P, 3, 5, jobs=2))
+    assert _InProcessPool.sizes == [2]
+    assert got == _plain_answer(monkeypatch, P, 3, 5, jobs=2)
+    assert (got[0], got[2]) == ("fails_with_witness", 712)
+
+
+def _lex_least_in_orbit(table: tuple, classes: list) -> bool:
+    return all(table[a] <= table[b] for cls in classes
+               for a, b in zip(cls, cls[1:]))
+
+
+def _twin_search_counts(P: Poset, n: int, bound: int) -> tuple:
+    """(plain gammas, representatives) over the extension classes of P.
+
+    Asserts that the representatives are the plain tables nondecreasing
+    along each twin class, in plain order, and that their orbit weights
+    add up to the plain count.
+    """
+    gammas = reps = 0
+    for Y in amalgamation._extension_classes(P, n, bound):
+        classes = amalgamation._twin_classes(Y)
+        plain = list(_iter_p_morphisms(Y, P, onto=True))
+        got = list(_iter_p_morphisms(Y, P, onto=True, twins=True))
+        assert got == [t for t in plain if _lex_least_in_orbit(t, classes)]
+        assert sum(amalgamation._orbit_weight(t, classes)
+                   for t in got) == len(plain)
+        gammas, reps = gammas + len(plain), reps + len(got)
+    return gammas, reps
+
+
+def test_twin_search_yields_one_gamma_per_orbit():
+    counts = [_twin_search_counts(P, n, bound)
+              for P, n, bound in _small_oracle_cases() + [(fan(2), 3, 6)]]
+    assert tuple(map(sum, zip(*counts))) == (76626, 36912)
+
+
+# the six duals of the benchmark's oracle-holds workload, as cover pairs
+ORACLE_HOLDS_SHAPES = [[], [(0, 3)], [(0, 3), (1, 3)], [(0, 2), (2, 3)],
+                       [(0, 1), (0, 2), (0, 3)], [(0, 2), (1, 3)]]
+
+
+def test_twin_search_reduction_is_pinned(monkeypatch):
+    assert _twin_search_counts(antichain(4), 3, 7) == (13440, 319)
+    # the oracle itself reads the 319 representatives
+    read = []
+    search = amalgamation._iter_p_morphisms
+
+    def counted(*args, onto=False, **kwargs):
+        for table in search(*args, onto=onto, **kwargs):
+            read.append(onto)
+            yield table
+    monkeypatch.setattr(amalgamation, "_iter_p_morphisms", counted)
+    r = extension_property_bounded(antichain(4), 3, 7)
+    assert (r.verdict, r.instances) == ("holds", 53760)
+    assert read.count(True) == 319
+    total = [0, 0]
+    for pairs in ORACLE_HOLDS_SHAPES:
+        P = Poset.from_covers("abcd", [("abcd"[i], "abcd"[j])
+                                       for i, j in pairs])
+        for k, count in enumerate(_twin_search_counts(P, 3, 7)):
+            total[k] += count
+    assert total == [31844, 10793]
+
+
+def test_twin_search_refuses_fibers():
+    P = antichain(2)
+    with pytest.raises(ValueError, match="twins and fibers"):
+        list(_iter_p_morphisms(P, P, twins=True, fibers=[3, 3]))
 
 
 def _lift_agreement(Y: Poset, P: Poset, n: int) -> tuple:

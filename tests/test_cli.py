@@ -529,21 +529,50 @@ def test_broken_invariant_exits_4_with_one_line(fan2, monkeypatch, capsys):
     assert err == "internal error: index out of step\n"
 
 
-@pytest.mark.parametrize("args, env, flag", [
-    (("variety-index",), {"PCDL_JOBS": "abc"}, "PCDL_JOBS"),
-    (("variety-index", "--jobs", "0"), None, "--jobs"),
-    (("amalgam", "--n", "3", "--oracle", "--bound", "-2"), None, "--bound"),
-    (("extensile", "--n", "3", "--bound", "5", "--max-instances", "-1"),
-     None, "--max-instances"),
-    # fan2 has three points, so no extension fits in two
-    (("amalgam", "--n", "3", "--oracle", "--bound", "2"), None, "bound 2"),
-    (("extensile", "--n", "3", "--bound", "2"), None, "bound 2"),
-], ids=["jobs-env", "jobs", "bound", "max-instances", "oracle-room",
-        "extensile-room"])
-def test_bad_numbers_exit_3_with_one_line(fan2, args, env, flag):
-    r = run(args[0], "--in", fan2, *args[1:], env=env)
+def _one_error_line(r, word) -> None:
     assert r.returncode == 3
     assert r.stdout == ""
-    assert r.stderr.startswith("error:") and flag in r.stderr
+    assert r.stderr.startswith("error:") and word in r.stderr
     assert r.stderr.count("\n") == 1
+
+
+def _with_input(args, path) -> list:
+    return [path if a == "IN" else a for a in args]
+
+
+@pytest.mark.parametrize("args, env, flag", [
+    (("variety-index", "--in", "IN"), {"PCDL_JOBS": "abc"}, "PCDL_JOBS"),
+    (("variety-index", "--in", "IN", "--jobs", "0"), None, "--jobs"),
+    (("amalgam", "--in", "IN", "--n", "3", "--oracle", "--bound", "-2"),
+     None, "--bound"),
+    (("extensile", "--in", "IN", "--n", "3", "--bound", "5",
+      "--max-instances", "-1"), None, "--max-instances"),
+    # fan2 has three points, so no extension fits in two
+    (("amalgam", "--in", "IN", "--n", "3", "--oracle", "--bound", "2"),
+     None, "bound 2"),
+    (("extensile", "--in", "IN", "--n", "3", "--bound", "2"), None,
+     "bound 2"),
+    (("catalog", "--max-points", "3", "--n", "-2"), None, "--n"),
+    (("amalgam", "--in", "IN", "--n", "-1"), None, "--n"),
+], ids=["jobs-env", "jobs", "bound", "max-instances", "oracle-room",
+        "extensile-room", "catalog-n", "amalgam-n"])
+def test_bad_numbers_exit_3_with_one_line(fan2, args, env, flag):
+    _one_error_line(run(*_with_input(args, fan2), env=env), flag)
+
+
+# argparse alone would print its usage and exit 2, the code of an
+# inconclusive search
+@pytest.mark.parametrize("args, word", [
+    (("amalgam", "--in", "IN", "--n", "3", "--no-such-flag"),
+     "--no-such-flag"),
+    (("amalgam", "--in", "IN", "--n", "abc"), "abc"),
+    (("amalgam", "--n", "3"), "--in"),
+], ids=["unknown-flag", "n-not-int", "missing-in"])
+def test_parser_errors_exit_3_with_one_line(fan2, args, word):
+    _one_error_line(run(*_with_input(args, fan2)), word)
+
+
+def test_help_still_exits_0():
+    r = run("amalgam", "--help")
+    assert r.returncode == 0 and "--oracle" in r.stdout and r.stderr == ""
 
