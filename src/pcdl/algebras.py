@@ -14,7 +14,7 @@ from functools import cache
 from math import factorial
 
 from .duality import LatticeHom, UpSetLattice, _star_mask
-from .posets import OrderMap, Poset, bits, fan
+from .posets import OrderMap, Poset, _twin_classes, bits, fan
 
 
 def pseudocomplement(poset: Poset, mask: int) -> int:
@@ -72,20 +72,6 @@ def p_morphism_failure(f: OrderMap):
 
 def is_p_morphism(f: OrderMap) -> bool:
     return p_morphism_failure(f) is None
-
-
-def _twin_classes(poset: Poset) -> list:
-    """The twin classes of two or more points, each a tuple in index order.
-
-    Twins are points with the same strict up-set and the same strict
-    down-set. They are incomparable, and swapping two of them is an
-    automorphism of the poset.
-    """
-    groups = {}
-    for y in range(poset.n):
-        sig = (poset.up[y] ^ 1 << y, poset.down[y] ^ 1 << y)
-        groups.setdefault(sig, []).append(y)
-    return [tuple(g) for g in groups.values() if len(g) > 1]
 
 
 def _orbit_weight(table: tuple, classes: list) -> int:
@@ -218,19 +204,16 @@ def p_morphisms(source: Poset, target: Poset, onto: bool = False) -> list:
 
 # -- star homomorphisms ------------------------------------------------------
 
-def star_hom_failure(hom: LatticeHom, one_to_one: bool = False,
-                     onto: bool = False):
-    """None if hom is a {0,1}-hom between up-set lattices keeping star.
+def star_embedding_failure(hom: LatticeHom):
+    """None if hom is a one-to-one {0,1}-hom of up-set lattices keeping star.
 
-    one_to_one and onto additionally demand those properties. The reason
-    reads after the hom's name, as in "embedding is not one-to-one".
+    The reason reads after the hom's name, as in "embedding is not
+    one-to-one".
     """
     if not hom.is_homomorphism():
         return "is not a homomorphism"
-    if one_to_one and not hom.is_one_to_one():
+    if not hom.is_one_to_one():
         return "is not one-to-one"
-    if onto and not hom.is_onto():
-        return "is not onto"
     tab, tgt_star = hom.table, hom.target.star_table
     if any(tab[s] != tgt_star[tab[i]]
            for i, s in enumerate(hom.source.star_table)):

@@ -14,24 +14,13 @@ import os
 from itertools import repeat
 from typing import NamedTuple, Optional
 
-from .algebras import (_dual, _iter_p_morphisms, _orbit_weight, _twin_classes,
+from .algebras import (_dual, _iter_p_morphisms, _orbit_weight,
                        embedding_p_morphism_witness, fan_algebra, in_variety,
-                       is_p_morphism, onto_star_hom_exists, star_hom_failure,
-                       star_homs, variety_index)
+                       is_p_morphism, star_embedding_failure, star_homs,
+                       variety_index)
 from .duality import UpSetLattice
 from .enumeration import poset_classes_exactly
-from .posets import OrderMap, Poset, bits, fan
-
-
-def forbidden_images(A, n: int) -> list:
-    """Fan sizes i with 2 <= i < n that A maps onto.
-
-    A is an algebra or its dual poset. Nonempty output certifies that A is
-    not an amalgamation base of the variety of index n.
-    """
-    if variety_index(A) > n:
-        raise ValueError("algebra is outside the variety of index %d" % n)
-    return [i for i in range(2, n) if onto_star_hom_exists(A, i)]
+from .posets import OrderMap, Poset, _twin_classes, bits, fan
 
 
 class AmalgamationVerdict(NamedTuple):
@@ -43,18 +32,28 @@ class AmalgamationVerdict(NamedTuple):
 def is_amalgamation_base_finite(A, n: int) -> AmalgamationVerdict:
     """Decide whether A is an amalgamation base of the index-n variety.
 
-    A is an algebra or its dual poset. witnesses maps each forbidden size
-    to an embedding of the fan of that size into the dual of A.
+    A is an algebra or its dual poset. A fan size i with 2 <= i < n is
+    forbidden when A maps onto the fan algebra of rank i, that is, when
+    fan(i) embeds in the dual of A; witnesses maps each forbidden size to
+    such an embedding, found by one search per size.
     """
-    forb = forbidden_images(A, n)
+    if variety_index(A) > n:
+        raise ValueError("algebra is outside the variety of index %d" % n)
     witnesses = {}
-    for i in forb:
+    for i in range(2, n):
         w = embedding_p_morphism_witness(A, i)
-        if w is None:
-            raise AssertionError("forbidden size %d has no embedding witness"
-                                 % i)
-        witnesses[i] = w
-    return AmalgamationVerdict(not forb, tuple(forb), witnesses)
+        if w is not None:
+            witnesses[i] = w
+    return AmalgamationVerdict(not witnesses, tuple(witnesses), witnesses)
+
+
+def forbidden_images(A, n: int) -> list:
+    """Fan sizes i with 2 <= i < n that A maps onto.
+
+    A is an algebra or its dual poset. Nonempty output certifies that A is
+    not an amalgamation base of the variety of index n.
+    """
+    return list(is_amalgamation_base_finite(A, n).forbidden)
 
 
 def _find_lift(gamma: OrderMap, alpha: OrderMap) -> Optional[OrderMap]:
@@ -191,8 +190,9 @@ def _fan_lift_failure(Y: Poset, gamma_table: tuple, alpha_table: tuple,
 class ExtensionResult(NamedTuple):
     """Outcome of a bounded search over extensions.
 
-    The extension oracle answers holds, fails_with_witness or inconclusive;
-    the congruence-extension search answers yes or inconclusive.
+    The extension oracle answers holds or fails_with_witness; the
+    congruence-extension search answers yes, or inconclusive when its
+    instance cap cuts it.
     """
     verdict: str
     witness: object
@@ -309,8 +309,8 @@ def _extension_class_task(Y: Poset, P: Poset, alpha_tables: list) -> tuple:
     return instances, None
 
 
-def extension_property_bounded(A, n: int, bound: int, jobs: int = 1,
-                               max_instances=None) -> ExtensionResult:
+def extension_property_bounded(A, n: int, bound: Optional[int] = None,
+                               jobs: int = 1) -> ExtensionResult:
     """Check that every map of A to the top fan extends along extensions.
 
     A is an algebra or its dual poset. Extensions range over duals of at
@@ -319,14 +319,16 @@ def extension_property_bounded(A, n: int, bound: int, jobs: int = 1,
     of rank n, so each lift is a map of fan(n) and is decided in closed
     form (_fan_lift) with no search. holds means every such map lifted;
     a failed lift is returned as a witness triple. Classes are read in
-    order and the search stops at the first witness. The max_instances
-    cap is applied between isomorphism classes, so results are identical
-    for any jobs value. A bound below the size of P(A) is refused, as it
-    would hold vacuously.
+    order and the search stops at the first witness, so results are
+    identical for any jobs value. bound defaults to three points more
+    than P(A); a bound below the size of P(A) is refused, as it would
+    hold vacuously.
     """
     if not in_variety(A, n):
         raise ValueError("algebra is outside the variety of index %d" % n)
     P = _dual(A)
+    if bound is None:
+        bound = P.n + 3
     _require_room(P, bound)
     V = fan(n)
     tables = list(_iter_p_morphisms(V, P))
@@ -349,10 +351,6 @@ def extension_property_bounded(A, n: int, bound: int, jobs: int = 1,
                 alpha = OrderMap(V, P, witness[1])
                 return ExtensionResult("fails_with_witness",
                                        (Y, gamma, alpha), instances, bound)
-            if max_instances is not None and instances >= max_instances \
-                    and Y is not classes[-1]:
-                return ExtensionResult("inconclusive", None, instances,
-                                       bound)
         return ExtensionResult("holds", None, instances, bound)
     finally:
         if ex is not None:
@@ -385,7 +383,7 @@ def amalgamate_or_separate(A: UpSetLattice, B0: UpSetLattice,
             raise ValueError("%s does not start at A" % name)
         if emb.target != tgt:
             raise ValueError("%s does not land in its extension" % name)
-        failure = star_hom_failure(emb, one_to_one=True)
+        failure = star_embedding_failure(emb)
         if failure is not None:
             raise ValueError("%s %s" % (name, failure))
     D = fan_algebra(n)

@@ -14,8 +14,8 @@ def catalog(max_points: int, n: int, oracle: bool = False, bound=None,
     Each row reports the algebra size, variety index, multiset of maximal
     cover set sizes, the criterion verdict for the index-n variety, and
     the forbidden sizes behind it. With oracle=True the bounded extension
-    search is run as an independent check, at bound points (default the
-    poset size plus three). Every column is read off the dual poset, so
+    search is run as an independent check, at bound points (None for
+    the oracle's default). Every column is read off the dual poset, so
     no algebra is built.
     """
     if max_points > 6:
@@ -41,8 +41,7 @@ def catalog(max_points: int, n: int, oracle: bool = False, bound=None,
             row["verdict"] = "base" if not forb else "not_base"
             row["forbidden"] = forb
         if oracle and idx <= n:
-            res = extension_property_bounded(
-                P, n, bound if bound is not None else P.n + 3, jobs=jobs)
+            res = extension_property_bounded(P, n, bound, jobs=jobs)
             row["oracle"] = res.verdict
             row["oracle_instances"] = res.instances
         rows.append(row)

@@ -4,8 +4,8 @@ Every subcommand is a thin wrapper over a library call: inputs are JSON
 files holding posets, lattices, or maps (auto-detected by shape), and
 reports are emitted as JSON with a format tag, as plain text, or as DOT
 where a diagram makes sense. Exit codes: 0 for success or a positive
-verdict, 1 for a negative verdict, 2 for an inconclusive search, 3 for
-bad input, 4 for a broken internal invariant.
+verdict, 1 for a negative verdict, 2 for an inconclusive extensile
+search, 3 for bad input, 4 for a broken internal invariant.
 """
 
 from __future__ import annotations
@@ -274,13 +274,11 @@ def _cmd_amalgam(args) -> int:
     }
     code = 0 if verdict.is_base else 1
     if args.oracle:
-        bound = args.bound if args.bound is not None else P.n + 3
-        res = extension_property_bounded(P, args.n, bound, jobs=args.jobs)
+        res = extension_property_bounded(P, args.n, args.bound,
+                                         jobs=args.jobs)
         payload["oracle"] = res.verdict
         payload["oracle_instances"] = res.instances
         payload["oracle_bound"] = res.bound
-        if res.verdict == "inconclusive" and code == 0:
-            code = 2
     _emit(args, payload)
     return code
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .algebras import (_dual, in_variety, make_pcdl, p_morphism_failure,
-                       star_hom_failure)
+                       star_embedding_failure)
 from .amalgamation import (ExtensionResult, _extension_classes,
                            _require_room)
 from .duality import LatticeHom, UpSetLattice
@@ -121,7 +121,7 @@ def validate_star_embedding(emb: LatticeHom):
     if not isinstance(emb.source, UpSetLattice) or \
             not isinstance(emb.target, UpSetLattice):
         raise ValueError("embedding must run between up-set lattices")
-    failure = star_hom_failure(emb, one_to_one=True)
+    failure = star_embedding_failure(emb)
     if failure is not None:
         raise ValueError("embedding %s" % failure)
 

@@ -31,6 +31,20 @@ def _label_index(labels: tuple) -> dict:
     return index
 
 
+def _twin_classes(poset: "Poset") -> list:
+    """The twin classes of two or more points, each a tuple in index order.
+
+    Twins are points with the same strict up-set and the same strict
+    down-set. They are incomparable, and swapping two of them is an
+    automorphism of the poset.
+    """
+    groups = {}
+    for y in range(poset.n):
+        sig = (poset.up[y] ^ 1 << y, poset.down[y] ^ 1 << y)
+        groups.setdefault(sig, []).append(y)
+    return [tuple(g) for g in groups.values() if len(g) > 1]
+
+
 class Poset:
     """Immutable finite poset, given by its labels and up-set masks.
 
@@ -298,16 +312,12 @@ class Poset:
                for e in range(n)]
         twins_below = [0] * n
         gens = []
-        last_twin = {}
-        for e in range(n):
-            sig = (up[e] ^ 1 << e, down[e] ^ 1 << e)
-            if sig in last_twin:
-                t = last_twin[sig]
+        for cls in _twin_classes(self):
+            for t, e in zip(cls, cls[1:]):
                 twins_below[e] = twins_below[t] | 1 << t
                 swap = list(range(n))
                 swap[t], swap[e] = e, t
                 gens.append(tuple(swap))
-            last_twin[sig] = e
         placed = []
         code = []
         best = None     # the least code found so far

@@ -296,8 +296,7 @@ class DivergenceReport(NamedTuple):
     text: str
 
 
-def divergence_report(model: QuotientModel, bound: int = 4) \
-        -> DivergenceReport:
+def divergence_report(model: QuotientModel, bound: int) -> DivergenceReport:
     """Contrast the base behaviour of the big algebra and its quotient."""
     tf = tuple(forbidden_images(model.total, 3))
     qf = tuple(forbidden_images(model.quotient, 3))

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import pcdl
-from pcdl import amalgamation
+from pcdl import algebras, amalgamation
 from pcdl.algebras import _iter_p_morphisms, variety_index
 from pcdl.enumeration import poset_classes_upto
 from _oracles import (extension_class_task_plain, extension_classes_plain,
@@ -24,6 +24,23 @@ def test_forbidden_images_frozen():
     assert forbidden_images(fan_algebra(3), 3) == []
     with pytest.raises(ValueError, match="variety"):
         forbidden_images(fan_algebra(4), 3)
+
+
+def test_amalgamation_base_searches_each_size_once(monkeypatch):
+    calls = []
+    search = amalgamation.embedding_p_morphism_witness
+
+    def counted(A, i):
+        calls.append(i)
+        return search(A, i)
+    for module in (algebras, amalgamation):
+        monkeypatch.setattr(module, "embedding_p_morphism_witness", counted)
+    for P, n, forbidden in ((fan(2), 3, (2,)), (fan(3), 5, (3,)),
+                            (antichain(2), 4, ())):
+        calls.clear()
+        v = is_amalgamation_base_finite(P, n)
+        assert v.forbidden == forbidden
+        assert calls == list(range(2, n))
 
 
 def test_amalgamation_base_verdicts():
@@ -98,13 +115,10 @@ def test_extension_property_jobs_deterministic():
     assert sy.canonical_key() == py_.canonical_key()
     assert sg.table == pg.table and sa.table == pa.table
 
-    for cap, verdict, instances in ((None, "holds", 2916),
-                                    (100, "inconclusive", 216)):
-        results = [extension_property_bounded(fan_algebra(3), 3, 6, jobs=j,
-                                              max_instances=cap)
-                   for j in (1, 2)]
-        assert [r.verdict for r in results] == [verdict] * 2
-        assert [r.instances for r in results] == [instances] * 2
+    results = [extension_property_bounded(fan_algebra(3), 3, 6, jobs=j)
+               for j in (1, 2)]
+    assert [(r.verdict, r.instances) for r in results] \
+        == [("holds", 2916)] * 2
 
 
 class _InProcessPool:
@@ -166,27 +180,11 @@ def test_extension_property_stops_at_first_witness(monkeypatch):
     assert len(calls) == position + 1 < len(classes)
 
 
-def test_extension_property_cap_gives_inconclusive(monkeypatch):
-    calls = _count_class_tasks(monkeypatch)
-    r = extension_property_bounded(fan_algebra(3), 3, 6, max_instances=100)
-    assert r.verdict == "inconclusive"
-    assert r.instances <= 2916
-    # the first class holds 54 instances and the second crosses the cap,
-    # after which no further class is run
-    classes = amalgamation._extension_classes(fan_algebra(3).base, 3, 6)
-    assert r.instances == 216
-    assert calls == classes[:2]
-
-
-def test_cap_reached_after_the_last_class_with_an_onto_map_holds():
+def test_extension_property_holds_after_the_last_class_with_an_onto_map():
     # after the class that reaches 76 instances, only classes with no onto
-    # map to the 2-antichain are left, so the search is exhausted; the
-    # filter drops those classes, and no kept class follows the cap
-    full = extension_property_bounded(antichain(2), 2, 4)
-    assert (full.verdict, full.instances) == ("holds", 76)
-    for cap in (75, 76):
-        r = extension_property_bounded(antichain(2), 2, 4, max_instances=cap)
-        assert (r.verdict, r.instances) == ("holds", 76)
+    # map to the 2-antichain are left, and the filter drops them
+    r = extension_property_bounded(antichain(2), 2, 4)
+    assert (r.verdict, r.instances) == ("holds", 76)
 
 
 def _small_oracle_cases() -> list:

@@ -218,16 +218,16 @@ def test_uncovered_instance_really_has_no_lift():
 
 
 def test_divergence_reports():
-    rep = divergence_report(build_quotient_model(1, 0))
+    rep = divergence_report(build_quotient_model(1, 0), 4)
     assert rep.total_forbidden == () and rep.quotient_forbidden == ()
     assert not rep.diverges
     assert "no merged components" in rep.text
 
-    rep = divergence_report(build_quotient_model(0, 1))
+    rep = divergence_report(build_quotient_model(0, 1), 4)
     assert rep.quotient_forbidden == (2,)
     assert rep.diverges
 
-    rep = divergence_report(build_quotient_model(2, 1))
+    rep = divergence_report(build_quotient_model(2, 1), 4)
     assert rep.total_forbidden == ()
     assert rep.quotient_forbidden == (2,)
     assert rep.diverges

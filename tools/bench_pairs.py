@@ -11,7 +11,9 @@ change first on the next, and so on. Each run's last stdout line is its
 result. BENCH_<N>.json at the root of the checkout then holds every run,
 and for each end-to-end metric of BENCHMARK.json and each workload the
 runs of both sides, their medians and quartiles, and the number of pairs
-in which the change was better. Stdlib only.
+in which the change was better; its "requests" entry gives, for each side,
+the attempted and failed requests summed over the runs and the number of
+runs that were not correct. Stdlib only.
 """
 
 from __future__ import annotations
@@ -98,6 +100,11 @@ def summarize(pairs: list, better: dict) -> dict:
                                     for p, c in zip(parent, change)),
             "pairs": len(pairs),
         }
+    out["requests"] = {
+        side: {"attempted": sum(p[side]["attempted"] for p in pairs),
+               "failed": sum(p[side]["failed"] for p in pairs),
+               "incorrect_runs": sum(not p[side]["correct"] for p in pairs)}
+        for side in ("parent", "change")}
     return out
 
 
