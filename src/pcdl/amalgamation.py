@@ -192,7 +192,8 @@ class ExtensionResult(NamedTuple):
 
     The extension oracle answers holds or fails_with_witness; the
     congruence-extension search answers yes, or inconclusive when its
-    instance cap cuts it.
+    instance cap cuts it. instances counts the pairs decided; the
+    oracle's, on a failure, by whole twin-swap orbits up to its witness.
     """
     verdict: str
     witness: object
@@ -267,45 +268,36 @@ def _extension_classes(P: Poset, n: int, bound: int) -> list:
 def _extension_class_task(Y: Poset, P: Poset, alpha_tables: list) -> tuple:
     """(instances, (gamma table, alpha table) of the first failure or None).
 
-    Gammas are read in search order and, for each, the alphas in order;
-    the alphas are maps of fan(n) into P, so each lift is the closed-form
-    test of _fan_lift, which reads only alpha's top profile. Each profile
-    is tested once per gamma, in the order of its first alpha, so the
-    first failing profile holds the first failing alpha.
+    The gammas are read one per orbit of Y's twin swaps (_twin_classes),
+    in search order, and for each, the alphas in order; the alphas are
+    maps of fan(n) into P, so each lift is the closed-form test of
+    _fan_lift, which reads only alpha's top profile. Each profile is
+    tested once per gamma, in the order of its first alpha.
 
-    When Y has twins (_twin_classes), the gammas are first read one per
-    orbit of the twin swaps, and each adds its orbit's size
-    (_orbit_weight) times the alpha count. A swap sigma is an automorphism
-    of Y, and beta lifts alpha through gamma o sigma exactly when
-    sigma o beta lifts it through gamma, so a whole orbit fails or none of
-    it does. The representative is the least member of its orbit in
-    search order, so the first failing one is the first failing gamma;
-    but members of earlier orbits can sort after it, so the count up to
-    it is not the plain count. A class with a failure is therefore read
-    again with every gamma, which gives the witness and count of plain
-    enumeration.
+    A swap sigma is an automorphism of Y, and beta lifts alpha through
+    gamma o sigma exactly when sigma o beta lifts it through gamma, so a
+    whole orbit fails or none of it does. The representative is the
+    least member of its orbit in search order, so the first failing one
+    is the first failing gamma of plain enumeration, and its first
+    failing profile holds the same alpha. Each representative that lifts
+    adds its orbit's size (_orbit_weight) times the alpha count; the
+    failing one adds the alphas up to its witness. So on a failure the
+    count is at least the plain one, and equal to it unless an earlier
+    orbit has a member that sorts after the witness.
     """
     first = {}
     for k, table in enumerate(alpha_tables):
         first.setdefault(_top_profile(table, P.n), k)
     rows = _max_rows(Y)
     twins = _twin_classes(Y)
-    if twins:
-        gammas = 0
-        for gamma in _iter_p_morphisms(Y, P, onto=True, twins=True):
-            fibers = _fiber_profiles(rows, gamma, P.n)
-            if any(_fan_lift(fibers, key) is None for key in first):
-                break
-            gammas += _orbit_weight(gamma, twins)
-        else:
-            return gammas * len(alpha_tables), None
+    alphas = len(alpha_tables)
     instances = 0
-    for gamma in _iter_p_morphisms(Y, P, onto=True):
+    for gamma in _iter_p_morphisms(Y, P, onto=True, twins=True):
         fibers = _fiber_profiles(rows, gamma, P.n)
         for key, k in first.items():
             if _fan_lift(fibers, key) is None:
                 return instances + k + 1, (gamma, alpha_tables[k])
-        instances += len(alpha_tables)
+        instances += alphas * (_orbit_weight(gamma, twins) if twins else 1)
     return instances, None
 
 
@@ -318,11 +310,13 @@ def extension_property_bounded(A, n: int, bound: Optional[int] = None,
     of A; the maps are the duals of all algebra maps into the fan algebra
     of rank n, so each lift is a map of fan(n) and is decided in closed
     form (_fan_lift) with no search. holds means every such map lifted;
-    a failed lift is returned as a witness triple. Classes are read in
-    order and the search stops at the first witness, so results are
-    identical for any jobs value. bound defaults to three points more
-    than P(A); a bound below the size of P(A) is refused, as it would
-    hold vacuously.
+    a failed lift is returned as a witness triple, the first failing
+    gamma and alpha of plain enumeration. Classes are read in order and
+    the search stops at the first witness, so results are identical for
+    any jobs value. On a failure, instances counts the witness's class
+    by whole twin-swap orbits (_extension_class_task). bound defaults
+    to three points more than P(A); a bound below the size of P(A) is
+    refused, as it would hold vacuously.
     """
     if not in_variety(A, n):
         raise ValueError("algebra is outside the variety of index %d" % n)

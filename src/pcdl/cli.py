@@ -413,8 +413,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="report format (default json)")
         sp.add_argument("--out", help="write the report to a file")
         sp.add_argument("--jobs", type=int, default=None,
-                        help="worker processes for bounded searches "
-                             "(default PCDL_JOBS, else 1)")
+                        help="worker processes for the lift oracle "
+                             "(amalgam --oracle, catalog --oracle); other "
+                             "commands ignore it (default PCDL_JOBS, else 1)")
         sp.add_argument("--seed", type=int, default=None,
                         help="seed echoed into the report; all searches "
                              "are deterministic")

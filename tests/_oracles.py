@@ -458,6 +458,57 @@ def extension_class_task_plain(Y, P, alpha_tables) -> tuple:
     return instances, None
 
 
+def twin_classes_by_scan(poset) -> list:
+    """Lists of two or more points with the same strict up-set and strict
+    down-set, each in index order, by leq scan."""
+    n = poset.n
+    groups = {}
+    for y in range(n):
+        sig = (frozenset(z for z in range(n) if z != y and poset.leq(y, z)),
+               frozenset(z for z in range(n) if z != y and poset.leq(z, y)))
+        groups.setdefault(sig, []).append(y)
+    return [g for g in groups.values() if len(g) > 1]
+
+
+def extension_class_task_by_orbits(Y, P, alpha_tables) -> tuple:
+    """The extension oracle's class task, counted by whole twin-swap orbits.
+
+    Every onto gamma is read. The witness is that of
+    extension_class_task_plain: the first failing gamma and its first
+    failing alpha, the k-th. The count is the alphas times the gammas
+    whose orbit's least member comes before the witness in search order,
+    plus k + 1; with no failure, every gamma counts. An orbit's least
+    member has the images of each twin class sorted along index order.
+    The search and lift helpers are read off their modules at call time,
+    so a test may patch them.
+    """
+    from pcdl import algebras, amalgamation
+    first = {}
+    for k, table in enumerate(alpha_tables):
+        first.setdefault(amalgamation._top_profile(table, P.n), k)
+    rows = amalgamation._max_rows(Y)
+    gammas = list(algebras._iter_p_morphisms(Y, P, onto=True))
+    stop, extra, witness = len(gammas), 0, None
+    for i, gamma in enumerate(gammas):
+        fibers = amalgamation._fiber_profiles(rows, gamma, P.n)
+        k = next((k for key, k in first.items()
+                  if amalgamation._fan_lift(fibers, key) is None), None)
+        if k is not None:
+            stop, extra, witness = i, k + 1, (gamma, alpha_tables[k])
+            break
+    where = {gamma: i for i, gamma in enumerate(gammas)}
+    classes = twin_classes_by_scan(Y)
+
+    def least(gamma):
+        table = list(gamma)
+        for cls in classes:
+            for y, p in zip(cls, sorted(gamma[y] for y in cls)):
+                table[y] = p
+        return tuple(table)
+    before = sum(where[least(gamma)] < stop for gamma in gammas)
+    return before * len(alpha_tables) + extra, witness
+
+
 def lift_cases_per_alpha(model, bound):
     """The q-model lift check with one closed-form lift per (gamma, alpha).
 

@@ -6,7 +6,8 @@ import pcdl
 from pcdl import algebras, amalgamation
 from pcdl.algebras import _iter_p_morphisms, variety_index
 from pcdl.enumeration import poset_classes_upto
-from _oracles import (extension_class_task_plain, extension_classes_plain,
+from _oracles import (extension_class_task_by_orbits,
+                      extension_class_task_plain, extension_classes_plain,
                       first_lift_brute)
 from pcdl import (ExtensionResult, LatticeHom, OrderMap,
                   amalgamate_or_separate, antichain, catalog,
@@ -273,12 +274,22 @@ def test_oracle_matches_plain_enumeration(monkeypatch):
     assert (len(cases), verdicts) == (69, {"holds", "fails_with_witness"})
 
 
-def test_oracle_rerun_after_a_failing_orbit_matches_plain(monkeypatch):
-    # with one top profile refused, the failing class has twins; it is
-    # read again with every gamma, so its witness and the count before it
-    # are those of plain enumeration, also where the witness is not the
-    # class's first gamma
-    runs = later = 0
+def _orbit_answer(monkeypatch, P, n, bound, jobs=1) -> tuple:
+    """_answer of the oracle with each class counted by the orbit
+    reference, which reads every gamma."""
+    with monkeypatch.context() as m:
+        m.setattr(amalgamation, "_extension_class_task",
+                  extension_class_task_by_orbits)
+        return _answer(extension_property_bounded(P, n, bound, jobs=jobs))
+
+
+def test_oracle_after_a_failing_orbit_matches_the_orbit_reference(
+        monkeypatch):
+    # with one top profile refused, the failing class has twins; the
+    # verdict and witness are those of plain enumeration, also where the
+    # witness is not the class's first gamma, and the count is that of
+    # whole orbits read up to the witness
+    runs = later = differs = 0
     for P in poset_classes_upto(4):
         if not amalgamation._twin_classes(P):
             continue
@@ -288,15 +299,18 @@ def test_oracle_rerun_after_a_failing_orbit_matches_plain(monkeypatch):
             with monkeypatch.context() as m:
                 _refuse(m, refused)
                 got = extension_property_bounded(P, 3, P.n + 2)
-                want = _plain_answer(m, P, 3, P.n + 2)
+                plain = _plain_answer(m, P, 3, P.n + 2)
+                want = _orbit_answer(m, P, 3, P.n + 2)
             assert _answer(got) == want, (P, refused)
+            assert want[:2] == plain[:2], (P, refused)
             runs += 1
+            differs += want[2] != plain[2]
             if got.witness is not None:
                 Y, gamma, _ = got.witness
                 assert amalgamation._twin_classes(Y)
                 later += gamma.table != next(_iter_p_morphisms(Y, P,
                                                                onto=True))
-    assert (runs, later) == (57, 28)
+    assert (runs, later, differs) == (57, 28, 24)
 
 
 def test_oracle_in_process_pool_matches_plain(monkeypatch):
@@ -305,13 +319,36 @@ def test_oracle_in_process_pool_matches_plain(monkeypatch):
     monkeypatch.setattr(amalgamation.os, "sched_getaffinity",
                         lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(_InProcessPool, "sizes", [])
-    # the witness is the fourth gamma of the sixth class, which has twins
+    # the witness is the fourth gamma of the sixth class, which has twins;
+    # one gamma of an earlier orbit sorts after it, and its three alphas
+    # are counted
     P = antichain(3)
     _refuse(monkeypatch, (0, (3, 0, 0)))
     got = _answer(extension_property_bounded(P, 3, 5, jobs=2))
     assert _InProcessPool.sizes == [2]
-    assert got == _plain_answer(monkeypatch, P, 3, 5, jobs=2)
-    assert (got[0], got[2]) == ("fails_with_witness", 712)
+    assert got[:2] == _plain_answer(monkeypatch, P, 3, 5, jobs=2)[:2]
+    assert got == _orbit_answer(monkeypatch, P, 3, 5, jobs=2)
+    assert (got[0], got[2]) == ("fails_with_witness", 715)
+
+
+def test_oracle_reads_each_class_once(monkeypatch):
+    # the failing class of the pool test, whose witness is past its first
+    # gamma, is searched once, as every class before it
+    sources = []
+    search = amalgamation._iter_p_morphisms
+
+    def recorded(source, *args, onto=False, **kwargs):
+        if onto:
+            sources.append(source.canonical_key())
+        return search(source, *args, onto=onto, **kwargs)
+    monkeypatch.setattr(amalgamation, "_iter_p_morphisms", recorded)
+    P = antichain(3)
+    _refuse(monkeypatch, (0, (3, 0, 0)))
+    r = extension_property_bounded(P, 3, 5)
+    Y, gamma, _ = r.witness
+    assert gamma.table != next(search(Y, P, onto=True))
+    assert sources[-1] == Y.canonical_key()
+    assert len(sources) == len(set(sources)) == 6
 
 
 def _lex_least_in_orbit(table: tuple, classes: list) -> bool:
