@@ -9,7 +9,6 @@ separation routine settles concrete two-sided embedding instances.
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
 from itertools import repeat
 from typing import NamedTuple, Optional
@@ -265,14 +264,16 @@ def _extension_classes(P: Poset, n: int, bound: int) -> list:
     return out
 
 
-def _extension_class_task(Y: Poset, P: Poset, alpha_tables: list) -> tuple:
+def _extension_class_task(Y: Poset, P: Poset, first: dict,
+                          alpha_tables: list) -> tuple:
     """(instances, (gamma table, alpha table) of the first failure or None).
 
     The gammas are read one per orbit of Y's twin swaps (_twin_classes),
     in search order, and for each, the alphas in order; the alphas are
     maps of fan(n) into P, so each lift is the closed-form test of
-    _fan_lift, which reads only alpha's top profile. Each profile is
-    tested once per gamma, in the order of its first alpha.
+    _fan_lift, which reads only alpha's top profile. first maps each top
+    profile to the index of its first alpha, in alpha order, and each
+    profile is tested once per gamma, in that order.
 
     A swap sigma is an automorphism of Y, and beta lifts alpha through
     gamma o sigma exactly when sigma o beta lifts it through gamma, so a
@@ -285,9 +286,6 @@ def _extension_class_task(Y: Poset, P: Poset, alpha_tables: list) -> tuple:
     count is at least the plain one, and equal to it unless an earlier
     orbit has a member that sorts after the witness.
     """
-    first = {}
-    for k, table in enumerate(alpha_tables):
-        first.setdefault(_top_profile(table, P.n), k)
     rows = _max_rows(Y)
     twins = _twin_classes(Y)
     alphas = len(alpha_tables)
@@ -326,16 +324,21 @@ def extension_property_bounded(A, n: int, bound: Optional[int] = None,
     _require_room(P, bound)
     V = fan(n)
     tables = list(_iter_p_morphisms(V, P))
+    first = {}
+    for k, table in enumerate(tables):
+        first.setdefault(_top_profile(table, P.n), k)
     classes = _extension_classes(P, n, bound)
     # a fork pool starts all of its workers at the first submit
     workers = min(jobs, len(classes), _usable_cpus())
     ex = None
     if workers > 1:
+        import concurrent.futures
         ex = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
         results = ex.map(_extension_class_task, classes,
-                         repeat(P), repeat(tables))
+                         repeat(P), repeat(first), repeat(tables))
     else:
-        results = (_extension_class_task(Y, P, tables) for Y in classes)
+        results = (_extension_class_task(Y, P, first, tables)
+                   for Y in classes)
     try:
         instances = 0
         for Y, (count, witness) in zip(classes, results):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .posets import Poset, bits
+from .posets import Poset, _bit_indices
 
 
 def _add_maximal(base: Poset, down_mask: int, new_label: str) -> Poset:
@@ -44,7 +44,7 @@ def _orbit_minima(gens: tuple, down_sets: tuple) -> dict:
             m = frontier.pop()
             for g in gens:
                 image = 0
-                for i in bits(m):
+                for i in _bit_indices(m):
                     image |= 1 << g[i]
                 if image not in out:
                     out[image] = d
@@ -52,25 +52,31 @@ def _orbit_minima(gens: tuple, down_sets: tuple) -> dict:
     return out
 
 
-def _round0_ties(base: Poset, counts: list, round0: list, dmask: int):
+def _round0_ties(base: Poset, tops: int, counts: list, round0: list,
+                 dmask: int):
     """Maximal points whose deletion may give the parent of the child.
 
-    counts holds the parent's (up, down) counts and round0 their sorted
-    list, the part of its key after the size. Deleting a maximal point m of
-    the child other than the new one keeps every down count and lowers the
-    up count of each point below m. None if some deletion sorts lower, so
-    gives an earlier parent.
+    tops is the mask of the parent's maximal points, counts holds its
+    (up, down) counts and round0 their sorted list, the part of its key
+    after the size. Deleting a maximal point m of the child other than the
+    new one keeps every down count and lowers the up count of each point
+    below m. None if some deletion sorts lower, so gives an earlier parent.
     """
-    grown = [(u + (dmask >> i & 1), d) for i, (u, d) in enumerate(counts)]
-    new = (1, dmask.bit_count() + 1)
     ties = []
-    for m, (u, _) in enumerate(counts):
-        if u != 1 or dmask >> m & 1:
-            continue
-        below = base.down[m]
-        rest = [(u - (below >> i & 1), d)
-                for i, (u, d) in enumerate(grown) if i != m]
-        rest.append(new)
+    others = tops & ~dmask
+    if not others:
+        return ties
+    grown = counts[:]
+    for i in _bit_indices(dmask):
+        u, d = grown[i]
+        grown[i] = (u + 1, d)
+    new = (1, dmask.bit_count() + 1)
+    for m in _bit_indices(others):
+        rest = grown[:]
+        rest[m] = new
+        for i in _bit_indices(base.down[m] ^ 1 << m):
+            u, d = rest[i]
+            rest[i] = (u - 1, d)
         rest.sort()
         if rest < round0:
             return None
@@ -92,7 +98,7 @@ def _deletion_not_earlier(child: Poset, m: int, base: Poset, dmask: int,
     for r, b in zip(mine, theirs):
         to_base[r] = b
     image = 0
-    for i in bits(child.down[m] ^ 1 << m):
+    for i in _bit_indices(child.down[m] ^ 1 << m):
         image |= 1 << to_base[i - (i > m)]
     low = orbit_min.get(image, image)
     return (low.bit_count(), low) >= (dmask.bit_count(), dmask)
@@ -110,6 +116,7 @@ def _grow(level: tuple, max_upsets=None) -> tuple:
         ups = base.up_sets() if max_upsets is not None else ()
         counts = [(u.bit_count(), d.bit_count())
                   for u, d in zip(base.up, base.down)]
+        tops = sum(1 << i for i, (u, _) in enumerate(counts) if u == 1)
         round0 = sorted(counts)
         down_sets = base.down_sets()
         orbit_min = _orbit_minima(base._take_automorphisms(), down_sets)
@@ -119,7 +126,7 @@ def _grow(level: tuple, max_upsets=None) -> tuple:
             if max_upsets is not None and len(ups) + sum(
                     1 for u in ups if not u & dmask) > max_upsets:
                 continue
-            ties = _round0_ties(base, counts, round0, dmask)
+            ties = _round0_ties(base, tops, counts, round0, dmask)
             if ties is None:
                 continue
             child = _add_maximal(base, dmask, "p%d" % base.n)

@@ -19,6 +19,15 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+# the set bits of every byte, so rows of small posets are read by lookup
+_BYTE_BITS = tuple(tuple(bits(m)) for m in range(256))
+
+
+def _bit_indices(mask: int):
+    """Indices of the set bits of mask, ascending, as a sequence."""
+    return _BYTE_BITS[mask] if mask < 256 else tuple(bits(mask))
+
+
 def _label_index(labels: tuple) -> dict:
     """Position of each label; labels must be distinct strings."""
     index = {}
@@ -64,28 +73,31 @@ class Poset:
         if len(up) != n:
             raise ValueError("%d up-sets for %d elements" % (len(up), n))
         outside = ~((1 << n) - 1)
+        strict_up = []
         for i, row in enumerate(up):
             if not isinstance(row, int) or row & outside or not row >> i & 1:
                 raise ValueError("up-set of %r must hold it and lie in the "
                                  "carrier" % (labels[i],))
-        # transitive and antisymmetric: each strict upper point's up-set
-        # lies inside the row and misses the point
-        down = [0] * n
-        covers_up = [0] * n
+            strict_up.append(row ^ 1 << i)
+        # transitive and antisymmetric: the strict up-sets of the strict
+        # upper points lie inside the row and miss the point, so inside
+        # the strict row; what none of them holds is a cover
+        down = [1 << i for i in range(n)]
+        covers_up = []
         covers_down = [0] * n
-        for i, row in enumerate(up):
-            strict = row ^ 1 << i
+        for i, strict in enumerate(strict_up):
+            bit = 1 << i
             above = 0
-            for j in bits(strict):
-                if up[j] & ~row or up[j] >> i & 1:
-                    raise ValueError("up-sets are not a partial order at %r"
-                                     % (labels[i],))
-                above |= up[j] ^ 1 << j
-                down[j] |= 1 << i
-            down[i] |= 1 << i
-            covers_up[i] = strict & ~above
-            for j in bits(covers_up[i]):
-                covers_down[j] |= 1 << i
+            for j in _bit_indices(strict):
+                above |= strict_up[j]
+                down[j] |= bit
+            if above & ~strict:
+                raise ValueError("up-sets are not a partial order at %r"
+                                 % (labels[i],))
+            cover = strict ^ above
+            covers_up.append(cover)
+            for j in _bit_indices(cover):
+                covers_down[j] |= bit
         self.labels = labels
         self.up = up
         self.down = tuple(down)
@@ -227,12 +239,12 @@ class Poset:
 
     def restrict(self, mask: int) -> "Poset":
         """Induced sub-poset on the elements of mask, labels kept."""
-        kept = list(bits(mask))
+        kept = _bit_indices(mask)
         pos = {i: k for k, i in enumerate(kept)}
         up = []
         for i in kept:
             row = 0
-            for j in bits(self.up[i] & mask):
+            for j in _bit_indices(self.up[i] & mask):
                 row |= 1 << pos[j]
             up.append(row)
         return Poset([self.labels[i] for i in kept], up)
@@ -262,54 +274,75 @@ class Poset:
 
     # -- isomorphism -------------------------------------------------------
 
-    def _stable_colors(self) -> list:
+    def _stable_colors(self) -> tuple:
+        """(ranks, round0): the stable color rank of each point.
+
+        Round 0 colors a point by its (up, down) counts, and round0 is
+        their sorted list. Each later round colors a point by its rank
+        and the sorted ranks of its upper and of its lower covers, until
+        no color class splits; a discrete coloring cannot split.
+        """
         n = len(self.labels)
-        above = [list(bits(c)) for c in self.covers_up]
-        below = [list(bits(c)) for c in self.covers_down]
-        color = [(self.up[i].bit_count(), self.down[i].bit_count())
-                 for i in range(n)]
+        color = [(u.bit_count(), d.bit_count())
+                 for u, d in zip(self.up, self.down)]
+        round0 = tuple(sorted(color))
+        distinct = set(color)
+        above = below = None
         while True:
-            comp = {c: r for r, c in enumerate(sorted(set(color)))}
+            comp = {c: r for r, c in enumerate(sorted(distinct))}
             ranks = [comp[c] for c in color]
-            nxt = [(ranks[i],
-                    tuple(sorted([ranks[j] for j in above[i]])),
-                    tuple(sorted([ranks[j] for j in below[i]])))
-                   for i in range(n)]
-            if len(set(nxt)) == len(comp):
-                return ranks
-            color = nxt
+            if len(comp) == n:
+                return ranks, round0
+            if above is None:
+                above = [_bit_indices(c) for c in self.covers_up]
+                below = [_bit_indices(c) for c in self.covers_down]
+            rank = ranks.__getitem__
+            color = [(ranks[i], tuple(sorted(map(rank, above[i]))),
+                      tuple(sorted(map(rank, below[i]))))
+                     for i in range(n)]
+            distinct = set(color)
+            if len(distinct) == len(comp):
+                return ranks, round0
 
     def _canonical_search(self):
         """Least relation code over color-respecting orderings of the points.
 
         An ordering lists the points color class by color class; its code
         gives, for each position, the leq bits of that point against every
-        earlier one. Returns (perm, code, generators): the least code, the
-        least ordering with that code, and generators of the automorphism
-        group as index tables. A branch is cut once its code prefix exceeds
-        the best one found, and a point is skipped while a twin of lower
-        index (an incomparable point with the same relations to all others)
-        is unplaced: the swapped subtree repeats the same codes with a
-        larger ordering. Two orderings with one code differ by an
-        automorphism, so once an ordering ties the first one reaching the
-        best code so far, the rest of the subtree where it left that first
-        ordering holds no smaller code and is cut. The automorphism group
-        is generated by the twin transpositions and the map from the best
-        ordering to the tie found in each subtree left from it, at most one
-        per point of each level, so there are fewer than n * n generators.
+        earlier one. Returns (key, perm, generators): the key (n, round0,
+        least code), the least ordering with that code, and generators of
+        the automorphism group as index tables. When the stable coloring
+        is discrete, one ordering respects it: that is the answer, and the
+        group is trivial. Otherwise the orderings are walked depth first
+        on an explicit stack, one frame per placed point. A branch is cut
+        once its code prefix exceeds the best one found, and a point is
+        skipped while a twin of lower index (an incomparable point with
+        the same relations to all others) is unplaced: the swapped subtree
+        repeats the same codes with a larger ordering. Two orderings with
+        one code differ by an automorphism, so once an ordering ties the
+        first one reaching the best code so far, the rest of the subtree
+        where it left that first ordering holds no smaller code and is
+        cut. The automorphism group is generated by the twin
+        transpositions and the map from the best ordering to the tie found
+        in each subtree left from it, at most one per point of each level,
+        so there are fewer than n * n generators.
         """
         n = len(self.labels)
-        if n == 0:
-            return (), (), ()
         up, down = self.up, self.down
-        colors = self._stable_colors()
+        ranks, round0 = self._stable_colors()
+        order = sorted(range(n), key=ranks.__getitem__)
+        if not n or ranks[order[-1]] == n - 1:
+            code = []
+            for k, e in enumerate(order):
+                v = 0
+                for p in order[:k]:
+                    v = v << 2 | (down[p] >> e & 1) << 1 | up[p] >> e & 1
+                code.append(v)
+            return (n, round0, tuple(code)), tuple(order), ()
         members = {}
-        for e in range(n):
-            members.setdefault(colors[e], []).append(e)
-        target = [members[c] for c in sorted(colors)]
-        # rel[e][x]: the code bits leq(x, e), leq(e, x) of x against e
-        rel = [[(down[e] >> x & 1) << 1 | (up[e] >> x & 1) for x in range(n)]
-               for e in range(n)]
+        for e in order:
+            members.setdefault(ranks[e], []).append(e)
+        target = [members[ranks[e]] for e in order]
         twins_below = [0] * n
         gens = []
         for cls in _twin_classes(self):
@@ -318,16 +351,18 @@ class Poset:
                 swap = list(range(n))
                 swap[t], swap[e] = e, t
                 gens.append(tuple(swap))
-        placed = []
-        code = []
+        placed = [0] * n
+        code = [0] * n
         best = None     # the least code found so far
         first = None    # the first ordering reaching it
         ties = []       # one later ordering reaching it per subtree left
         jump = n        # after a tie: the level to resume the search at
-
-        def walk(k, used, enc, tight):
-            # tight: the code so far equals the best code's prefix
-            nonlocal best, first, jump
+        # a frame per open level: [candidates, next candidate, used mask,
+        # codes against the placed points, tight, best as its child began];
+        # tight: the code so far equals the best code's prefix
+        stack = []
+        k, used, enc, tight = 0, 0, [0] * n, True
+        while True:
             if k == n:
                 leaf = tuple(placed)
                 if tight and best is not None:
@@ -336,54 +371,69 @@ class Poset:
                 else:
                     best, first = tuple(code), leaf
                     ties.clear()
-                return
-            low = None
-            for e in target[k]:
-                if used >> e & 1 or twins_below[e] & ~used:
+            else:
+                group = target[k]
+                if len(group) == 1:
+                    # a color of its own: placed here, with no twin
+                    cands, low = group, enc[group[0]]
+                else:
+                    low = None
+                    for e in group:
+                        if used >> e & 1 or twins_below[e] & ~used:
+                            continue
+                        v = enc[e]
+                        if low is None or v < low:
+                            low, cands = v, [e]
+                        elif v == low:
+                            cands.append(e)
+                if not tight or best is None or low <= best[k]:
+                    code[k] = low
+                    stack.append([cands, 0, used, enc,
+                                  tight and (best is None or low == best[k]),
+                                  None])
+            # back up to the innermost level with a candidate left
+            while stack:
+                level = len(stack) - 1
+                frame = stack[-1]
+                cands, i = frame[0], frame[1]
+                if i:
+                    if jump <= level:
+                        if jump < level:
+                            stack.pop()
+                            continue
+                        jump = n
+                    # a better code found below shares this prefix
+                    if best is not frame[5]:
+                        frame[4] = True
+                if i == len(cands):
+                    stack.pop()
                     continue
-                v = enc[e]
-                if low is None or v < low:
-                    low, cands = v, [e]
-                elif v == low:
-                    cands.append(e)
-            if tight and best is not None:
-                if low > best[k]:
-                    return
-                tight = low == best[k]
-            code.append(low)
-            for e in cands:
-                placed.append(e)
-                seen = best
-                walk(k + 1, used | 1 << e,
-                     [v << 2 | r for v, r in zip(enc, rel[e])], tight)
-                placed.pop()
-                if jump <= k:
-                    if jump < k:
-                        break
-                    jump = n
-                # a better code found below shares this prefix
-                if best is not seen:
-                    tight = True
-            code.pop()
-
-        walk(0, 0, [0] * n, True)
-        walk = None     # walk's cell refers to walk: break the cycle
+                e = cands[i]
+                frame[1] = i + 1
+                frame[5] = best
+                placed[level] = e
+                ue, de = up[e], down[e]
+                k, used, tight = level + 1, frame[2] | 1 << e, frame[4]
+                if k < n:
+                    enc = [v << 2 | (de >> x & 1) << 1 | ue >> x & 1
+                           for x, v in enumerate(frame[3])]
+                if i + 1 == len(cands):
+                    frame[3] = None     # no sibling reads it again
+                break
+            else:
+                break
         for leaf in ties:
             g = [0] * n
             for p, q in zip(first, leaf):
                 g[p] = q
             gens.append(tuple(g))
-        return first, best, tuple(gens)
+        return (n, round0, best), first, tuple(gens)
 
     def canonical_key(self):
         """Hashable value equal across isomorphic posets only."""
         if self._canon is None:
-            perm, code, self._aut = self._canonical_search()
-            n = len(self.labels)
-            round0 = tuple(sorted((self.up[i].bit_count(),
-                                   self.down[i].bit_count())
-                                  for i in range(n)))
-            self._canon = ((n, round0, code), perm)
+            key, perm, self._aut = self._canonical_search()
+            self._canon = (key, perm)
         return self._canon[0]
 
     def canonical_form(self) -> tuple:

@@ -16,7 +16,6 @@ lift composes back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .algebras import _iter_p_morphisms, p_morphism_failure, p_morphisms
@@ -26,8 +25,7 @@ from .amalgamation import (_extension_classes, _fan_lift, _fan_lift_failure,
 from .posets import OrderMap, Poset, bits, fan
 
 
-@dataclass(frozen=True)
-class QuotientModel:
+class QuotientModel(NamedTuple):
     """A row of fans, its merged quotient, and the collapse map.
 
     Components 1..full_fans are kept whole; the following merged_fans
@@ -123,6 +121,11 @@ class SeparationReport(NamedTuple):
     vacuous: bool
 
 
+# each component of the total poset is a fan(3) with 9 up-sets, so the
+# down-set formula check lists 9 ** components of them
+_SEPARATION_MAX_COMPONENTS = 6
+
+
 def verify_separation(model: QuotientModel) -> SeparationReport:
     """Check the order facts the quotient construction rests on.
 
@@ -131,8 +134,15 @@ def verify_separation(model: QuotientModel) -> SeparationReport:
     are incomparable. For every up-set R of either poset, the down
     closure of R is R together with the bottoms of the components R
     meets. The first family of checks is vacuous when there are no full
-    components.
+    components. A model of more than six components is refused before
+    any up-set is listed: its total poset has over 4.7 million.
     """
+    parts = model.full_fans + model.merged_fans
+    if parts > _SEPARATION_MAX_COMPONENTS:
+        raise ValueError("the separation check would list %s up-sets of the "
+                         "total poset (9^%d); it takes at most %d components"
+                         % (format(9 ** parts, ","), parts,
+                            _SEPARATION_MAX_COMPONENTS))
     passed = True
     separation_checks = 0
     total = model.total

@@ -287,18 +287,22 @@ def star_table_brute(size, join, meet):
 
 
 def random_relabel(poset, rng):
-    """An isomorphic copy of a poset under a random permutation."""
-    from pcdl import Poset
+    """An isomorphic copy of a poset under a random permutation.
+
+    Up-sets are filled top down, each point's from those of its upper
+    covers, so a copy of a long chain takes one OR per cover.
+    """
+    from pcdl import Poset, bits
     n = poset.n
     perm = list(range(n))
     rng.shuffle(perm)
-    labels = ["r%d" % k for k in range(n)]
-    covers = []
-    for i in range(n):
-        for j in range(n):
-            if i != j and poset.leq(i, j):
-                covers.append((labels[perm[i]], labels[perm[j]]))
-    return Poset.from_covers(labels, covers)
+    up = [0] * n
+    for i in sorted(range(n), key=lambda i: poset.up[i].bit_count()):
+        row = 1 << perm[i]
+        for j in bits(poset.covers_up[i]):
+            row |= up[perm[j]]
+        up[perm[i]] = row
+    return Poset(["r%d" % k for k in range(n)], up)
 
 
 def random_poset(n, rng):
@@ -434,14 +438,16 @@ def extension_classes_plain(P, n, bound) -> list:
     return out
 
 
-def extension_class_task_plain(Y, P, alpha_tables) -> tuple:
+def extension_class_task_plain(Y, P, profiles, alpha_tables) -> tuple:
     """The extension oracle's class task with every onto gamma read.
 
     This is amalgamation._extension_class_task before it read the gammas
     one per twin-swap orbit: (instances, (gamma table, alpha table) of the
     first failure or None), each profile tested once per gamma in the
-    order of its first alpha. The search and lift helpers are read off
-    their modules at call time, so a test may patch them.
+    order of its first alpha. The oracle's profile table, profiles, is
+    not read: this reference builds its own from alpha_tables. The search
+    and lift helpers are read off their modules at call time, so a test
+    may patch them.
     """
     from pcdl import algebras, amalgamation
     first = {}
@@ -470,7 +476,8 @@ def twin_classes_by_scan(poset) -> list:
     return [g for g in groups.values() if len(g) > 1]
 
 
-def extension_class_task_by_orbits(Y, P, alpha_tables) -> tuple:
+def extension_class_task_by_orbits(Y, P, profiles,
+                                   alpha_tables) -> tuple:
     """The extension oracle's class task, counted by whole twin-swap orbits.
 
     Every onto gamma is read. The witness is that of
@@ -479,8 +486,9 @@ def extension_class_task_by_orbits(Y, P, alpha_tables) -> tuple:
     whose orbit's least member comes before the witness in search order,
     plus k + 1; with no failure, every gamma counts. An orbit's least
     member has the images of each twin class sorted along index order.
-    The search and lift helpers are read off their modules at call time,
-    so a test may patch them.
+    As in extension_class_task_plain, profiles is not read. The search and
+    lift helpers are read off their modules at call time, so a test may
+    patch them.
     """
     from pcdl import algebras, amalgamation
     first = {}

@@ -1,3 +1,4 @@
+import concurrent.futures
 import random
 
 import pytest
@@ -146,8 +147,8 @@ class _InProcessPool:
     ids=["cpus", "jobs", "classes", "one-cpu", "no-count", "affinity",
          "no-affinity"])
 def test_oracle_pool_is_capped(monkeypatch, jobs, cpus, affinity, workers):
-    monkeypatch.setattr(amalgamation.concurrent.futures,
-                        "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _InProcessPool)
     monkeypatch.setattr(amalgamation.os, "cpu_count", lambda: cpus)
     if affinity is None:
         monkeypatch.delattr(amalgamation.os, "sched_getaffinity",
@@ -314,8 +315,8 @@ def test_oracle_after_a_failing_orbit_matches_the_orbit_reference(
 
 
 def test_oracle_in_process_pool_matches_plain(monkeypatch):
-    monkeypatch.setattr(amalgamation.concurrent.futures,
-                        "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _InProcessPool)
     monkeypatch.setattr(amalgamation.os, "sched_getaffinity",
                         lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(_InProcessPool, "sizes", [])

@@ -244,6 +244,21 @@ def test_q_model_gives_no_warning_when_extensions_fit(capsys):
     assert err == ""
 
 
+def test_q_model_refuses_a_separation_check_past_six_components(
+        monkeypatch, capsys):
+    def no_listing(self):
+        raise AssertionError("the separation check listed up-sets")
+    monkeypatch.setattr(Poset, "up_sets", no_listing)
+    for verify in ("separation", "all"):
+        assert cli.main(["q-model", "--N", "4", "--m", "3", "--verify",
+                         verify]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: the separation check would list 4,782,969 "
+                       "up-sets of the total poset (9^7); it takes at most "
+                       "6 components\n")
+
+
 def test_q_model_dot():
     r = run("q-model", "--N", "1", "--m", "1", "--dot")
     assert r.returncode == 0

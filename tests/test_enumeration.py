@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 from pcdl import (classes_with_upsets_bounded, poset_classes_exactly,
@@ -7,6 +8,16 @@ from _oracles import (classes_with_upsets_by_bfs, iso_brute,
                       poset_classes_by_filter, random_poset)
 
 KNOWN_COUNTS = [1, 1, 2, 5, 16, 63, 318, 2045]
+
+
+def _digest(classes) -> str:
+    """sha256 over the tables, key and canonical ordering of each class."""
+    h = hashlib.sha256()
+    for p in classes:
+        h.update(repr((p.labels, p.up, p.down, p.covers_up, p.covers_down,
+                       p.canonical_key(), p.canonical_perm())).encode()
+                 + b"\n")
+    return h.hexdigest()
 
 
 def test_class_counts_match_known_sequence():
@@ -83,3 +94,11 @@ def test_upset_count_grows_with_points():
         for m in [i for i in range(p.n) if p.up[i] == 1 << i]:
             sub = p.restrict(p.full_mask & ~(1 << m))
             assert len(sub.up_sets()) < full
+
+
+def test_class_lists_are_pinned():
+    # representatives, derived tables, keys and orderings, in class order
+    assert _digest(poset_classes_upto(7)) == \
+        "1f56b20e070ffdbe6a301926b15b92f5dc39f62e49dd2c02a3ba24e8a271b7c6"
+    assert _digest(classes_with_upsets_bounded(9)) == \
+        "1f400a09522b161187f7f73bcdd3c032843d3c07632aae6b52a45e1153738281"

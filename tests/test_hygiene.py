@@ -3,16 +3,19 @@
 Unused imports in the package, the benchmark tools and the tests are
 found by walking each module's syntax tree, and every name in
 pcdl.__all__ must resolve, once. The README's quick tour runs, and each
-value its comments state is checked. The per-layer tracer of the
-benchmark wraps pcdl entry points by name; installing and uninstalling
-it here keeps a renamed or deleted entry point from silently breaking
-traced benchmark runs.
+value its comments state is checked. Importing the CLI loads neither the
+process pool nor dataclasses, which every fresh interpreter would pay
+for. The per-layer tracer of the benchmark wraps pcdl entry points by
+name; installing and uninstalling it here keeps a renamed or deleted
+entry point from silently breaking traced benchmark runs.
 """
 
 import ast
 import importlib.util
+import os
 import pathlib
 import re
+import subprocess
 import sys
 
 import pytest
@@ -63,6 +66,18 @@ def test_all_exports_resolve_once():
     names = pcdl.__all__
     assert sorted(n for n in set(names) if names.count(n) > 1) == []
     assert [n for n in names if not hasattr(pcdl, n)] == []
+
+
+def test_cli_import_loads_no_pool_or_dataclasses():
+    # the oracle imports the pool only when it starts workers; dataclasses
+    # and the pool pull in inspect, ast, logging and traceback
+    heavy = ("concurrent.futures", "dataclasses", "multiprocessing")
+    code = ("import sys\nimport pcdl.cli\n"
+            "print(' '.join(m for m in %r if m in sys.modules))" % (heavy,))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, env=env, timeout=60)
+    assert (r.returncode, r.stdout, r.stderr) == (0, "\n", "")
 
 
 def test_readme_quick_tour_runs():

@@ -200,6 +200,22 @@ def test_automorphism_generators_stay_few():
             assert len(_group_closure(gens, p.n)) == factorial(k)
 
 
+def test_labelling_runs_past_the_recursion_limit():
+    # more points than call frames one recursive call per point could use:
+    # a chain, whose coloring is discrete, and a chain with two twin tops,
+    # which the search walks down level by level
+    rng = random.Random(1200)
+    for p in (chain(1200), ordinal_sum(chain(1000), antichain(2))):
+        q = random_relabel(p, rng)
+        assert p.canonical_key() == q.canonical_key()
+        iso = p.find_isomorphism(q)
+        # a bijection carrying covers onto covers is an isomorphism
+        assert sorted(iso.values()) == list(range(p.n))
+        assert all(q.covers_up[iso[i]] == sum(1 << iso[j] for j in
+                                              bits(p.covers_up[i]))
+                   for i in range(p.n))
+
+
 def test_constructions():
     assert chain(3).n == 3 and chain(0).n == 0
     assert antichain(4).maximals_mask == antichain(4).full_mask

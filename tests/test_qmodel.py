@@ -3,7 +3,7 @@ from itertools import permutations, product
 import pytest
 
 from pcdl import amalgamation, qmodel
-from pcdl import (OrderMap, build_quotient_model, check_lift_cases,
+from pcdl import (OrderMap, Poset, build_quotient_model, check_lift_cases,
                   divergence_report, fan, in_variety, make_pcdl,
                   p_morphisms, variety_index, verify_collapse,
                   verify_separation)
@@ -87,6 +87,18 @@ def test_verify_separation():
     # the down-set formula is checked against every up-set of both posets
     n_up = len(m.total.up_sets()) + len(m.quotient.up_sets())
     assert rep.downset_formula_checks == n_up
+
+
+def test_separation_refuses_more_than_six_components(monkeypatch):
+    # 9^7 up-sets of the total poset: refused before any is listed
+    models = [build_quotient_model(f, m) for f, m in ((7, 0), (3, 4), (0, 7))]
+
+    def no_listing(self):
+        raise AssertionError("the separation check listed up-sets")
+    monkeypatch.setattr(Poset, "up_sets", no_listing)
+    for m in models:
+        with pytest.raises(ValueError, match="4,782,969 up-sets"):
+            verify_separation(m)
 
 
 def test_lift_cases_frozen_one_one():
