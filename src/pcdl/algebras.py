@@ -106,10 +106,19 @@ def _iter_p_morphisms(source: Poset, target: Poset, onto: bool = False,
     image of M(y), read from a map built once per call, below the images
     of its upper covers. The search is iterative: one candidate mask per
     position, taken lowest point first, on an explicit stack. fibers
-    optionally restricts each source point to a candidate mask. With
-    onto, a branch is cut once its unhit target points outnumber the
-    points left to assign. The empty source has the one empty map, onto
-    only the empty target.
+    optionally restricts each source point to a candidate mask. The
+    empty source has the one empty map, onto only the empty target.
+
+    With onto, the maximal points, which come first in search order as
+    one block, are counted apart from the rest. A maximal target point p
+    is hit only if some maximal source point hits it, since a preimage y
+    has gamma(M(y)) = {p}, and a non-maximal one only by non-maximal
+    points. So within the block a branch is cut once its unhit maximal
+    targets outnumber the maximal positions left, and past it once its
+    unhit targets outnumber the positions left; a source with fewer
+    maximal or fewer non-maximal points than the target has no onto map.
+    The cut drops only branches with no onto completion, so yields and
+    their order are those of the plain search filtered to onto maps.
 
     With twins, only the least table of each orbit of the twin swaps of
     source (_twin_classes) is yielded; _orbit_weight gives its orbit's
@@ -125,15 +134,22 @@ def _iter_p_morphisms(source: Poset, target: Poset, onto: bool = False,
         if nt == 0 or not onto:
             yield ()
         return
-    if nt == 0 or onto and nt > ns:
+    smax = source.maximals_mask
+    tfull, tmax, tdown = target.full_mask, target.maximals_mask, target.down
+    # maximal points come first in search order, as one block
+    block, tblock = smax.bit_count(), tmax.bit_count()
+    if nt == 0 or onto and (tblock > block or nt - tblock > ns - block):
         return
     # source rows in search order, computed once per call
     order = sorted(range(ns), key=lambda i: (source.up[i].bit_count(), i))
-    smax = source.maximals_mask
     covers = [tuple(bits(source.covers_up[y])) for y in order]
     is_max = [smax >> y & 1 for y in order]
     above = [tuple(bits(source.up[y] & smax)) for y in order]
-    tfull, tmax, tdown = target.full_mask, target.maximals_mask, target.down
+    # the onto cut at each position: the target points still to be hit
+    # and the positions left that can hit them, maximal ones within the
+    # block and all of them past it
+    need = [tmax if k < block else tfull for k in range(ns)]
+    left = [(block if k < block else ns) - 1 - k for k in range(ns)]
     with_above = {}
     for p in range(nt):
         key = target.up[p] & tmax
@@ -173,7 +189,7 @@ def _iter_p_morphisms(source: Poset, target: Poset, onto: bool = False,
                 if not onto or img == tfull:
                     yield tuple(assign)
                 continue
-            if onto and (tfull & ~img).bit_count() > last - pos:
+            if onto and (need[pos] & ~img).bit_count() > left[pos]:
                 continue
             break
         pos += 1

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 from itertools import repeat
+from math import comb
 from typing import NamedTuple, Optional
 
 from .algebras import (_dual, _iter_p_morphisms, _orbit_weight,
@@ -107,30 +108,55 @@ def _max_rows(Y: Poset) -> list:
     return [tuple(bits(u & maxes)) for u in Y.up]
 
 
-def _fiber_profiles(rows: list, table: tuple, m: int) -> dict:
+def _field_width(n: int) -> int:
+    """Bits per target point in a packed profile of fan(n) lifts.
+
+    Every count in a profile that can fit is at most n, so a field holds
+    n in its low bits and has one guard bit above them.
+    """
+    return n.bit_length() + 1
+
+
+def _fiber_profiles(rows: list, table: tuple, n: int) -> dict:
     """Point p -> {profile: least point of Y over p with that profile}.
 
     rows is _max_rows(Y) and table the table of a map gamma from Y onto
-    a poset of m points. The profile of y counts, for each of those m
-    points, the maximal points above y that gamma sends there. Points
-    are read in order, so each inner dict lists its profiles by their
-    least points.
+    a poset P. The profile of y counts, for each point of P, the maximal
+    points above y that gamma sends there, packed into one int with a
+    field of _field_width(n) bits per point (point p in the p-th field
+    from the bottom). A y with more than n maximal points above it fits
+    no map of fan(n), so it is left out, and every packed count is at
+    most n. Points are read in order, so each inner dict lists its
+    profiles by their least points.
     """
+    w = _field_width(n)
     out = {}
     for y, row in enumerate(rows):
-        counts = [0] * m
-        for t in row:
-            counts[table[t]] += 1
-        out.setdefault(table[y], {}).setdefault(tuple(counts), y)
+        fiber = out.setdefault(table[y], {})
+        if len(row) <= n:
+            profile = 0
+            for t in row:
+                profile += 1 << table[t] * w
+            fiber.setdefault(profile, y)
     return out
 
 
 def _top_profile(alpha_table: tuple, m: int) -> tuple:
-    """(image of the bottom, tops sent to each of the m target points)."""
-    counts = [0] * m
+    """(image of the bottom, packed tops, guard) of a map of fan(n).
+
+    The map runs into a poset of m points, and n is its number of tops.
+    The packed tops count the tops sent to each point in the fields of
+    _fiber_profiles, with every field's guard bit set; guard holds the m
+    guard bits alone.
+    """
+    w = _field_width(len(alpha_table) - 1)
+    guard = 0
+    for p in range(m):
+        guard |= 1 << p * w + w - 1
+    tops = guard
     for p in alpha_table[1:]:
-        counts[p] += 1
-    return alpha_table[0], tuple(counts)
+        tops += 1 << p * w
+    return alpha_table[0], tops, guard
 
 
 def _fan_lift(fibers: dict, top_profile: tuple) -> Optional[int]:
@@ -140,12 +166,15 @@ def _fan_lift(fibers: dict, top_profile: tuple) -> Optional[int]:
     onto M(y), each top to a point over its own image. gamma carries M(y)
     onto M(alpha(bottom)), the image of the tops, so every top has a
     place to go; the lift exists exactly when some such y has at most as
-    many maximal points over each p as alpha has tops there. The first
-    fitting profile, in the order of _fiber_profiles, has the least y.
+    many maximal points over each p as alpha has tops there. Both counts
+    are packed in fields below a guard bit, so one subtraction compares
+    them all: a field borrows from its own guard bit exactly when the
+    profile's count is the larger, and never past it. The first fitting
+    profile, in the order of _fiber_profiles, has the least y.
     """
-    bottom, tops = top_profile
+    bottom, tops, guard = top_profile
     for profile, y in fibers[bottom].items():
-        if all(c <= t for c, t in zip(profile, tops)):
+        if tops - profile & guard == guard:
             return y
     return None
 
@@ -161,9 +190,13 @@ def _fan_lift_table(rows: list, gamma_table: tuple, alpha_table: tuple,
     pools = {}
     for u in rows[y]:
         pools.setdefault(gamma_table[u], []).append(u)
-    tops = alpha_table[1:]
-    return (y, *(pools[p][tops[:k].count(p) % len(pools[p])]
-                 for k, p in enumerate(tops)))
+    table = [y]
+    for p in alpha_table[1:]:
+        pool = pools[p]
+        u = pool.pop(0)
+        pool.append(u)
+        table.append(u)
+    return tuple(table)
 
 
 def _fan_lift_failure(Y: Poset, gamma_table: tuple, alpha_table: tuple,
@@ -176,8 +209,9 @@ def _fan_lift_failure(Y: Poset, gamma_table: tuple, alpha_table: tuple,
     order-preserving and carries every maximal set onto a maximal set.
     beta composes back when gamma sends each point to alpha's image of it.
     """
-    if any(gamma_table[b] != a for a, b in zip(alpha_table, beta_table)):
-        return "lift does not compose back"
+    for a, b in zip(alpha_table, beta_table):
+        if gamma_table[b] != a:
+            return "lift does not compose back"
     tops = 0
     for b in beta_table[1:]:
         tops |= 1 << b
@@ -286,17 +320,45 @@ def _extension_class_task(Y: Poset, P: Poset, first: dict,
     count is at least the plain one, and equal to it unless an earlier
     orbit has a member that sorts after the witness.
     """
+    alphas = len(alpha_tables)
+    if not alphas:  # fan(n) has no map into an empty P
+        return 0, None
+    n = len(alpha_tables[0]) - 1
     rows = _max_rows(Y)
     twins = _twin_classes(Y)
-    alphas = len(alpha_tables)
     instances = 0
     for gamma in _iter_p_morphisms(Y, P, onto=True, twins=True):
-        fibers = _fiber_profiles(rows, gamma, P.n)
+        fibers = _fiber_profiles(rows, gamma, n)
         for key, k in first.items():
             if _fan_lift(fibers, key) is None:
                 return instances + k + 1, (gamma, alpha_tables[k])
         instances += alphas * (_orbit_weight(gamma, twins) if twins else 1)
     return instances, None
+
+
+# the oracle lists every map of fan(n) into P before it reads a class;
+# into a point with three maximals above it there are 55,980 for n = 10
+_MAX_FAN_MAPS = 100_000
+
+
+def _fan_map_count(P: Poset, n: int) -> int:
+    """The number of p-morphisms fan(n) -> P, in closed form.
+
+    Such a map sends the bottom to some b and the n tops onto M(b). A
+    maximal b takes the whole fan, one map; any other b with k maximal
+    points above it takes the k! S(n, k) onto maps of n tops to M(b),
+    counted by inclusion-exclusion.
+    """
+    maxes = P.maximals_mask
+    count = 0
+    for row in P.up:
+        k = (row & maxes).bit_count()
+        if row & ~maxes:
+            count += sum((-1) ** j * comb(k, j) * (k - j) ** n
+                         for j in range(k + 1))
+        else:
+            count += 1
+    return count
 
 
 def extension_property_bounded(A, n: int, bound: Optional[int] = None,
@@ -314,7 +376,9 @@ def extension_property_bounded(A, n: int, bound: Optional[int] = None,
     any jobs value. On a failure, instances counts the witness's class
     by whole twin-swap orbits (_extension_class_task). bound defaults
     to three points more than P(A); a bound below the size of P(A) is
-    refused, as it would hold vacuously.
+    refused, as it would hold vacuously, and so is an n with more than
+    _MAX_FAN_MAPS maps of fan(n) into P(A) (_fan_map_count), before any
+    is listed.
     """
     if not in_variety(A, n):
         raise ValueError("algebra is outside the variety of index %d" % n)
@@ -322,6 +386,11 @@ def extension_property_bounded(A, n: int, bound: Optional[int] = None,
     if bound is None:
         bound = P.n + 3
     _require_room(P, bound)
+    maps = _fan_map_count(P, n)
+    if maps > _MAX_FAN_MAPS:
+        raise ValueError("the oracle would list %s maps of fan(%d) into the "
+                         "dual; it takes at most %s"
+                         % (format(maps, ","), n, format(_MAX_FAN_MAPS, ",")))
     V = fan(n)
     tables = list(_iter_p_morphisms(V, P))
     first = {}

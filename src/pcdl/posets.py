@@ -116,12 +116,22 @@ class Poset:
 
         Labels and cover endpoints are stringified. The pairs need not be a
         Hasse diagram; any acyclic set of strict relations is accepted and
-        closed transitively. Cycles and unknown labels raise ValueError.
+        closed transitively. Cycles and unknown labels raise ValueError; a
+        cycle is named by its least-index point.
+
+        The closure runs top down in topological order: a point is closed
+        once every point it is given below is, with one OR per distinct
+        pair. Points left open lie on or below a cycle, and only then are
+        they closed among themselves to find one on a cycle.
         """
         labels = tuple(str(s) for s in labels)
         index = _label_index(labels)
         n = len(labels)
         above = [0] * n
+        # the distinct points given below each point, and how many points
+        # given above it are not yet closed
+        below = [[] for _ in range(n)]
+        waiting = [0] * n
         for lo, hi in covers:
             lo, hi = str(lo), str(hi)
             if lo not in index:
@@ -131,16 +141,32 @@ class Poset:
             i, j = index[lo], index[hi]
             if i == j:
                 raise ValueError("element %r related strictly to itself" % (lo,))
-            above[i] |= 1 << j
-        # Warshall closure of the strict relation
-        for k in range(n):
-            kbit = 1 << k
-            for i in range(n):
-                if above[i] & kbit:
-                    above[i] |= above[k]
-        for i in range(n):
-            if (above[i] >> i) & 1:
-                raise ValueError("order cycle through %r" % (labels[i],))
+            if not above[i] >> j & 1:
+                above[i] |= 1 << j
+                below[j].append(i)
+                waiting[i] += 1
+        ready = [i for i in range(n) if not waiting[i]]
+        closed = 0
+        while ready:
+            j = ready.pop()
+            closed += 1
+            row = above[j]
+            for i in below[j]:
+                above[i] |= row
+                waiting[i] -= 1
+                if not waiting[i]:
+                    ready.append(i)
+        if closed < n:
+            # a closed point has only closed points above it, so every
+            # cycle runs through open points: close those among themselves
+            stuck = [i for i in range(n) if waiting[i]]
+            for k in stuck:
+                for i in stuck:
+                    if above[i] >> k & 1:
+                        above[i] |= above[k]
+            for i in stuck:
+                if above[i] >> i & 1:
+                    raise ValueError("order cycle through %r" % (labels[i],))
         return cls(labels, (above[i] | 1 << i for i in range(n)))
 
     # -- basic queries ----------------------------------------------------

@@ -229,11 +229,12 @@ def check_lift_cases(model: QuotientModel, bound: int) -> LiftCaseReport:
     1), the bottom of a full component (case 2) or the bottom of a merged
     component (case 3). Every lift comes from the closed form the
     extension oracle shares (amalgamation._fan_lift): the least fiber
-    point y whose maximal points fit over alpha's tops, with the tops
-    spread onto M(y). A case 3 lift is 3a or 3b as M(y) has two or three
-    points. Case 3 instances where no y fits are tallied as uncovered;
-    in cases 1 and 2 a lift always exists, so a missing one is a
-    failure. Each built lift is certified on its table
+    point y whose maximal points fit over alpha's tops, read from
+    profiles packed for fan(3) (amalgamation._fiber_profiles), with the
+    tops dealt onto M(y). A case 3 lift is 3a or 3b as M(y) has two or
+    three points. Case 3 instances where no y fits are tallied as
+    uncovered; in cases 1 and 2 a lift always exists, so a missing one
+    is a failure. Each built lift is certified on its table
     (amalgamation._fan_lift_failure), with no map object: one that does
     not compose back to alpha or is not a p-morphism is a failure too.
     failures must stay empty.
@@ -271,7 +272,7 @@ def check_lift_cases(model: QuotientModel, bound: int) -> LiftCaseReport:
     for Y, gammas in _onto_maps(model, bound):
         rows = _max_rows(Y)
         for gamma in gammas:
-            fibers = _fiber_profiles(rows, gamma, P.n)
+            fibers = _fiber_profiles(rows, gamma, 3)
             failed = {}
             for key, (size, first, case) in orbits.items():
                 instances += size

@@ -42,6 +42,25 @@ def closure_from_covers(n, cover_pairs):
     return leq
 
 
+def from_covers_warshall(n, pairs) -> tuple:
+    """(reflexive up-set masks, None), or (None, least point on a cycle).
+
+    The closure of strict pairs (lo, hi) of indices, by the Warshall loop
+    Poset.from_covers ran before it closed in topological order.
+    """
+    above = [0] * n
+    for lo, hi in pairs:
+        above[lo] |= 1 << hi
+    for k in range(n):
+        for i in range(n):
+            if above[i] >> k & 1:
+                above[i] |= above[k]
+    for i in range(n):
+        if above[i] >> i & 1:
+            return None, i
+    return tuple(above[i] | 1 << i for i in range(n)), None
+
+
 def upsets_brute(poset) -> list:
     """All up-set masks by filtering every subset."""
     n = poset.n
@@ -453,15 +472,38 @@ def extension_class_task_plain(Y, P, profiles, alpha_tables) -> tuple:
     first = {}
     for k, table in enumerate(alpha_tables):
         first.setdefault(amalgamation._top_profile(table, P.n), k)
+    n = len(alpha_tables[0]) - 1 if alpha_tables else 0
     rows = amalgamation._max_rows(Y)
     instances = 0
     for gamma in algebras._iter_p_morphisms(Y, P, onto=True):
-        fibers = amalgamation._fiber_profiles(rows, gamma, P.n)
+        fibers = amalgamation._fiber_profiles(rows, gamma, n)
         for key, k in first.items():
             if amalgamation._fan_lift(fibers, key) is None:
                 return instances + k + 1, (gamma, alpha_tables[k])
         instances += len(alpha_tables)
     return instances, None
+
+
+def fan_lift_by_digits(rows, table, alpha_table, m):
+    """The least y over alpha's bottom whose maximal points fit, or None.
+
+    rows lists the maximal points above each point of Y and table maps Y
+    to m points. y fits when, for each of the m points, no more of its
+    maximal points go there than alpha sends tops: the profiles of
+    amalgamation._fan_lift as tuples of counts, compared digit by digit.
+    """
+    tops = [0] * m
+    for p in alpha_table[1:]:
+        tops[p] += 1
+    for y, row in enumerate(rows):
+        if table[y] != alpha_table[0]:
+            continue
+        counts = [0] * m
+        for t in row:
+            counts[table[t]] += 1
+        if all(c <= t for c, t in zip(counts, tops)):
+            return y
+    return None
 
 
 def twin_classes_by_scan(poset) -> list:
@@ -494,11 +536,12 @@ def extension_class_task_by_orbits(Y, P, profiles,
     first = {}
     for k, table in enumerate(alpha_tables):
         first.setdefault(amalgamation._top_profile(table, P.n), k)
+    n = len(alpha_tables[0]) - 1 if alpha_tables else 0
     rows = amalgamation._max_rows(Y)
     gammas = list(algebras._iter_p_morphisms(Y, P, onto=True))
     stop, extra, witness = len(gammas), 0, None
     for i, gamma in enumerate(gammas):
-        fibers = amalgamation._fiber_profiles(rows, gamma, P.n)
+        fibers = amalgamation._fiber_profiles(rows, gamma, n)
         k = next((k for key, k in first.items()
                   if amalgamation._fan_lift(fibers, key) is None), None)
         if k is not None:
@@ -538,7 +581,7 @@ def lift_cases_per_alpha(model, bound):
     for Y, gammas in qmodel._onto_maps(model, bound):
         rows = amalgamation._max_rows(Y)
         for gamma in gammas:
-            fibers = amalgamation._fiber_profiles(rows, gamma, P.n)
+            fibers = amalgamation._fiber_profiles(rows, gamma, V.n - 1)
             for alpha, key, case in alphas:
                 instances += 1
                 y = amalgamation._fan_lift(fibers, key)

@@ -4,6 +4,7 @@ import pytest
 
 from pcdl import duality
 from pcdl.algebras import _iter_p_morphisms
+from pcdl.enumeration import poset_classes_exactly
 from pcdl import (AbstractLattice, OrderMap, antichain, chain,
                   disjoint_sum, embedding_p_morphism_witness,
                   fan, fan_algebra, hom_of_dual_map, in_variety,
@@ -15,7 +16,8 @@ from pcdl import (AbstractLattice, OrderMap, antichain, chain,
 from _oracles import (all_p_morphisms_raw, cube_plus_one_tables,
                       cube_tables, is_p_morphism_raw, is_star_hom_raw,
                       order_preserving_maps_raw, product_tables,
-                      random_poset, star_table_brute)
+                      random_poset, random_relabel, star_table_brute,
+                      twin_classes_by_scan)
 
 
 def test_pseudocomplement_masks():
@@ -129,6 +131,47 @@ def test_search_core_matches_brute_on_random_sources():
                 got = list(_iter_p_morphisms(src, tgt, onto=onto))
                 assert sorted(got) == all_p_morphisms_raw(src, tgt, onto), \
                     (src.to_dict(), tgt.to_dict(), onto)
+
+
+def _orbit_firsts(Y, tables) -> list:
+    """The first table of each twin-swap orbit, in the given order."""
+    classes = twin_classes_by_scan(Y)
+    seen, out = set(), []
+    for t in tables:
+        key = list(t)
+        for cls in classes:
+            for y, p in zip(cls, sorted(t[y] for y in cls)):
+                key[y] = p
+        key = tuple(key)
+        if key not in seen:
+            seen.add(key)
+            out.append(t)
+    return out
+
+
+def test_search_order_of_onto_and_twin_searches():
+    # onto and twins only drop tables from the plain search: onto keeps
+    # the onto ones and twins the first of each orbit, in plain order
+    rng = random.Random(20)
+    sources = list(poset_classes_upto(5))
+    sources += [random_relabel(Y, rng) for Y in poset_classes_upto(5)
+                if Y.n >= 3]
+    sources += [random_relabel(Y, rng) for k in (6, 7)
+                for Y in rng.sample(poset_classes_exactly(k), 6)]
+    targets = poset_classes_upto(4)
+    onto_total = reps = 0
+    for Y in sources:
+        for P in targets:
+            plain = list(_iter_p_morphisms(Y, P))
+            onto = [t for t in plain if len(set(t)) == P.n]
+            assert list(_iter_p_morphisms(Y, P, onto=True)) == onto
+            assert list(_iter_p_morphisms(Y, P, twins=True)) == \
+                _orbit_firsts(Y, plain)
+            firsts = _orbit_firsts(Y, onto)
+            assert list(_iter_p_morphisms(Y, P, onto=True,
+                                          twins=True)) == firsts
+            onto_total, reps = onto_total + len(onto), reps + len(firsts)
+    assert reps < onto_total
 
 
 def test_search_core_empty_source_and_target():

@@ -1,4 +1,5 @@
 import concurrent.futures
+import itertools
 import random
 
 import pytest
@@ -9,7 +10,7 @@ from pcdl.algebras import _iter_p_morphisms, variety_index
 from pcdl.enumeration import poset_classes_upto
 from _oracles import (extension_class_task_by_orbits,
                       extension_class_task_plain, extension_classes_plain,
-                      first_lift_brute)
+                      fan_lift_by_digits, first_lift_brute)
 from pcdl import (ExtensionResult, LatticeHom, OrderMap,
                   amalgamate_or_separate, antichain, catalog,
                   extension_property_bounded, fan, fan_algebra,
@@ -324,7 +325,7 @@ def test_oracle_in_process_pool_matches_plain(monkeypatch):
     # one gamma of an earlier orbit sorts after it, and its three alphas
     # are counted
     P = antichain(3)
-    _refuse(monkeypatch, (0, (3, 0, 0)))
+    _refuse(monkeypatch, amalgamation._top_profile((0, 0, 0, 0), P.n))
     got = _answer(extension_property_bounded(P, 3, 5, jobs=2))
     assert _InProcessPool.sizes == [2]
     assert got[:2] == _plain_answer(monkeypatch, P, 3, 5, jobs=2)[:2]
@@ -344,7 +345,7 @@ def test_oracle_reads_each_class_once(monkeypatch):
         return search(source, *args, onto=onto, **kwargs)
     monkeypatch.setattr(amalgamation, "_iter_p_morphisms", recorded)
     P = antichain(3)
-    _refuse(monkeypatch, (0, (3, 0, 0)))
+    _refuse(monkeypatch, amalgamation._top_profile((0, 0, 0, 0), P.n))
     r = extension_property_bounded(P, 3, 5)
     Y, gamma, _ = r.witness
     assert gamma.table != next(search(Y, P, onto=True))
@@ -427,7 +428,7 @@ def _lift_agreement(Y: Poset, P: Poset, n: int) -> tuple:
     instances = missing = 0
     rows = amalgamation._max_rows(Y)
     for gamma in p_morphisms(Y, P, onto=True):
-        fibers = amalgamation._fiber_profiles(rows, gamma.table, P.n)
+        fibers = amalgamation._fiber_profiles(rows, gamma.table, n)
         for alpha in alphas:
             backtracked = amalgamation._find_lift(gamma, alpha)
             y = amalgamation._fan_lift(
@@ -443,6 +444,43 @@ def _lift_agreement(Y: Poset, P: Poset, n: int) -> tuple:
             instances += 1
             missing += backtracked is None
     return instances, missing
+
+
+def test_packed_fit_matches_digit_wise_counts():
+    # synthetic fibers over m points: 2n + 2 maximal points over each,
+    # and points with n, n + 1 or 2n + 2 of them over one point, at and
+    # past the field's limit, next to random ones; every top profile of
+    # fan(n)
+    rng = random.Random(20)
+    for n in range(1, 10):
+        at_limit = misses = 0
+        for m in range(1, 5):
+            table = [t % m for t in range(m * (2 * n + 2))]
+            rows = [(t,) for t in range(len(table))]
+            over = [[t for t in range(len(table)) if table[t] == p]
+                    for p in range(m)]
+            for _ in range(25):
+                if rng.random() < 0.4:
+                    row = over[rng.randrange(m)][
+                        :rng.choice((n, n, n + 1, 2 * n + 2))]
+                else:
+                    row = sorted(rng.sample(range(len(table)),
+                                            rng.randint(1, n + 1)))
+                rows.append(tuple(row))
+                table.append(rng.randrange(m))
+            fibers = amalgamation._fiber_profiles(rows, tuple(table), n)
+            for bottom in range(m):
+                for tops in itertools.combinations_with_replacement(
+                        range(m), n):
+                    alpha = (bottom, *tops)
+                    want = fan_lift_by_digits(rows, table, alpha, m)
+                    got = amalgamation._fan_lift(
+                        fibers, amalgamation._top_profile(alpha, m))
+                    assert got == want, (n, m, alpha)
+                    misses += want is None
+                    at_limit += want is not None and len(rows[want]) == n \
+                        and len({table[t] for t in rows[want]}) == 1
+        assert at_limit and misses, n
 
 
 def test_closed_form_fan_lift_matches_backtracking():
@@ -499,7 +537,7 @@ def test_fan_lift_table_check_agrees_on_corrupted_lifts():
                 rows = amalgamation._max_rows(Y)
                 for gamma in p_morphisms(Y, P, onto=True):
                     fibers = amalgamation._fiber_profiles(
-                        rows, gamma.table, P.n)
+                        rows, gamma.table, n)
                     for alpha in alphas:
                         y = amalgamation._fan_lift(
                             fibers,
@@ -548,6 +586,25 @@ def test_bounded_searches_refuse_a_bound_below_the_dual():
         is_congruence_extensile_bounded(fan_algebra(2), 3, 2)
     assert extension_property_bounded(fan_algebra(2), 3, 3).instances > 0
     assert is_congruence_extensile_bounded(fan_algebra(2), 3, 3).instances > 0
+
+
+def test_fan_map_count_matches_the_search():
+    for P in poset_classes_upto(4):
+        for n in range(7):
+            assert amalgamation._fan_map_count(P, n) == \
+                sum(1 for _ in _iter_p_morphisms(fan(n), P)), (P, n)
+
+
+def test_oracle_refuses_a_fan_past_its_map_cap(monkeypatch):
+    def no_listing(*args, **kwargs):
+        raise AssertionError("the oracle listed maps")
+    monkeypatch.setattr(amalgamation, "_iter_p_morphisms", no_listing)
+    # 3! S(11, 3) = 171,006 maps of fan(11) onto fan(3)'s tops
+    assert amalgamation._fan_map_count(fan(3), 10) < 100_000
+    with pytest.raises(ValueError, match="the oracle would list 171,009 "
+                       "maps of fan\\(11\\) into the dual; it takes at "
+                       "most 100,000"):
+        extension_property_bounded(fan(3), 11)
 
 
 def test_amalgamate_two_into_cubes():

@@ -575,6 +575,13 @@ def test_bad_numbers_exit_3_with_one_line(fan2, args, env, flag):
     _one_error_line(run(*_with_input(args, fan2), env=env), flag)
 
 
+def test_oracle_refuses_a_fan_past_its_map_cap(fan2):
+    # fan(20) has 2^20 - 2 maps onto fan2's two tops, and two more onto
+    # its maximal points: refused before any is listed
+    r = run("amalgam", "--in", fan2, "--n", "20", "--oracle", timeout=60)
+    _one_error_line(r, "1,048,576 maps of fan(20)")
+
+
 # argparse alone would print its usage and exit 2, the code of an
 # inconclusive search
 @pytest.mark.parametrize("args, word", [

@@ -10,8 +10,9 @@ from pcdl import (DisjointSum, OrderMap, Poset, antichain, bits, chain,
 from pcdl.enumeration import _add_maximal, _orbit_minima
 
 from _oracles import (automorphisms_brute, canonical_form_brute,
-                      check_partial_order, closure_from_covers, iso_brute,
-                      random_poset, random_relabel, upsets_brute)
+                      check_partial_order, closure_from_covers,
+                      from_covers_warshall, iso_brute, random_poset,
+                      random_relabel, upsets_brute)
 
 
 def test_bits():
@@ -35,6 +36,37 @@ def test_from_covers_closure_matches_brute():
             for j in range(n):
                 assert p.leq(i, j) == leq[i][j]
         assert check_partial_order(n, p.leq)
+
+
+def test_from_covers_matches_warshall_on_acyclic_and_cyclic_input():
+    # pairs in any direction, repeated and redundant ones included: the
+    # same up-sets as the Warshall closure, or the same cycle message
+    rng = random.Random(20)
+    cycles = 0
+    for trial in range(300):
+        n = rng.randrange(1, 24)
+        rank = list(range(n))
+        rng.shuffle(rank)
+        density = rng.choice((0.05, 0.15, 0.4))
+        pairs = [(i, j) for i in range(n) for j in range(n)
+                 if rank[i] < rank[j] and rng.random() < density]
+        if trial % 2 and n > 1:
+            # a few back pairs close cycles, some through high indices
+            for _ in range(rng.randrange(1, 4)):
+                i, j = rng.sample(range(n), 2)
+                pairs.append((i, j))
+        pairs += rng.sample(pairs, min(len(pairs), 3))
+        labels = ["p%d" % i for i in range(n)]
+        up, cycle = from_covers_warshall(n, pairs)
+        named = [(labels[a], labels[b]) for a, b in pairs]
+        if cycle is None:
+            assert Poset.from_covers(labels, named).up == up
+        else:
+            cycles += 1
+            with pytest.raises(ValueError) as err:
+                Poset.from_covers(labels, named)
+            assert str(err.value) == "order cycle through %r" % labels[cycle]
+    assert 40 < cycles < 150
 
 
 def test_from_covers_accepts_transitive_generators():

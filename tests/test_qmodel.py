@@ -135,7 +135,7 @@ def test_uncovered_exactly_when_backtracking_finds_no_lift(full, merged,
     for Y, gammas in qmodel._onto_maps(m, bound):
         rows = amalgamation._max_rows(Y)
         for table in gammas:
-            fibers = amalgamation._fiber_profiles(rows, table, P.n)
+            fibers = amalgamation._fiber_profiles(rows, table, 3)
             gamma = OrderMap(Y, P, table)
             for alpha in alphas:
                 instances += 1
