@@ -35,12 +35,15 @@ def is_amalgamation_base_finite(A, n: int) -> AmalgamationVerdict:
     A is an algebra or its dual poset. A fan size i with 2 <= i < n is
     forbidden when A maps onto the fan algebra of rank i, that is, when
     fan(i) embeds in the dual of A; witnesses maps each forbidden size to
-    such an embedding, found by one search per size.
+    such an embedding, found by one search per size. No point has more
+    maximal points above it than the index of A, so the search stops at
+    the index.
     """
-    if variety_index(A) > n:
+    index = variety_index(A)
+    if index > n:
         raise ValueError("algebra is outside the variety of index %d" % n)
     witnesses = {}
-    for i in range(2, n):
+    for i in range(2, min(n, index + 1)):
         w = embedding_p_morphism_witness(A, i)
         if w is not None:
             witnesses[i] = w
@@ -224,9 +227,9 @@ class ExtensionResult(NamedTuple):
     """Outcome of a bounded search over extensions.
 
     The extension oracle answers holds or fails_with_witness; the
-    congruence-extension search answers yes, or inconclusive when its
-    instance cap cuts it. instances counts the pairs decided; the
-    oracle's, on a failure, by whole twin-swap orbits up to its witness.
+    congruence-extension search always answers yes, with no witness.
+    instances counts the pairs decided; the oracle's, on a failure, by
+    whole twin-swap orbits up to its witness.
     """
     verdict: str
     witness: object

@@ -4,8 +4,8 @@ Every subcommand is a thin wrapper over a library call: inputs are JSON
 files holding posets, lattices, or maps (auto-detected by shape), and
 reports are emitted as JSON with a format tag, as plain text, or as DOT
 where a diagram makes sense. Exit codes: 0 for success or a positive
-verdict, 1 for a negative verdict, 2 for an inconclusive extensile
-search, 3 for bad input, 4 for a broken internal invariant.
+verdict, 1 for a negative verdict, 3 for bad input, 4 for a broken
+internal invariant.
 """
 
 from __future__ import annotations
@@ -250,8 +250,7 @@ def _cmd_quotient(args) -> int:
 
 def _cmd_extensile(args) -> int:
     res = is_congruence_extensile_bounded(_load_dual(args.infile), args.n,
-                                          args.bound,
-                                          max_instances=args.max_instances)
+                                          args.bound)
     payload = {
         "verdict": res.verdict,
         "instances": res.instances,
@@ -259,7 +258,7 @@ def _cmd_extensile(args) -> int:
         "witness": None,
     }
     _emit(args, payload)
-    return 0 if res.verdict == "yes" else 2
+    return 0
 
 
 def _cmd_amalgam(args) -> int:
@@ -447,10 +446,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          "erases")
 
     sp = sub("extensile", _cmd_extensile,
-             "look for a congruence that fails to extend")
+             "count the (onto map, congruence) instances up to the bound")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--bound", type=int, required=True)
-    sp.add_argument("--max-instances", type=int, default=None)
 
     sp = sub("amalgam", _cmd_amalgam,
              "decide the amalgamation base property")
@@ -496,12 +494,11 @@ def _check_numbers(args) -> None:
             args.jobs = int(env)
         except ValueError:
             raise CliInputError("PCDL_JOBS is not an integer: %r" % env)
-    for name, least in (("jobs", 1), ("n", 0), ("bound", 0),
-                        ("max_instances", 0)):
+    for name, least in (("jobs", 1), ("n", 0), ("bound", 0)):
         value = getattr(args, name, None)
         if value is not None and value < least:
             raise CliInputError("--%s must be at least %d, got %d"
-                                % (name.replace("_", "-"), least, value))
+                                % (name, least, value))
 
 
 def main(argv=None) -> int:

@@ -197,17 +197,15 @@ def pullback_congruence(h: OrderMap, theta: DualCongruence) -> DualCongruence:
     return DualCongruence(h.source, psi_mask)
 
 
-def is_congruence_extensile_bounded(B, n: int, bound: int,
-                                    max_instances=None) -> ExtensionResult:
+def is_congruence_extensile_bounded(B, n: int, bound: int) -> ExtensionResult:
     """Check that every congruence of B extends to every bounded extension.
 
     B is an algebra or its dual poset. Extensions are the duals Y of at
     most bound points inside the variety of index n with an onto
     p-morphism gamma to P = P(B), and each (gamma, congruence of P) pair
-    is one instance. The verdict is yes once the bounded search space is
-    exhausted, or inconclusive, with exactly max_instances instances,
-    when the cap cuts it short. A bound below the size of P is refused,
-    as it would answer yes vacuously.
+    is one instance. The verdict is always yes, with instances counting
+    every pair in the bounded search space. A bound below the size of P
+    is refused, as it would answer yes vacuously.
 
     No pair is checked, as none can fail: these varieties have the
     congruence extension property (Gratzer and Lakser 1971). Let T be a
@@ -235,9 +233,6 @@ def is_congruence_extensile_bounded(B, n: int, bound: int,
     for Y in _extension_classes(P, n, bound):
         for _ in _iter_p_morphisms(Y, P, onto=True):
             instances += per_gamma
-            if max_instances is not None and instances > max_instances:
-                return ExtensionResult("inconclusive", None, max_instances,
-                                       bound)
     return ExtensionResult("yes", None, instances, bound)
 
 

@@ -397,7 +397,7 @@ def _is_congruence_mask_raw(downs, mask) -> bool:
                    for m, down in downs.items())
 
 
-def extensile_per_pair(P, classes, onto_tables, max_instances=None) -> tuple:
+def extensile_per_pair(P, classes, onto_tables) -> tuple:
     """The bounded congruence-extension search, one (gamma, theta) at a time.
 
     classes lists the extension duals Y in search order, and onto_tables(Y)
@@ -405,8 +405,7 @@ def extensile_per_pair(P, classes, onto_tables, max_instances=None) -> tuple:
     are the congruence masks of P, found by scanning every subset. Each
     pair is one instance: gamma must hit every point of P, and the union
     of its fibers over the points theta erases must be a congruence mask
-    of Y, or AssertionError is raised. Returns (verdict, instances), cut
-    to ("inconclusive", max_instances) once the pairs outnumber the cap.
+    of Y, or AssertionError is raised. Returns ("yes", instances).
     """
     p_downs = _maximal_downs(P)
     thetas = [t for t in range(1 << P.n)
@@ -422,8 +421,6 @@ def extensile_per_pair(P, classes, onto_tables, max_instances=None) -> tuple:
                 raise AssertionError("gamma %r is not onto" % (gamma,))
             for theta in thetas:
                 instances += 1
-                if max_instances is not None and instances > max_instances:
-                    return "inconclusive", instances - 1
                 pullback = 0
                 for p in range(P.n):
                     if theta >> p & 1:
