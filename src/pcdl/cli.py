@@ -16,8 +16,10 @@ import json
 import os
 import sys
 from functools import cache
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from operator import or_
+from operator import and_, or_
+from typing import Callable, Iterator, NamedTuple
 
 from .algebras import (make_pcdl, p_morphism_failure, star_homs,
                        variety_index)
@@ -94,13 +96,46 @@ def _hom_label_maps(homs, labels_s, to_rep_s, labels_t, to_rep_t):
              for i, rep in enumerate(to_rep_s)} for h in homs]
 
 
+class _UpSetTable(NamedTuple):
+    """The join (op or_) or meet (op and_) table of an up-set lattice.
+
+    It stands in a report for the list of rows that to_dict() gives, and
+    the writers read it straight from the carrier.
+    """
+
+    carrier: tuple
+    op: Callable
+
+    def rows(self, head: str, sep: str, tail: str) -> Iterator[str]:
+        """Each row as head + its entries joined by sep + tail.
+
+        A row takes one map of the operation, one lookup of each result's
+        index text and one join.
+        """
+        carrier, op = self.carrier, self.op
+        text = {m: str(i) for i, m in enumerate(carrier)}.__getitem__
+        for a in carrier:
+            yield head + sep.join(map(text, map(op, repeat(a), carrier))) \
+                + tail
+
+
+def _lattice_doc(lat) -> dict:
+    """lat.to_dict() of an up-set lattice, its tables left to the writers."""
+    return {"elements": list(lat.labels),
+            "joins": _UpSetTable(lat.carrier, or_),
+            "meets": _UpSetTable(lat.carrier, and_)}
+
+
 def _render_text(value, indent: int = 0) -> str:
     pad = "  " * indent
+    if type(value) is _UpSetTable:
+        entry = "\n" + pad + "  - "
+        return "\n".join(value.rows(pad + "-" + entry, entry, ""))
     if isinstance(value, dict):
         lines = []
         for k in sorted(value):
             v = value[k]
-            if isinstance(v, (dict, list)):
+            if isinstance(v, (dict, list, _UpSetTable)):
                 lines.append("%s%s:" % (pad, k))
                 lines.append(_render_text(v, indent + 1))
             else:
@@ -123,12 +158,21 @@ def _write_json(write, value, nl: str = "\n") -> None:
 
     Every line after the first is indented as nl says. Dicts with string
     keys and lists of lists or dicts are written here, and so are lists
-    of plain ints or of plain strings, in one join each; any other value
+    of plain ints or of plain strings, in one join each, and the tables
+    of an up-set lattice, in one join per row; any other value
     goes to json.dumps, a container re-indented to the current depth, so
     no value comes out in a form the encoder would not give.
     """
     inner = nl + "  "
     kind = type(value)
+    if kind is _UpSetTable:
+        row_nl = inner + "  "
+        sep = "[" + inner
+        for row in value.rows("[" + row_nl, "," + row_nl, inner + "]"):
+            write(sep + row)
+            sep = "," + inner
+        write(nl + "]")
+        return
     if kind is dict and value and all(type(k) is str for k in value):
         sep = "{" + inner
         for key in sorted(value):
@@ -189,7 +233,8 @@ def _cmd_dual(args) -> int:
                  if isinstance(obj, Poset) else out)
         _emit(args, {}, drawn.to_dot("dual"))
     else:
-        _emit(args, out.to_dict())
+        _emit(args, _lattice_doc(out) if isinstance(obj, Poset)
+              else out.to_dict())
     return 0
 
 
@@ -241,7 +286,7 @@ def _cmd_quotient(args) -> int:
     theta = dual_congruence(A.base, erased)
     q = quotient(A, theta)
     payload = {
-        "algebra": q.algebra.to_dict(),
+        "algebra": _lattice_doc(q.algebra),
         "projection": q.projection.map_labels(),
     }
     _emit(args, payload)

@@ -12,7 +12,7 @@ least element h maps above j.
 from __future__ import annotations
 
 from itertools import repeat
-from operator import and_, eq, ne, or_
+from operator import and_, eq, or_
 from typing import Iterable, Iterator
 
 from .posets import OrderMap, Poset, bits
@@ -26,7 +26,7 @@ def _mask_where(flags) -> int:
 
 
 def _set_label(base: Poset, mask: int) -> str:
-    return "{" + ",".join(base.labels[i] for i in bits(mask)) + "}"
+    return "{" + ",".join(base.labels_of(mask)) + "}"
 
 
 def _star_mask(poset: Poset, mask: int) -> int:
@@ -275,18 +275,16 @@ def _order_masks(lat, op) -> list:
 def _join_irreducibles(downs) -> list:
     """Elements with exactly one lower cover, read off the down-sets.
 
-    The lower covers of e are the points strictly below e that lie
-    strictly below no other point strictly below e.
+    In a finite order the lower covers of e are the maximal points of its
+    strict down-set, and that set has exactly one maximal point c when it
+    is not empty and lies below c: when it is the down-set of some
+    element. So each element takes one set lookup. Tables that are no
+    order may answer otherwise than a count of covers, but unit_iso
+    certifies its result whatever this returns.
     """
-    out = []
-    for e, d in enumerate(downs):
-        strict = d ^ 1 << e
-        below = 0
-        for k in bits(strict):
-            below |= downs[k] ^ 1 << k
-        if (strict & ~below).bit_count() == 1:
-            out.append(e)
-    return out
+    principal = set(downs)
+    return [e for e, d in enumerate(downs)
+            if (strict := d ^ 1 << e) and strict in principal]
 
 
 def _dual_space_data(lat):
@@ -448,6 +446,20 @@ def unit_iso(lat) -> LatticeHom:
     when a meet j is j, so the down-sets, the join-irreducibles and the
     masks are the true ones, and a -> mask is Birkhoff's isomorphism onto
     the up-sets of P(L): the target has exactly n elements.
+
+    Each row is checked in one packed comparison, which is the same
+    condition as masks[row[j]] == mi | masks[j] (or mi & masks[j]) for
+    every j. Every mask is written as a little-endian cell of one fixed
+    width, wide enough for the full mask; gathering the cells of the
+    entries of a row gives the int holding masks[row[j]] in cell j.
+    packed holds masks[j] in cell j, and spread holds 1 in every cell, so
+    mi * spread holds mi in every cell, with no carry as mi fits a cell.
+    OR and AND act bit by bit, hence cell by cell: packed | mi * spread
+    holds mi | masks[j] in cell j, and packed & mi * spread holds
+    mi & masks[j]. Both sides are n cells of the same width, so they are
+    equal exactly when every cell is: when the row passes entry by entry.
+    The rows are read in the same order, and a failure raises the same
+    message.
     """
     poset, _, masks = _dual_space_data(lat)
     n = lat.size
@@ -462,10 +474,18 @@ def unit_iso(lat) -> LatticeHom:
     if masks[lat.bottom] != 0 or masks[lat.top] != poset.full_mask:
         raise ValueError("unit map misses the bounds; "
                          "input is not distributive")
-    get = masks.__getitem__
+    # one packed comparison per row, as the docstring shows
+    width = max(1, (poset.n + 7) >> 3)
+    cells = [m.to_bytes(width, "little") for m in masks]
+    packed = int.from_bytes(b"".join(cells), "little")
+    spread = int.from_bytes((1).to_bytes(width, "little") * n, "little")
+    gather = cells.__getitem__
     for mi, jrow, mrow in zip(masks, lat.rows(or_), lat.rows(and_)):
-        if any(map(ne, map(get, jrow), map(mi.__or__, masks))) \
-                or any(map(ne, map(get, mrow), map(mi.__and__, masks))):
+        spread_i = mi * spread
+        if int.from_bytes(b"".join(map(gather, jrow)), "little") \
+                != packed | spread_i \
+                or int.from_bytes(b"".join(map(gather, mrow)), "little") \
+                != packed & spread_i:
             raise ValueError("unit map is not a homomorphism; "
                              "input is not distributive")
     target = UpSetLattice(poset)

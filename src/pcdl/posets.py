@@ -19,13 +19,29 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-# the set bits of every byte, so rows of small posets are read by lookup
+# the set bits of every byte, and of every byte read as bits 8..15, so
+# masks are read a byte at a time by lookup
 _BYTE_BITS = tuple(tuple(bits(m)) for m in range(256))
+_HIGH_BYTE_BITS = tuple(tuple(8 + i for i in b) for b in _BYTE_BITS)
 
 
 def _bit_indices(mask: int):
-    """Indices of the set bits of mask, ascending, as a sequence."""
-    return _BYTE_BITS[mask] if mask < 256 else tuple(bits(mask))
+    """Indices of the set bits of mask, ascending, as a sequence.
+
+    Masks of up to 16 bits take one or two lookups; a wider mask is read
+    one byte at a time, each non-zero byte's bits shifted to its place in
+    one map, so no step is taken per bit as bits() does.
+    """
+    if mask < 256:
+        return _BYTE_BITS[mask]
+    if mask < 65536:
+        return _BYTE_BITS[mask & 255] + _HIGH_BYTE_BITS[mask >> 8]
+    out = []
+    for k, byte in enumerate(mask.to_bytes((mask.bit_length() + 7) >> 3,
+                                           "little")):
+        if byte:
+            out += map((k << 3).__add__, _BYTE_BITS[byte])
+    return out
 
 
 def _label_index(labels: tuple) -> dict:
@@ -215,7 +231,7 @@ class Poset:
         return self.up[self._as_index(x)] & self.maximals_mask
 
     def labels_of(self, mask: int) -> tuple:
-        return tuple(self.labels[i] for i in bits(mask))
+        return tuple(map(self.labels.__getitem__, _bit_indices(mask)))
 
     def mask_of(self, elems: Iterable) -> int:
         m = 0

@@ -268,6 +268,28 @@ def diamond_tables(k=3):
     return ["0"] + ["a%d" % i for i in range(1, top)] + ["1"], joins, meets
 
 
+def chain_tables(n):
+    """The n-element chain 0 < 1 < ... < n-1, as raw operation tables."""
+    rng = range(n)
+    return (["c%d" % i for i in rng], [[max(i, j) for j in rng] for i in rng],
+            [[min(i, j) for j in rng] for i in rng])
+
+
+def ordinal_sum_tables(a, b):
+    """The ordinal sum: every element of a below every element of b.
+
+    The elements of a come first, those of b after them.
+    """
+    (la, ja, ma), (lb, jb, mb) = a, b
+    na, n = len(la), len(la) + len(lb)
+
+    def table(ta, tb, mixed):
+        return [[ta[i][j] if i < na and j < na
+                 else na + tb[i - na][j - na] if i >= na and j >= na
+                 else mixed(i, j) for j in range(n)] for i in range(n)]
+    return list(la) + list(lb), table(ja, jb, max), table(ma, mb, min)
+
+
 def product_tables(a, b):
     """Direct product of two (labels, joins, meets) triples."""
     (la, ja, ma), (lb, jb, mb) = a, b

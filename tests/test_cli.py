@@ -3,13 +3,15 @@ import gc
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
-from pcdl import (Poset, antichain, chain, cli, duality, fan,
-                  poset_classes_exactly, poset_classes_upto, qmodel)
+from pcdl import (Poset, antichain, chain, cli, dual_congruence, dual_lattice,
+                  duality, fan, poset_classes_exactly, poset_classes_upto,
+                  qmodel, quotient)
 
 from _oracles import (cube_tables, diamond_tables, product_tables,
                       upsets_brute)
@@ -325,16 +327,55 @@ def test_out_file_and_seed(tmp_path, fan2):
 
 
 def test_json_reports_have_the_bytes_of_json_dumps(tmp_path, capsys):
-    # 128 elements: the join and meet tables are written row by row
-    path = write(tmp_path, "ac7.json", {
-        "elements": ["x%d" % i for i in range(7)], "covers": []})
+    # the join and meet tables of every up-set lattice a report holds are
+    # written row by row: 128 and 512 elements, and quotients of a poset
+    # and of a lattice file
+    docs = {n: {"elements": ["x%d" % i for i in range(n)], "covers": []}
+            for n in (7, 9)}
+    ac7, ac9 = (write(tmp_path, "ac%d.json" % n, d) for n, d in docs.items())
     out = tmp_path / "lattice.json"
-    assert cli.main(["dual", "--in", path, "--out", str(out)]) == 0
-    assert cli.main(["dual", "--in", path]) == 0
-    for text in (out.read_text(), capsys.readouterr().out):
+    assert cli.main(["dual", "--in", ac7, "--out", str(out)]) == 0
+    texts = [out.read_text()]
+    for argv in (["dual", "--in", ac7], ["dual", "--in", ac9],
+                 ["quotient", "--in", ac9, "--by", "x0,x3"],
+                 ["quotient", "--in", str(out), "--by", "{x1}"]):
+        assert cli.main(argv) == 0
+        texts.append(capsys.readouterr().out)
+    sizes = []
+    for text in texts:
         doc = json.loads(text)
-        assert len(doc["joins"]) == 128
         assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        sizes.append(len(doc.get("algebra", doc)["joins"]))
+    assert sizes == [128, 128, 512, 128, 64]
+    # the text format renders the tables that to_dict() holds
+    P = Poset.from_dict(docs[7])
+    A = dual_lattice(P)
+    q = quotient(A, dual_congruence(P, ["x2"]))
+    for argv, payload in (
+            (["dual", "--in", ac7], A.to_dict()),
+            (["quotient", "--in", ac7, "--by", "x2"],
+             {"algebra": q.algebra.to_dict(),
+              "projection": q.projection.map_labels()})):
+        assert cli.main(argv + ["--format", "text"]) == 0
+        payload["format"] = cli.FORMAT_TAG
+        assert capsys.readouterr().out == cli._render_text(payload) + "\n"
+
+
+def test_algebra_answers_keep_their_digests():
+    # every answer to the benchmark's algebra requests at seed 1, in JSON
+    # and in text, as tools/cli_digest.py hashes them
+    tool = pathlib.Path(__file__).resolve().parent.parent / "tools" \
+        / "cli_digest.py"
+    r = subprocess.run([sys.executable, str(tool), "--seeds", "1",
+                        "--workloads", "algebra"],
+                       capture_output=True, text=True, timeout=600)
+    assert r.returncode == 0, r.stderr
+    rows = [line.split() for line in r.stdout.splitlines()[:-1]]
+    assert {(row[0], row[2], row[3]): row[-1] for row in rows} == {
+        ("algebra", "1", "json"):
+            "ac1f022c0ca29f39eded1ab8124d9acac5e7026ce094d430a090637b4c339ab7",
+        ("algebra", "1", "text"):
+            "e4ad5f07654f3e9ae6b789a63cd859f82e15d854ee2fd4f2aa8d15ae0b6c484c"}
 
 
 @pytest.mark.parametrize("payload", [

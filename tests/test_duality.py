@@ -12,8 +12,9 @@ from pcdl import (AbstractLattice, LatticeHom, OrderMap, antichain, chain,
                   poset_classes_upto, product_lattice, quotient, unit_iso)
 from pcdl.duality import _join_irreducibles, _order_masks
 
-from _oracles import (certify_lattice_tables, cube_plus_one_tables,
-                      cube_tables, diamond_tables, join_irreducibles_by_covers,
+from _oracles import (certify_lattice_tables, chain_tables,
+                      cube_plus_one_tables, cube_tables, diamond_tables,
+                      join_irreducibles_by_covers, ordinal_sum_tables,
                       product_tables, random_poset)
 
 
@@ -224,8 +225,9 @@ def _corruptions(labels, joins, meets):
 
 @pytest.mark.parametrize("tables", [
     cube_plus_one_tables(2), diamond_tables(),
-    product_tables(cube_plus_one_tables(1), cube_tables(1))],
-    ids=["cube2+1", "diamond", "chain3x2"])
+    product_tables(cube_plus_one_tables(1), cube_tables(1)),
+    ordinal_sum_tables(cube_tables(2), chain_tables(7))],
+    ids=["cube2+1", "diamond", "chain3x2", "cube2+chain7"])
 def test_certificate_matches_the_pair_scan(tables):
     messages = Counter()
     for corrupted in [tables, *_corruptions(*tables)]:
@@ -239,6 +241,23 @@ def test_certificate_matches_the_pair_scan(tables):
     assert any(m.startswith("unit map") for m in messages), messages
 
 
+def test_certificate_reads_three_byte_cells():
+    # 17 join-irreducibles: each unit mask fills a cell of three bytes
+    tables = ordinal_sum_tables(cube_tables(2), chain_tables(15))
+    lat = AbstractLattice(*tables)
+    assert lat.algebra.base.n == 17
+    assert _unit_masks(*tables) == certify_lattice_tables(*tables)
+    # the two atoms of the square joined to the first point above it: the
+    # laws still hold, so the unit map rejects the tables
+    labels, joins, meets = tables
+    joins = [list(r) for r in joins]
+    joins[1][2] = joins[2][1] = 4
+    want = _outcome(certify_lattice_tables, (labels, joins, meets))
+    assert want == ("rejected", "unit map is not a homomorphism; "
+                                "input is not distributive")
+    assert _outcome(_unit_masks, (labels, joins, meets)) == want
+
+
 def test_join_irreducibles_match_the_cover_scan():
     rng = random.Random(5)
     posets = list(poset_classes_upto(4))
@@ -248,6 +267,9 @@ def test_join_irreducibles_match_the_cover_scan():
     lattices += [AbstractLattice(*cube_tables(n)) for n in range(4)]
     lattices += [AbstractLattice(*product_tables(cube_plus_one_tables(1),
                                                  cube_plus_one_tables(2)))]
+    lattices += [AbstractLattice(*ordinal_sum_tables(cube_tables(2),
+                                                     chain_tables(k)))
+                 for k in (7, 15)]
     A = dual_lattice(fan(3))
     lattices.append(quotient(A, dual_congruence(A.base, ["g", "t1"])).algebra)
     for lat in lattices:

@@ -1,18 +1,20 @@
 """One sha256 over everything the pcdl CLI answers to the benchmark's requests.
 
     python3 tools/cli_digest.py [--root CHECKOUT] [--seeds 1 2]
+        [--workloads NAME ...]
 
-Builds the request lists of the four workloads in perfbench/workloads.py
-for each seed, writes their inputs to a temporary directory and runs every
-request in-process through pcdl.cli.main with --jobs 1, as the benchmark
-does. The algebra requests run a second time with --format text; a request
-that writes --out keeps the JSON format there, since the next request reads
-its file. Each answer is its argv, exit code, stdout, stderr and --out file,
-with the temporary directory's path replaced by a fixed name. One line per
-(workload, seed, format) gives its request count and digest; the last line
-is the digest of them all. pcdl and the workloads are imported from
-CHECKOUT (default: the checkout holding this script), so two checkouts can
-be compared without copying the script. Stdlib only.
+Builds the request lists of the workloads in perfbench/workloads.py (all
+four unless --workloads names some) for each seed, writes their inputs to
+a temporary directory and runs every request in-process through
+pcdl.cli.main with --jobs 1, as the benchmark does. The algebra requests
+run a second time with --format text; a request that writes --out keeps
+the JSON format there, since the next request reads its file. Each answer
+is its argv, exit code, stdout, stderr and --out file, with the temporary
+directory's path replaced by a fixed name. One line per (workload, seed,
+format) gives its request count and digest; the last line is the digest
+of them all. pcdl and the workloads are imported from CHECKOUT (default:
+the checkout holding this script), so two checkouts can be compared
+without copying the script. Stdlib only.
 """
 
 from __future__ import annotations
@@ -49,14 +51,22 @@ def run_request(cli, argv: list, workdir: Path) -> list:
     return json.loads(json.dumps(answer).replace(str(workdir), "WORK"))
 
 
-def digest_runs(root: Path, seeds: list):
-    """Yields (workload, seed, format, requests, sha256 hex) per run."""
+def digest_runs(root: Path, seeds: list, names=None):
+    """Yields (workload, seed, format, requests, sha256 hex) per run.
+
+    names picks workloads, in the order of WORKLOADS; None runs them all.
+    """
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import pcdl.cli
     from workloads import WORKLOADS
     if Path(pcdl.__file__).resolve().parent != (root / "src" / "pcdl"):
         sys.exit("error: pcdl was imported from %s" % pcdl.__file__)
+    unknown = sorted(set(names or ()) - set(WORKLOADS))
+    if unknown:
+        sys.exit("error: no workload named %s" % ", ".join(unknown))
     for name, workload in WORKLOADS.items():
+        if names is not None and name not in names:
+            continue
         formats = ("json", "text") if name == "algebra" else ("json",)
         for seed in seeds:
             for fmt in formats:
@@ -81,11 +91,13 @@ def main(argv=None) -> int:
                         default=Path(__file__).resolve().parent.parent,
                         help="pcdl checkout to run (default: this one)")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
+    parser.add_argument("--workloads", nargs="+", metavar="NAME",
+                        help="workloads to run (default: all four)")
     args = parser.parse_args(argv)
     total = hashlib.sha256()
     calls = 0
     for name, seed, fmt, count, hexdigest in digest_runs(
-            args.root.resolve(), args.seeds):
+            args.root.resolve(), args.seeds, args.workloads):
         print("%-14s seed %d %-4s %4d requests %s"
               % (name, seed, fmt, count, hexdigest))
         total.update(hexdigest.encode())
