@@ -14,7 +14,7 @@ from functools import cache
 from math import factorial
 
 from .duality import LatticeHom, UpSetLattice, _star_mask
-from .posets import OrderMap, Poset, _twin_classes, bits, fan
+from .posets import OrderMap, Poset, _bit_indices, _twin_classes, bits, fan
 
 
 def pseudocomplement(poset: Poset, mask: int) -> int:
@@ -103,11 +103,16 @@ def _iter_p_morphisms(source: Poset, target: Poset, onto: bool = False,
     maximals above it already have images and the maximal-set condition
     prunes exactly: a maximal point takes a maximal target point, and any
     other point y takes a target point whose maximal set is exactly the
-    image of M(y), read from a map built once per call, below the images
-    of its upper covers. The search is iterative: one candidate mask per
-    position, taken lowest point first, on an explicit stack. fibers
-    optionally restricts each source point to a candidate mask. The
-    empty source has the one empty map, onto only the empty target.
+    image of M(y), below the images of its upper covers. The points with
+    each maximal set are read from target.with_above, built once per
+    target and kept on it. The per-call rows are lookups: a stable sort
+    of the points by up-set size (so ties keep index order), covers and
+    maximal sets through _bit_indices, and the onto cut's two lists from
+    the block size. The search is iterative: one candidate mask per
+    position, taken lowest point first, on an explicit stack, so tables
+    come in increasing order of the images of the points in that order.
+    fibers optionally restricts each source point to a candidate mask.
+    The empty source has the one empty map, onto only the empty target.
 
     With onto, the maximal points, which come first in search order as
     one block, are counted apart from the rest. A maximal target point p
@@ -140,20 +145,18 @@ def _iter_p_morphisms(source: Poset, target: Poset, onto: bool = False,
     block, tblock = smax.bit_count(), tmax.bit_count()
     if nt == 0 or onto and (tblock > block or nt - tblock > ns - block):
         return
-    # source rows in search order, computed once per call
-    order = sorted(range(ns), key=lambda i: (source.up[i].bit_count(), i))
-    covers = [tuple(bits(source.covers_up[y])) for y in order]
-    is_max = [smax >> y & 1 for y in order]
-    above = [tuple(bits(source.up[y] & smax)) for y in order]
+    # source rows in search order, read by lookup once per call; the sort
+    # is stable, so points of one up-set size keep index order
+    up = source.up
+    order = sorted(range(ns), key=list(map(int.bit_count, up)).__getitem__)
+    covers = [_bit_indices(source.covers_up[y]) for y in order]
+    above = [_bit_indices(up[y] & smax) for y in order]
     # the onto cut at each position: the target points still to be hit
     # and the positions left that can hit them, maximal ones within the
     # block and all of them past it
-    need = [tmax if k < block else tfull for k in range(ns)]
-    left = [(block if k < block else ns) - 1 - k for k in range(ns)]
-    with_above = {}
-    for p in range(nt):
-        key = target.up[p] & tmax
-        with_above[key] = with_above.get(key, 0) | 1 << p
+    need = [tmax] * block + [tfull] * (ns - block)
+    left = [*range(block - 1, -1, -1), *range(ns - block - 1, -1, -1)]
+    with_above = target.with_above
     allow = [tfull] * ns if fibers is None else [fibers[y] for y in order]
     # with twins, the position of each point's previous twin, else -1
     prev = [-1] * ns
@@ -203,7 +206,7 @@ def _iter_p_morphisms(source: Poset, target: Poset, onto: bool = False,
         mask = allow[pos]
         for z in covers[pos]:
             mask &= tdown[assign[z]]
-        if is_max[pos]:
+        if pos < block:
             mask &= tmax
         else:
             want = 0

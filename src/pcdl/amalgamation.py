@@ -19,7 +19,7 @@ from .algebras import (_dual, _iter_p_morphisms, _orbit_weight,
                        is_p_morphism, star_embedding_failure, star_homs,
                        variety_index)
 from .duality import UpSetLattice
-from .enumeration import poset_classes_exactly
+from .enumeration import class_shapes, poset_classes_exactly
 from .posets import OrderMap, Poset, _twin_classes, bits, fan
 
 
@@ -270,10 +270,11 @@ def _extension_classes(P: Poset, n: int, bound: int) -> list:
       b_i >= a_i for every i.
     - Components: gamma preserves order, so it sends each connected
       component of Y into one component of P. Onto needs at least as
-      many components in Y as in P. The maximal points above one point
-      lie in one component, so Y has at most |M(Y)| - b_1 + 1 of them;
-      Y's components are counted only when P has more than one and that
-      bound does not settle it.
+      many components in Y as in P.
+    With the index (b_1, or 1 for a nonempty antichain), the three rules
+    read only Y's shape: its maximal count, its list b and its component
+    count. So each rule is decided once per shape of class_shapes, and
+    the classes of the kept shapes are read back in class order.
     """
     p_maxes = P.maximals_mask
     n_max = p_maxes.bit_count()
@@ -284,20 +285,16 @@ def _extension_classes(P: Poset, n: int, bound: int) -> list:
     for k in range(P.n, bound + 1):
         # a nonempty antichain has index 1
         floor = min(k, 1)
-        for Y in poset_classes_exactly(k):
-            maxes = Y.maximals_mask
-            tops = maxes.bit_count()
-            if tops < n_max:
-                continue
-            sizes = sorted([(u & maxes).bit_count()
-                            for u in Y.up if u & ~maxes], reverse=True)
-            if (sizes[0] if sizes else floor) > n or len(sizes) < len(need) \
+        kept = []
+        for (tops, sizes, comps), where in class_shapes(k).items():
+            if tops < n_max or comps < parts \
+                    or (sizes[0] if sizes else floor) > n \
+                    or len(sizes) < len(need) \
                     or any(b < a for a, b in zip(need, sizes)):
                 continue
-            spread = tops - sizes[0] + 1 if sizes else tops
-            if spread < parts or parts > 1 and len(Y.components()) < parts:
-                continue
-            out.append(Y)
+            kept += where
+        kept.sort()
+        out += map(poset_classes_exactly(k).__getitem__, kept)
     return out
 
 

@@ -79,7 +79,8 @@ class Poset:
     """
 
     __slots__ = ("labels", "up", "down", "covers_up", "covers_down",
-                 "_index", "_upsets", "_canon", "_aut", "_maximals")
+                 "_index", "_upsets", "_canon", "_aut", "_maximals",
+                 "_with_above")
 
     def __init__(self, labels: Iterable[str], up: Iterable[int]):
         labels = tuple(labels)
@@ -124,6 +125,7 @@ class Poset:
         self._canon = None
         self._aut = None
         self._maximals = None
+        self._with_above = None
 
     @classmethod
     def from_covers(cls, labels: Iterable[str],
@@ -219,6 +221,19 @@ class Poset:
         return self._maximals
 
     @property
+    def with_above(self) -> dict:
+        """Maximal-set mask -> mask of the points with exactly those
+        maximal points above them. Computed once; read, never changed."""
+        if self._with_above is None:
+            maxes = self.maximals_mask
+            out = {}
+            for p, row in enumerate(self.up):
+                key = row & maxes
+                out[key] = out.get(key, 0) | 1 << p
+            self._with_above = out
+        return self._with_above
+
+    @property
     def minimals_mask(self) -> int:
         m = 0
         for i in range(len(self.labels)):
@@ -296,20 +311,19 @@ class Poset:
 
     def components(self) -> list:
         """Masks of the connected components of the comparability graph."""
-        n = len(self.labels)
+        up, down = self.up, self.down
         seen = 0
         out = []
-        for i in range(n):
+        for i in range(len(up)):
             if seen >> i & 1:
                 continue
-            comp = 1 << i
-            frontier = 1 << i
+            comp = frontier = 1 << i
             while frontier:
                 nxt = 0
-                for j in bits(frontier):
-                    nxt |= (self.up[j] | self.down[j]) & ~comp
-                comp |= nxt
-                frontier = nxt
+                for j in _bit_indices(frontier):
+                    nxt |= up[j] | down[j]
+                frontier = nxt & ~comp
+                comp |= frontier
             seen |= comp
             out.append(comp)
         return out

@@ -476,6 +476,41 @@ def extension_classes_plain(P, n, bound) -> list:
     return out
 
 
+def extension_classes_by_scan(P, n, bound) -> list:
+    """The extension-class filter decided class by class.
+
+    Each class of P.n to bound points, in class order, is kept when it
+    passes the maximal-count, Hall-profile and component rules of
+    amalgamation._extension_classes, each read off the class itself. The
+    class lists are read from the library.
+    """
+    from pcdl import poset_classes_exactly
+    p_maxes = P.maximals_mask
+    n_max = p_maxes.bit_count()
+    need = sorted([(u & p_maxes).bit_count() for u in P.up if u & ~p_maxes],
+                  reverse=True)
+    parts = len(P.components())
+    out = []
+    for k in range(P.n, bound + 1):
+        # a nonempty antichain has index 1
+        floor = min(k, 1)
+        for Y in poset_classes_exactly(k):
+            maxes = Y.maximals_mask
+            tops = maxes.bit_count()
+            if tops < n_max:
+                continue
+            sizes = sorted([(u & maxes).bit_count()
+                            for u in Y.up if u & ~maxes], reverse=True)
+            if (sizes[0] if sizes else floor) > n or len(sizes) < len(need) \
+                    or any(b < a for a, b in zip(need, sizes)):
+                continue
+            spread = tops - sizes[0] + 1 if sizes else tops
+            if spread < parts or parts > 1 and len(Y.components()) < parts:
+                continue
+            out.append(Y)
+    return out
+
+
 def extension_class_task_plain(Y, P, profiles, alpha_tables) -> tuple:
     """The extension oracle's class task with every onto gamma read.
 

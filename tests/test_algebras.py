@@ -149,15 +149,22 @@ def _orbit_firsts(Y, tables) -> list:
     return out
 
 
-def test_search_order_of_onto_and_twin_searches():
-    # onto and twins only drop tables from the plain search: onto keeps
-    # the onto ones and twins the first of each orbit, in plain order
+def _search_sources() -> list:
+    """Every class of at most 5 points, relabelled copies of those of 3 to
+    5 points, and relabelled samples of 6 and 7 points."""
     rng = random.Random(20)
     sources = list(poset_classes_upto(5))
     sources += [random_relabel(Y, rng) for Y in poset_classes_upto(5)
                 if Y.n >= 3]
     sources += [random_relabel(Y, rng) for k in (6, 7)
                 for Y in rng.sample(poset_classes_exactly(k), 6)]
+    return sources
+
+
+def test_search_order_of_onto_and_twin_searches():
+    # onto and twins only drop tables from the plain search: onto keeps
+    # the onto ones and twins the first of each orbit, in plain order
+    sources = _search_sources()
     targets = poset_classes_upto(4)
     onto_total = reps = 0
     for Y in sources:
@@ -172,6 +179,35 @@ def test_search_order_of_onto_and_twin_searches():
                                           twins=True)) == firsts
             onto_total, reps = onto_total + len(onto), reps + len(firsts)
     assert reps < onto_total
+
+
+def _with_above_by_scan(P) -> dict:
+    """Maximal-set mask -> mask of the points with that maximal set."""
+    maxes = [z for z in range(P.n) if P.up[z] == 1 << z]
+    out = {}
+    for p in range(P.n):
+        key = sum(1 << z for z in maxes if P.up[p] >> z & 1)
+        out[key] = out.get(key, 0) | 1 << p
+    return out
+
+
+def test_search_yields_in_search_order():
+    # witnesses and the CLI's answers follow search order: points sorted
+    # by (up-set size, index), each search's tables strictly increase in
+    # the images those points take
+    sources = _search_sources()
+    targets = poset_classes_upto(4)
+    for Y in sources:
+        order = sorted(range(Y.n), key=lambda y: (Y.up[y].bit_count(), y))
+        for P in targets:
+            keys = [tuple(t[y] for y in order)
+                    for t in _iter_p_morphisms(Y, P)]
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+    # each target keeps the points-by-maximal-set map its first search
+    # built, and later searches leave it as a fresh scan gives it
+    for P in targets[1:]:
+        assert P._with_above is not None
+        assert P.with_above == _with_above_by_scan(P)
 
 
 def test_search_core_empty_source_and_target():

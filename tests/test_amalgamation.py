@@ -7,9 +7,11 @@ import pytest
 import pcdl
 from pcdl import algebras, amalgamation
 from pcdl.algebras import _iter_p_morphisms, variety_index
-from pcdl.enumeration import poset_classes_upto
+from pcdl.enumeration import (class_shapes, poset_classes_exactly,
+                              poset_classes_upto)
 from _oracles import (extension_class_task_by_orbits,
-                      extension_class_task_plain, extension_classes_plain,
+                      extension_class_task_plain, extension_classes_by_scan,
+                      extension_classes_plain,
                       fan_lift_by_digits, first_lift_brute)
 from pcdl import (ExtensionResult, LatticeHom, OrderMap,
                   amalgamate_or_separate, antichain, catalog,
@@ -234,6 +236,31 @@ def test_extension_filter_drops_only_classes_with_no_onto_map():
             assert next(_iter_p_morphisms(Y, P, onto=True), None) is None
             dropped += 1
     assert (len(cases), dropped) == (85, 11518)
+
+
+def test_extension_filter_by_shape_matches_the_class_scan():
+    # the shape index keeps the scan's own class objects, in its order,
+    # for every P of at most 4 points (disconnected ones too, so the
+    # component rule is read), n from its index to 3, bounds P.n to 7
+    cases = [(P, n, bound) for P in poset_classes_upto(4)
+             for n in range(variety_index(P), 4)
+             for bound in range(P.n, 8)]
+    assert any(len(P.components()) > 1 for P, _, _ in cases)
+    held = class_shapes(7)
+    for fresh in (False, True):
+        if fresh:
+            # a fresh enumeration has new tuples, so a new index
+            poset_classes_exactly.cache_clear()
+            poset_classes_upto.cache_clear()
+        kept = 0
+        for P, n, bound in cases:
+            got = amalgamation._extension_classes(P, n, bound)
+            want = extension_classes_by_scan(P, n, bound)
+            assert len(got) == len(want)
+            assert all(Y is Z for Y, Z in zip(got, want))
+            kept += len(got)
+        assert (len(cases), kept) == (323, 80112)
+    assert class_shapes(7) is not held
 
 
 def _answer(r: ExtensionResult) -> tuple:

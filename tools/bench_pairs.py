@@ -10,10 +10,13 @@ on each side, one after the other: the parent first on the first seed, the
 change first on the next, and so on. Each run's last stdout line is its
 result. BENCH_<N>.json at the root of the checkout then holds every run,
 and for each end-to-end metric of BENCHMARK.json and each workload the
-runs of both sides, their medians and quartiles, and the number of pairs
-in which the change was better; its "requests" entry gives, for each side,
-the attempted and failed requests summed over the runs and the number of
-runs that were not correct. Stdlib only.
+runs of both sides, their medians and quartiles, the number of pairs in
+which the change was better, the metric's bound, and worse_past_bound:
+whether the change's median is worse than the parent's by more than bound
+times the parent's median. Each such metric also gets one stderr line
+when the runs are done. The "requests" entry gives, for each side, the
+attempted and failed requests summed over the runs and the number of runs
+that were not correct. Stdlib only.
 """
 
 from __future__ import annotations
@@ -71,20 +74,27 @@ def quartiles(values: list) -> list:
     return [round(q, 4) for q in statistics.quantiles(values, n=4)]
 
 
-def summarize(pairs: list, better: dict) -> dict:
+def summarize(pairs: list, metrics: dict) -> dict:
+    """Per (workload, end-to-end metric) entries, then request counts.
+
+    metrics maps each end-to-end metric of BENCHMARK.json to its entry
+    there, which gives "better" and "bound".
+    """
     names = sorted({m for p in pairs for m in p["parent"]["metrics"]})
     out = {}
     for name in names:
         metric = name.rsplit(".", 1)[1]
-        if metric not in better:
+        if metric not in metrics:
             continue
-        lower = better[metric] == "lower"
+        better, bound = metrics[metric]["better"], metrics[metric]["bound"]
+        lower = better == "lower"
         parent = [p["parent"]["metrics"][name] for p in pairs]
         change = [p["change"]["metrics"][name] for p in pairs]
         pm, cm = statistics.median(parent), statistics.median(change)
         q = quartiles(parent)
         out[name] = {
-            "better": better[metric],
+            "better": better,
+            "bound": bound,
             "parent": parent,
             "change": change,
             "parent_median": round(pm, 4),
@@ -99,6 +109,8 @@ def summarize(pairs: list, better: dict) -> dict:
             "change_better_in": sum((c < p) if lower else (c > p)
                                     for p, c in zip(parent, change)),
             "pairs": len(pairs),
+            "worse_past_bound":
+                (cm - pm if lower else pm - cm) > bound * abs(pm),
         }
     out["requests"] = {
         side: {"attempted": sum(p[side]["attempted"] for p in pairs),
@@ -116,8 +128,8 @@ def main(argv=None) -> int:
                         help="names the output, BENCH_<pr>.json")
     parser.add_argument("--seconds", type=float, default=15)
     args = parser.parse_args(argv)
-    better = {m["name"]: m["better"] for m in
-              json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    metrics = {m["name"]: m for m in
+               json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     parent_sha = git("rev-parse", args.parent)
     doc = {
         "parent": parent_sha,
@@ -145,11 +157,16 @@ def main(argv=None) -> int:
                 pair[side] = run_side(root, seed, args.seconds)
             pairs.append(pair)
             # rewritten after every pair, so a cut run keeps what it made
-            doc["summary"] = summarize(pairs, better)
+            doc["summary"] = summarize(pairs, metrics)
             doc["pairs"] = pairs
             out.write_text(json.dumps(doc, indent=2) + "\n")
             print("pair %d of %d written to %s"
                   % (k + 1, len(args.seeds), out), file=sys.stderr)
+    for name, entry in doc["summary"].items():
+        if entry.get("worse_past_bound"):
+            print("worse past its bound: %s median %g -> %g, bound %g%%"
+                  % (name, entry["parent_median"], entry["change_median"],
+                     100 * entry["bound"]), file=sys.stderr)
     return 0
 
 
