@@ -9,8 +9,6 @@ separation routine settles concrete two-sided embedding instances.
 
 from __future__ import annotations
 
-import os
-from itertools import repeat
 from math import comb
 from typing import NamedTuple, Optional
 
@@ -19,7 +17,7 @@ from .algebras import (_dual, _iter_p_morphisms, _orbit_weight,
                        is_p_morphism, star_embedding_failure, star_homs,
                        variety_index)
 from .duality import UpSetLattice
-from .enumeration import class_shapes, poset_classes_exactly
+from .enumeration import _shape, class_shapes, poset_classes_exactly
 from .posets import OrderMap, Poset, _twin_classes, bits, fan
 
 
@@ -228,20 +226,13 @@ class ExtensionResult(NamedTuple):
 
     The extension oracle answers holds or fails_with_witness; the
     congruence-extension search always answers yes, with no witness.
-    instances counts the pairs decided; the oracle's, on a failure, by
-    whole twin-swap orbits up to its witness.
+    instances counts the pairs decided, all in one process; the
+    oracle's, on a failure, by whole twin-swap orbits up to its witness.
     """
     verdict: str
     witness: object
     instances: int
     bound: int
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity, where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _require_room(P: Poset, bound: int) -> None:
@@ -272,15 +263,12 @@ def _extension_classes(P: Poset, n: int, bound: int) -> list:
       component of Y into one component of P. Onto needs at least as
       many components in Y as in P.
     With the index (b_1, or 1 for a nonempty antichain), the three rules
-    read only Y's shape: its maximal count, its list b and its component
-    count. So each rule is decided once per shape of class_shapes, and
-    the classes of the kept shapes are read back in class order.
+    read only the shapes (_shape) of P and of Y: maximal count, list a or
+    b, and component count. So each rule is decided once per shape of
+    class_shapes, and the classes of the kept shapes are read back in
+    class order.
     """
-    p_maxes = P.maximals_mask
-    n_max = p_maxes.bit_count()
-    need = sorted([(u & p_maxes).bit_count() for u in P.up if u & ~p_maxes],
-                  reverse=True)
-    parts = len(P.components())
+    n_max, need, parts = _shape(P)
     out = []
     for k in range(P.n, bound + 1):
         # a nonempty antichain has index 1
@@ -361,8 +349,8 @@ def _fan_map_count(P: Poset, n: int) -> int:
     return count
 
 
-def extension_property_bounded(A, n: int, bound: Optional[int] = None,
-                               jobs: int = 1) -> ExtensionResult:
+def extension_property_bounded(A, n: int,
+                               bound: Optional[int] = None) -> ExtensionResult:
     """Check that every map of A to the top fan extends along extensions.
 
     A is an algebra or its dual poset. Extensions range over duals of at
@@ -371,14 +359,13 @@ def extension_property_bounded(A, n: int, bound: Optional[int] = None,
     of rank n, so each lift is a map of fan(n) and is decided in closed
     form (_fan_lift) with no search. holds means every such map lifted;
     a failed lift is returned as a witness triple, the first failing
-    gamma and alpha of plain enumeration. Classes are read in order and
-    the search stops at the first witness, so results are identical for
-    any jobs value. On a failure, instances counts the witness's class
-    by whole twin-swap orbits (_extension_class_task). bound defaults
-    to three points more than P(A); a bound below the size of P(A) is
-    refused, as it would hold vacuously, and so is an n with more than
-    _MAX_FAN_MAPS maps of fan(n) into P(A) (_fan_map_count), before any
-    is listed.
+    gamma and alpha of plain enumeration. Classes are read in order, in
+    this process, and the search stops at the first witness. On a
+    failure, instances counts the witness's class by whole twin-swap
+    orbits (_extension_class_task). bound defaults to three points more
+    than P(A); a bound below the size of P(A) is refused, as it would
+    hold vacuously, and so is an n with more than _MAX_FAN_MAPS maps of
+    fan(n) into P(A) (_fan_map_count), before any is listed.
     """
     if not in_variety(A, n):
         raise ValueError("algebra is outside the variety of index %d" % n)
@@ -396,31 +383,16 @@ def extension_property_bounded(A, n: int, bound: Optional[int] = None,
     first = {}
     for k, table in enumerate(tables):
         first.setdefault(_top_profile(table, P.n), k)
-    classes = _extension_classes(P, n, bound)
-    # a fork pool starts all of its workers at the first submit
-    workers = min(jobs, len(classes), _usable_cpus())
-    ex = None
-    if workers > 1:
-        import concurrent.futures
-        ex = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
-        results = ex.map(_extension_class_task, classes,
-                         repeat(P), repeat(first), repeat(tables))
-    else:
-        results = (_extension_class_task(Y, P, first, tables)
-                   for Y in classes)
-    try:
-        instances = 0
-        for Y, (count, witness) in zip(classes, results):
-            instances += count
-            if witness is not None:
-                gamma = OrderMap(Y, P, witness[0])
-                alpha = OrderMap(V, P, witness[1])
-                return ExtensionResult("fails_with_witness",
-                                       (Y, gamma, alpha), instances, bound)
-        return ExtensionResult("holds", None, instances, bound)
-    finally:
-        if ex is not None:
-            ex.shutdown(wait=True, cancel_futures=True)
+    instances = 0
+    for Y in _extension_classes(P, n, bound):
+        count, witness = _extension_class_task(Y, P, first, tables)
+        instances += count
+        if witness is not None:
+            gamma = OrderMap(Y, P, witness[0])
+            alpha = OrderMap(V, P, witness[1])
+            return ExtensionResult("fails_with_witness",
+                                   (Y, gamma, alpha), instances, bound)
+    return ExtensionResult("holds", None, instances, bound)
 
 
 class SeparationResult(NamedTuple):

@@ -7,16 +7,16 @@ from .amalgamation import extension_property_bounded, forbidden_images
 from .enumeration import poset_classes_exactly
 
 
-def catalog(max_points: int, n: int, oracle: bool = False, bound=None,
-            jobs: int = 1) -> list:
+def catalog(max_points: int, n: int, oracle: bool = False,
+            bound=None) -> list:
     """One row per isomorphism class of posets on exactly max_points points.
 
     Each row reports the algebra size, variety index, multiset of maximal
     cover set sizes, the criterion verdict for the index-n variety, and
     the forbidden sizes behind it. With oracle=True the bounded extension
-    search is run as an independent check, at bound points (None for
-    the oracle's default). Every column is read off the dual poset, so
-    no algebra is built.
+    search is run in this process as an independent check, at bound
+    points (None for the oracle's default). Every column is read off the
+    dual poset, so no algebra is built.
     """
     if max_points > 6:
         raise ValueError("catalog is limited to posets on at most 6 points")
@@ -41,7 +41,7 @@ def catalog(max_points: int, n: int, oracle: bool = False, bound=None,
             row["verdict"] = "base" if not forb else "not_base"
             row["forbidden"] = forb
         if oracle and idx <= n:
-            res = extension_property_bounded(P, n, bound, jobs=jobs)
+            res = extension_property_bounded(P, n, bound)
             row["oracle"] = res.verdict
             row["oracle_instances"] = res.instances
         rows.append(row)

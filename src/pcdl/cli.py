@@ -5,7 +5,8 @@ files holding posets, lattices, or maps (auto-detected by shape), and
 reports are emitted as JSON with a format tag, as plain text, or as DOT
 where a diagram makes sense. Exit codes: 0 for success or a positive
 verdict, 1 for a negative verdict, 3 for bad input, 4 for a broken
-internal invariant.
+internal invariant. Every search runs in this one process, whatever
+the options.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 from functools import cache
 from itertools import repeat
@@ -318,8 +318,7 @@ def _cmd_amalgam(args) -> int:
     }
     code = 0 if verdict.is_base else 1
     if args.oracle:
-        res = extension_property_bounded(P, args.n, args.bound,
-                                         jobs=args.jobs)
+        res = extension_property_bounded(P, args.n, args.bound)
         payload["oracle"] = res.verdict
         payload["oracle_instances"] = res.instances
         payload["oracle_bound"] = res.bound
@@ -424,7 +423,7 @@ def _cmd_q_model(args) -> int:
 
 def _cmd_catalog(args) -> int:
     rows = catalog(args.max_points, args.n, oracle=args.oracle,
-                   bound=args.bound, jobs=args.jobs)
+                   bound=args.bound)
     _emit(args, {"max_points": args.max_points, "n": args.n, "rows": rows})
     return 0
 
@@ -456,10 +455,10 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=["json", "text"], default="json",
                         help="report format (default json)")
         sp.add_argument("--out", help="write the report to a file")
-        sp.add_argument("--jobs", type=int, default=None,
-                        help="worker processes for the lift oracle "
-                             "(amalgam --oracle, catalog --oracle); other "
-                             "commands ignore it (default PCDL_JOBS, else 1)")
+        sp.add_argument("--jobs", type=int, default=1,
+                        help="accepted and checked (at least 1), but "
+                             "changes nothing: every search runs in one "
+                             "process")
         sp.add_argument("--seed", type=int, default=None,
                         help="seed echoed into the report; all searches "
                              "are deterministic")
@@ -533,17 +532,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_numbers(args) -> None:
-    if args.jobs is None:
-        env = os.environ.get("PCDL_JOBS", "1")
-        try:
-            args.jobs = int(env)
-        except ValueError:
-            raise CliInputError("PCDL_JOBS is not an integer: %r" % env)
-    for name, least in (("jobs", 1), ("n", 0), ("bound", 0)):
+    for name, least in (("jobs", 1), ("n", 0), ("bound", 0), ("N", 0),
+                        ("m", 0), ("max_points", 0)):
         value = getattr(args, name, None)
         if value is not None and value < least:
             raise CliInputError("--%s must be at least %d, got %d"
-                                % (name, least, value))
+                                % (name.replace("_", "-"), least, value))
 
 
 def main(argv=None) -> int:

@@ -2,7 +2,6 @@ import contextlib
 import gc
 import io
 import json
-import os
 import pathlib
 import subprocess
 import sys
@@ -22,13 +21,9 @@ FAN3 = {"format": "pcdl/1", "elements": ["g", "t1", "t2", "t3"],
         "covers": [["g", "t1"], ["g", "t2"], ["g", "t3"]]}
 
 
-def run(*args, env=None, timeout=None):
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
+def run(*args, timeout=None):
     return subprocess.run([sys.executable, "-m", "pcdl.cli"] + list(args),
-                          capture_output=True, text=True, env=full_env,
-                          timeout=timeout)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def write(tmp_path, name, payload):
@@ -282,13 +277,6 @@ def test_byte_identical_reruns(fan2):
     two = run("amalgam", "--in", fan2, "--n", "3", "--oracle", "--bound",
               "5", "--jobs", "2")
     assert one.stdout == two.stdout
-
-
-def test_jobs_env_default(fan2):
-    r = run("amalgam", "--in", fan2, "--n", "3", "--oracle", "--bound", "5",
-            env={"PCDL_JOBS": "2"})
-    assert r.returncode == 1
-    assert json.loads(r.stdout)["oracle"] == "fails_with_witness"
 
 
 def test_error_exit_codes(tmp_path, fan2):
@@ -591,22 +579,24 @@ def _with_input(args, path) -> list:
     return [path if a == "IN" else a for a in args]
 
 
-@pytest.mark.parametrize("args, env, flag", [
-    (("variety-index", "--in", "IN"), {"PCDL_JOBS": "abc"}, "PCDL_JOBS"),
-    (("variety-index", "--in", "IN", "--jobs", "0"), None, "--jobs"),
+@pytest.mark.parametrize("args, flag", [
+    (("variety-index", "--in", "IN", "--jobs", "0"), "--jobs"),
     (("amalgam", "--in", "IN", "--n", "3", "--oracle", "--bound", "-2"),
-     None, "--bound"),
+     "--bound"),
     # fan2 has three points, so no extension fits in two
     (("amalgam", "--in", "IN", "--n", "3", "--oracle", "--bound", "2"),
-     None, "bound 2"),
-    (("extensile", "--in", "IN", "--n", "3", "--bound", "2"), None,
      "bound 2"),
-    (("catalog", "--max-points", "3", "--n", "-2"), None, "--n"),
-    (("amalgam", "--in", "IN", "--n", "-1"), None, "--n"),
-], ids=["jobs-env", "jobs", "bound", "oracle-room", "extensile-room",
-        "catalog-n", "amalgam-n"])
-def test_bad_numbers_exit_3_with_one_line(fan2, args, env, flag):
-    _one_error_line(run(*_with_input(args, fan2), env=env), flag)
+    (("extensile", "--in", "IN", "--n", "3", "--bound", "2"), "bound 2"),
+    (("catalog", "--max-points", "3", "--n", "-2"), "--n"),
+    (("amalgam", "--in", "IN", "--n", "-1"), "--n"),
+    (("q-model", "--N", "-1", "--m", "2"), "--N must be at least 0, got -1"),
+    (("q-model", "--N", "2", "--m", "-1"), "--m must be at least 0, got -1"),
+    (("catalog", "--max-points", "-1", "--n", "3"),
+     "--max-points must be at least 0, got -1"),
+], ids=["jobs", "bound", "oracle-room", "extensile-room", "catalog-n",
+        "amalgam-n", "q-model-N", "q-model-m", "catalog-max-points"])
+def test_bad_numbers_exit_3_with_one_line(fan2, args, flag):
+    _one_error_line(run(*_with_input(args, fan2)), flag)
 
 
 def test_oracle_refuses_a_fan_past_its_map_cap(fan2):

@@ -3,9 +3,9 @@
 Unused imports in the package, the benchmark tools and the tests are
 found by walking each module's syntax tree, and every name in
 pcdl.__all__ must resolve, once. The README's quick tour runs, and each
-value its comments state is checked. Importing the CLI loads neither the
+value its comments state is checked. Importing the CLI loads neither a
 process pool nor dataclasses, which every fresh interpreter would pay
-for. The per-layer tracer of the benchmark wraps pcdl entry points by
+for, and the lift oracle starts no pool with --jobs 2. The per-layer tracer of the benchmark wraps pcdl entry points by
 name; installing and uninstalling it here keeps a renamed or deleted
 entry point from silently breaking traced benchmark runs.
 """
@@ -69,8 +69,8 @@ def test_all_exports_resolve_once():
 
 
 def test_cli_import_loads_no_pool_or_dataclasses():
-    # the oracle imports the pool only when it starts workers; dataclasses
-    # and the pool pull in inspect, ast, logging and traceback
+    # dataclasses and a process pool pull in inspect, ast, logging and
+    # traceback
     heavy = ("concurrent.futures", "dataclasses", "multiprocessing")
     code = ("import sys\nimport pcdl.cli\n"
             "print(' '.join(m for m in %r if m in sys.modules))" % (heavy,))
@@ -78,6 +78,36 @@ def test_cli_import_loads_no_pool_or_dataclasses():
     r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                        text=True, env=env, timeout=60)
     assert (r.returncode, r.stdout, r.stderr) == (0, "\n", "")
+
+
+# runs the oracle with --jobs 2, then --jobs 1, through pcdl.cli.main
+_TWO_JOBS = """\
+import contextlib, io, sys
+from pcdl.cli import main
+outs = []
+for jobs in ("2", "1"):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["amalgam", "--in", sys.argv[1], "--n", "3", "--oracle",
+                     "--bound", "5", "--jobs", jobs])
+    outs.append((code, buf.getvalue()))
+    if jobs == "2":
+        print(" ".join(m for m in ("concurrent.futures", "multiprocessing")
+                       if m in sys.modules))
+print(outs[0] == outs[1], outs[0][0], "fails_with_witness" in outs[0][1])
+"""
+
+
+def test_oracle_with_two_jobs_starts_no_pool(tmp_path):
+    # --jobs is inert: the fan2 dual's oracle run loads no pool with two
+    # jobs asked for, and prints the bytes of one
+    fan2 = tmp_path / "fan2.json"
+    fan2.write_text('{"elements": ["g", "t1", "t2"], '
+                    '"covers": [["g", "t1"], ["g", "t2"]]}')
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    r = subprocess.run([sys.executable, "-c", _TWO_JOBS, str(fan2)],
+                       capture_output=True, text=True, env=env, timeout=60)
+    assert (r.returncode, r.stdout, r.stderr) == (0, "\nTrue 1 True\n", "")
 
 
 def test_readme_quick_tour_runs():
