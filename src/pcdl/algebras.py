@@ -14,7 +14,7 @@ from functools import cache
 from math import factorial
 
 from .duality import LatticeHom, UpSetLattice, _star_mask
-from .posets import OrderMap, Poset, _bit_indices, _twin_classes, bits, fan
+from .posets import OrderMap, Poset, _twin_classes, bits, fan
 
 
 def pseudocomplement(poset: Poset, mask: int) -> int:
@@ -107,7 +107,7 @@ def _iter_p_morphisms(source: Poset, target: Poset, onto: bool = False,
     each maximal set are read from target.with_above, built once per
     target and kept on it. The per-call rows are lookups: a stable sort
     of the points by up-set size (so ties keep index order), covers and
-    maximal sets through _bit_indices, and the onto cut's two lists from
+    maximal sets through bits, and the onto cut's two lists from
     the block size. The search is iterative: one candidate mask per
     position, taken lowest point first, on an explicit stack, so tables
     come in increasing order of the images of the points in that order.
@@ -149,8 +149,8 @@ def _iter_p_morphisms(source: Poset, target: Poset, onto: bool = False,
     # is stable, so points of one up-set size keep index order
     up = source.up
     order = sorted(range(ns), key=list(map(int.bit_count, up)).__getitem__)
-    covers = [_bit_indices(source.covers_up[y]) for y in order]
-    above = [_bit_indices(up[y] & smax) for y in order]
+    covers = [bits(source.covers_up[y]) for y in order]
+    above = [bits(up[y] & smax) for y in order]
     # the onto cut at each position: the target points still to be hit
     # and the positions left that can hit them, maximal ones within the
     # block and all of them past it

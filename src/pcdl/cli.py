@@ -34,6 +34,9 @@ from .qmodel import (build_quotient_model, check_lift_cases,
                      divergence_report, verify_collapse, verify_separation)
 
 FORMAT_TAG = "pcdl/1"
+# dual of a poset writes two tables of size-squared entries: 94 MB at this
+# many elements, and four times as much at each further doubling
+DUAL_MAX = 2048
 
 
 class CliInputError(Exception):
@@ -224,6 +227,12 @@ def _emit(args, payload, dot_text=None) -> None:
 def _cmd_dual(args) -> int:
     obj = _load_poset_or_lattice(args.infile)
     if isinstance(obj, Poset):
+        try:
+            obj.up_sets(DUAL_MAX)
+        except ValueError:
+            raise CliInputError("%s: the dual lattice has more than %d "
+                                "elements, the most dual writes"
+                                % (args.infile, DUAL_MAX)) from None
         out = dual_lattice(obj)
     else:
         # certified distributive by its unit isomorphism when it was loaded

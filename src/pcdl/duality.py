@@ -11,7 +11,7 @@ least element h maps above j.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import chain, repeat
 from operator import and_, eq, or_
 from typing import Iterable, Iterator
 
@@ -133,9 +133,13 @@ class AbstractLattice:
     Construction certifies the tables by the unit, the canonical
     isomorphism onto the up-sets of the dual poset (unit_iso), which
     exists exactly when the tables form a bounded distributive lattice.
-    The unit's table and its target algebra are kept as plain fields;
-    unit itself is built on first read, so a lattice holds no reference
-    back to itself until then.
+    The certificate also checks the entries: it indexes a list of n cells
+    by every one of them, which takes only ints (bools among them) from
+    -n to n - 1, and a negative entry is refused before it can wrap. The
+    entry-by-entry scan and the law scan run only after a rejection, to
+    name the first bad entry or broken law. The unit's table and its
+    target algebra are kept as plain fields; unit itself is built on
+    first read, so a lattice holds no reference back to itself until then.
     """
 
     __slots__ = ("labels", "joins", "meets", "bottom", "top", "unit_table",
@@ -148,35 +152,50 @@ class AbstractLattice:
             raise ValueError("duplicate element labels")
         self.joins = tuple(map(tuple, joins))
         self.meets = tuple(map(tuple, meets))
-        for name, tab in (("joins", self.joins), ("meets", self.meets)):
+        for tab in (self.joins, self.meets):
             if len(tab) != n or any(len(row) != n for row in tab):
-                raise ValueError("%s table is not %d x %d" % (name, n, n))
-            for row in tab:
-                if set(map(type, row)) != {int} or min(row) < 0 \
-                        or max(row) >= n:
-                    # entry by entry: names the first bad entry, and
-                    # passes a row whose only odd entries are bools
-                    for v in row:
-                        if not isinstance(v, int) or not 0 <= v < n:
-                            raise ValueError("%s table entry %r out of "
-                                             "range" % (name, v))
+                self._scan_entries()
         if n == 0:
             raise ValueError("a bounded lattice has at least one element")
-        b = 0
-        t = 0
-        for i in range(n):
-            b = self.meets[b][i]
-            t = self.joins[t][i]
-        self.bottom = b
-        self.top = t
         try:
+            if min(chain(*self.joins, *self.meets)) < 0:
+                raise IndexError("a negative entry wraps to a real cell")
+            b = 0
+            t = 0
+            for i in range(n):
+                b = self.meets[b][i]
+                t = self.joins[t][i]
+            self.bottom = b
+            self.top = t
             unit = unit_iso(self)
-        except ValueError:
-            self._validate()  # a broken law is named before the unit
+        except (ValueError, TypeError, IndexError) as e:
+            # a bad entry is named first, then a broken law, then the unit
+            self._scan_entries()
+            self._validate()
+            if not isinstance(e, ValueError):
+                raise AssertionError("the certificate refused entries that "
+                                     "the scan passes: %s" % e) from e
             raise
         self.unit_table = unit.table
         self.algebra = unit.target
         self._unit = None
+
+    def _scan_entries(self):
+        """Name the first table of the wrong shape or entry out of range.
+
+        The joins table is read before the meets table, and each row by
+        row. It runs only after a shape check or the certificate has
+        failed, and a bool passes it as the int it is.
+        """
+        n = len(self.labels)
+        for name, tab in (("joins", self.joins), ("meets", self.meets)):
+            if len(tab) != n or any(len(row) != n for row in tab):
+                raise ValueError("%s table is not %d x %d" % (name, n, n))
+            for row in tab:
+                for v in row:
+                    if not isinstance(v, int) or not 0 <= v < n:
+                        raise ValueError("%s table entry %r out of range"
+                                         % (name, v))
 
     @property
     def unit(self) -> "LatticeHom":
@@ -460,6 +479,12 @@ def unit_iso(lat) -> LatticeHom:
     equal exactly when every cell is: when the row passes entry by entry.
     The rows are read in the same order, and a failure raises the same
     message.
+
+    The gather also checks the entries, every one of which it has read
+    when this returns: an entry that is not an int (or a bool) raises
+    TypeError, and one outside -n..n-1 raises IndexError. A negative
+    entry from -n to -1 wraps to a real cell, so the tables must hold
+    none; AbstractLattice refuses them before it calls this.
     """
     poset, _, masks = _dual_space_data(lat)
     n = lat.size

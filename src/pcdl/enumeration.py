@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .posets import Poset, _bit_indices
+from .posets import Poset, bits
 
 
 def _add_maximal(base: Poset, down_mask: int, new_label: str) -> Poset:
@@ -44,7 +44,7 @@ def _orbit_minima(gens: tuple, down_sets: tuple) -> dict:
             m = frontier.pop()
             for g in gens:
                 image = 0
-                for i in _bit_indices(m):
+                for i in bits(m):
                     image |= 1 << g[i]
                 if image not in out:
                     out[image] = d
@@ -67,14 +67,14 @@ def _round0_ties(base: Poset, tops: int, counts: list, round0: list,
     if not others:
         return ties
     grown = counts[:]
-    for i in _bit_indices(dmask):
+    for i in bits(dmask):
         u, d = grown[i]
         grown[i] = (u + 1, d)
     new = (1, dmask.bit_count() + 1)
-    for m in _bit_indices(others):
+    for m in bits(others):
         rest = grown[:]
         rest[m] = new
-        for i in _bit_indices(base.down[m] ^ 1 << m):
+        for i in bits(base.down[m] ^ 1 << m):
             u, d = rest[i]
             rest[i] = (u - 1, d)
         rest.sort()
@@ -98,7 +98,7 @@ def _deletion_not_earlier(child: Poset, m: int, base: Poset, dmask: int,
     for r, b in zip(mine, theirs):
         to_base[r] = b
     image = 0
-    for i in _bit_indices(child.down[m] ^ 1 << m):
+    for i in bits(child.down[m] ^ 1 << m):
         image |= 1 << to_base[i - (i > m)]
     low = orbit_min.get(image, image)
     return (low.bit_count(), low) >= (dmask.bit_count(), dmask)

@@ -8,31 +8,27 @@ instances never mutate, and derived posets are built from masks.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
-
-
-def bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+from typing import Iterable, NamedTuple
 
 
 # the set bits of every byte, and of every byte read as bits 8..15, so
 # masks are read a byte at a time by lookup
-_BYTE_BITS = tuple(tuple(bits(m)) for m in range(256))
+_BYTE_BITS = tuple(tuple(i for i in range(8) if m >> i & 1)
+                   for m in range(256))
 _HIGH_BYTE_BITS = tuple(tuple(8 + i for i in b) for b in _BYTE_BITS)
 
 
-def _bit_indices(mask: int):
+def bits(mask: int):
     """Indices of the set bits of mask, ascending, as a sequence.
 
     Masks of up to 16 bits take one or two lookups; a wider mask is read
     one byte at a time, each non-zero byte's bits shifted to its place in
-    one map, so no step is taken per bit as bits() does.
+    one map, so no step is taken per bit. A negative mask has no finite
+    set of bits and raises ValueError.
     """
     if mask < 256:
+        if mask < 0:
+            raise ValueError("negative mask %d has no finite bits" % mask)
         return _BYTE_BITS[mask]
     if mask < 65536:
         return _BYTE_BITS[mask & 255] + _HIGH_BYTE_BITS[mask >> 8]
@@ -105,7 +101,7 @@ class Poset:
         for i, strict in enumerate(strict_up):
             bit = 1 << i
             above = 0
-            for j in _bit_indices(strict):
+            for j in bits(strict):
                 above |= strict_up[j]
                 down[j] |= bit
             if above & ~strict:
@@ -113,7 +109,7 @@ class Poset:
                                  % (labels[i],))
             cover = strict ^ above
             covers_up.append(cover)
-            for j in _bit_indices(cover):
+            for j in bits(cover):
                 covers_down[j] |= bit
         self.labels = labels
         self.up = up
@@ -246,7 +242,7 @@ class Poset:
         return self.up[self._as_index(x)] & self.maximals_mask
 
     def labels_of(self, mask: int) -> tuple:
-        return tuple(map(self.labels.__getitem__, _bit_indices(mask)))
+        return tuple(map(self.labels.__getitem__, bits(mask)))
 
     def mask_of(self, elems: Iterable) -> int:
         m = 0
@@ -271,8 +267,12 @@ class Poset:
     def is_up_set(self, mask: int) -> bool:
         return self.up_closure(mask) == mask
 
-    def up_sets(self) -> tuple:
-        """All up-set masks, sorted by (size, mask). Computed once."""
+    def up_sets(self, most: float = float("inf")) -> tuple:
+        """All up-set masks, sorted by (size, mask). Computed once.
+
+        When there are more than most, ValueError is raised instead, as
+        soon as the count passes most: each step at most doubles it.
+        """
         if self._upsets is None:
             # add elements top down: acc holds the up-sets of the elements
             # added so far, and e may join one holding its upper covers
@@ -282,8 +282,14 @@ class Poset:
             for e in order:
                 cover, bit = self.covers_up[e], 1 << e
                 acc += [m | bit for m in acc if not cover & ~m]
-            acc.sort(key=lambda m: (m.bit_count(), m))
-            self._upsets = tuple(acc)
+                if len(acc) > most:
+                    break
+            else:
+                acc.sort(key=lambda m: (m.bit_count(), m))
+                self._upsets = tuple(acc)
+        if self._upsets is None or len(self._upsets) > most:
+            raise ValueError("%d-point poset has more than %d up-sets"
+                             % (len(self.labels), most))
         return self._upsets
 
     def down_sets(self) -> tuple:
@@ -296,12 +302,12 @@ class Poset:
 
     def restrict(self, mask: int) -> "Poset":
         """Induced sub-poset on the elements of mask, labels kept."""
-        kept = _bit_indices(mask)
+        kept = bits(mask)
         pos = {i: k for k, i in enumerate(kept)}
         up = []
         for i in kept:
             row = 0
-            for j in _bit_indices(self.up[i] & mask):
+            for j in bits(self.up[i] & mask):
                 row |= 1 << pos[j]
             up.append(row)
         return Poset([self.labels[i] for i in kept], up)
@@ -320,7 +326,7 @@ class Poset:
             comp = frontier = 1 << i
             while frontier:
                 nxt = 0
-                for j in _bit_indices(frontier):
+                for j in bits(frontier):
                     nxt |= up[j] | down[j]
                 frontier = nxt & ~comp
                 comp |= frontier
@@ -350,8 +356,8 @@ class Poset:
             if len(comp) == n:
                 return ranks, round0
             if above is None:
-                above = [_bit_indices(c) for c in self.covers_up]
-                below = [_bit_indices(c) for c in self.covers_down]
+                above = [bits(c) for c in self.covers_up]
+                below = [bits(c) for c in self.covers_down]
             rank = ranks.__getitem__
             color = [(ranks[i], tuple(sorted(map(rank, above[i]))),
                       tuple(sorted(map(rank, below[i]))))

@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -486,6 +487,87 @@ def test_malformed_documents_exit_3_with_one_line(tmp_path, capsys, command,
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def _mutant(doc, rng):
+    """A copy of doc with one seeded change.
+
+    The change drops a key or an item, sets a value to a bad one, cuts a
+    list short or gives one element the label of another. Bad values are
+    -1, -n, n (n elements in the document), 1.0, "x", None, True and [].
+    """
+    doc = json.loads(json.dumps(doc))
+    labelled = [d["elements"] for d in (doc, doc.get("source"),
+                                        doc.get("target"))
+                if d and "elements" in d]
+    n = len(labelled[0])
+    kind = rng.choice(["drop", "set", "set", "set", "cut", "relabel"])
+    if kind == "relabel":
+        elems = rng.choice(labelled)
+        i, j = rng.sample(range(len(elems)), 2)
+        elems[i] = elems[j]
+        return doc
+    places = []
+
+    def walk(value):
+        items = (value.items() if isinstance(value, dict)
+                 else enumerate(value) if isinstance(value, list) else ())
+        for key, item in items:
+            places.append((value, key))
+            walk(item)
+
+    walk(doc)
+    if kind == "cut":
+        lists = [p for p in places if isinstance(p[0][p[1]], list)
+                 and p[0][p[1]]]
+        parent, key = rng.choice(lists)
+        del parent[key][rng.randrange(len(parent[key])):]
+        return doc
+    parent, key = rng.choice(places)
+    if kind == "drop":
+        del parent[key]
+    else:
+        parent[key] = rng.choice([-1, -n, n, 1.0, "x", None, True, []])
+    return doc
+
+
+_MUTATED_RUNS = {
+    "poset": [("dual", "--in", "X"), ("star-homs", "--from", "X", "--to", "F"),
+              ("star-homs", "--from", "F", "--to", "X"),
+              ("variety-index", "--in", "X"), ("congruences", "--in", "X"),
+              ("quotient", "--in", "X", "--by", "B"),
+              ("extensile", "--in", "X", "--n", "2", "--bound", "4"),
+              ("amalgam", "--in", "X", "--n", "3")],
+    "map": [("check-pspace-map", "--in", "X"),
+            ("lift", "--gamma", "X", "--alpha", "F"),
+            ("lift", "--gamma", "F", "--alpha", "X")],
+}
+
+
+@pytest.mark.parametrize("doc, runs, by", [
+    (FAN3, "poset", "t1"),
+    (dual_lattice(Poset.from_dict(FAN2)).to_dict(), "poset", "{t1}"),
+    ({"source": FAN3, "target": FAN2,
+      "map": {"g": "g", "t1": "t1", "t2": "t2", "t3": "t2"}}, "map", None),
+], ids=["poset", "lattice", "map"])
+def test_mutated_documents_exit_0_1_or_3(tmp_path, capsys, doc, runs, by):
+    # every command that reads a document, on seeded one-step mutants
+    rng = random.Random(26)
+    fixed = write(tmp_path, "fixed.json", doc)
+    for _ in range(150):
+        mutant = _mutant(doc, rng)
+        path = write(tmp_path, "mutant.json", mutant)
+        for args in _MUTATED_RUNS[runs]:
+            argv = [{"X": path, "F": fixed, "B": by}.get(a, a) for a in args]
+            try:
+                code = cli.main(argv)
+            except BaseException as e:
+                pytest.fail("%s raised %r on %s" % (args, e, mutant))
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 3), (args, mutant, err)
+            if code == 3:
+                assert err.startswith("error:") and err.count("\n") == 1, \
+                    (args, mutant, err)
+
+
 def test_deeply_nested_json_exits_3_with_one_line(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100000)
@@ -597,6 +679,16 @@ def _with_input(args, path) -> list:
         "amalgam-n", "q-model-N", "q-model-m", "catalog-max-points"])
 def test_bad_numbers_exit_3_with_one_line(fan2, args, flag):
     _one_error_line(run(*_with_input(args, fan2)), flag)
+
+
+@pytest.mark.parametrize("points", [12, 30])
+def test_dual_refuses_a_lattice_past_its_cap(tmp_path, points):
+    # 2^12 up-sets would write 379 MB of tables, 2^30 would never finish
+    path = write(tmp_path, "anti.json", antichain(points).to_dict())
+    out = tmp_path / "out.json"
+    r = run("dual", "--in", path, "--out", str(out), timeout=30)
+    _one_error_line(r, "more than 2048 elements")
+    assert not out.exists()
 
 
 def test_oracle_refuses_a_fan_past_its_map_cap(fan2):

@@ -208,7 +208,7 @@ def _corruptions(labels, joins, meets):
     pair keeps commutativity, so the laws pass and the unit must reject.
     """
     n = len(labels)
-    bad = [-1, n, 1.0, "x", True, None]
+    bad = [-1, -n, -n - 1, n, 2 * n, 1.0, "x", True, None]
     for which in (0, 1):
         for i in range(n):
             for j in range(n):
@@ -256,6 +256,19 @@ def test_certificate_reads_three_byte_cells():
     assert want == ("rejected", "unit map is not a homomorphism; "
                                 "input is not distributive")
     assert _outcome(_unit_masks, (labels, joins, meets)) == want
+
+
+def test_certificate_refuses_a_negative_entry_that_wraps_to_a_cell():
+    # -1 stands where the top n - 1 belongs: read as an index, it is the
+    # top's own cell, so only a check for negatives can refuse it
+    labels, joins, meets = cube_plus_one_tables(2)
+    n = len(labels)
+    assert joins[0][n - 1] == n - 1
+    joins = [list(r) for r in joins]
+    joins[0][n - 1] = -1
+    with pytest.raises(ValueError) as e:
+        AbstractLattice(labels, joins, meets)
+    assert str(e.value) == "joins table entry -1 out of range"
 
 
 def test_join_irreducibles_match_the_cover_scan():

@@ -18,6 +18,31 @@ from _oracles import (automorphisms_brute, canonical_form_brute,
 def test_bits():
     assert list(bits(0)) == []
     assert list(bits(0b10110)) == [1, 2, 4]
+    # one and two byte lookups, and wide masks read a byte at a time
+    rng = random.Random(3)
+    for width in (8, 16, 17, 64, 1200):
+        for _ in range(20):
+            mask = rng.getrandbits(width) >> rng.randrange(width)
+            assert list(bits(mask)) == [i for i in range(width)
+                                        if mask >> i & 1]
+    assert list(bits(1 << 1199)) == [1199]
+    for mask in (-1, -256, -(1 << 20)):
+        with pytest.raises(ValueError, match="negative mask"):
+            bits(mask)
+
+
+def test_up_sets_stop_past_most():
+    p = antichain(3)
+    with pytest.raises(ValueError, match="3-point poset has more than 7"):
+        p.up_sets(7)
+    assert len(p.up_sets(8)) == 8
+    # read again from the kept tuple
+    with pytest.raises(ValueError, match="more than 7"):
+        p.up_sets(7)
+    assert p.up_sets() == p.up_sets(8)
+    # the count stops near the cap, long before 2^40 up-sets are listed
+    with pytest.raises(ValueError, match="40-point poset"):
+        antichain(40).up_sets(2048)
 
 
 def test_from_covers_closure_matches_brute():
