@@ -9,6 +9,7 @@ separation routine settles concrete two-sided embedding instances.
 
 from __future__ import annotations
 
+from functools import cache
 from math import comb
 from typing import NamedTuple, Optional
 
@@ -17,7 +18,7 @@ from .algebras import (_dual, _iter_p_morphisms, _orbit_weight,
                        is_p_morphism, star_embedding_failure, star_homs,
                        variety_index)
 from .duality import UpSetLattice
-from .enumeration import _shape, class_shapes, poset_classes_exactly
+from .enumeration import poset_classes_exactly
 from .posets import OrderMap, Poset, _twin_classes, bits, fan
 
 
@@ -242,6 +243,41 @@ def _require_room(P: Poset, bound: int) -> None:
                          "no extension fits" % (bound, P.n))
 
 
+def _shape(Y: Poset) -> tuple:
+    """The shape of Y: what the extension filter's three rules read.
+
+    That is its count of maximal points, the counts |M(y)| of maximal
+    points above its non-maximal points, largest first, and its count of
+    components (_extension_classes).
+    """
+    maxes = Y.maximals_mask
+    sizes = sorted([(u & maxes).bit_count() for u in Y.up if u & ~maxes],
+                   reverse=True)
+    return maxes.bit_count(), tuple(sizes), len(Y.components())
+
+
+@cache
+def _class_shapes(k: int) -> dict:
+    """The classes on exactly k points grouped by shape.
+
+    Maps each shape (_shape) to the positions, ascending, of its classes
+    in poset_classes_exactly(k): 0 to 7 points have 1, 1, 2, 4, 8, 17, 37
+    and 82 shapes against 2,451 classes. The enumeration is deterministic,
+    so the positions still name classes of the same shapes after
+    poset_classes_exactly.cache_clear().
+    """
+    index = {}
+    for pos, Y in enumerate(poset_classes_exactly(k)):
+        index.setdefault(_shape(Y), []).append(pos)
+    return {shape: tuple(where) for shape, where in index.items()}
+
+
+# levels 0 to 9 list in about 25 s with a 518 MB peak in a fresh
+# interpreter on a 2-core VM; level 10 holds 2,567,284 classes, 14 times
+# level 9
+_MAX_BOUND = 9
+
+
 def _extension_classes(P: Poset, n: int, bound: int) -> list:
     """Classes Y of P.n to bound points, index at most n, in class order.
 
@@ -265,16 +301,21 @@ def _extension_classes(P: Poset, n: int, bound: int) -> list:
     With the index (b_1, or 1 for a nonempty antichain), the three rules
     read only the shapes (_shape) of P and of Y: maximal count, list a or
     b, and component count. So each rule is decided once per shape of
-    class_shapes, and the classes of the kept shapes are read back in
-    class order.
+    _class_shapes, and the classes of the kept shapes are read back in
+    class order. A bound past _MAX_BOUND is refused before any level is
+    listed.
     """
+    if bound > _MAX_BOUND:
+        raise ValueError("bound %d is past %d, the most points the "
+                         "extension classes are listed to"
+                         % (bound, _MAX_BOUND))
     n_max, need, parts = _shape(P)
     out = []
     for k in range(P.n, bound + 1):
         # a nonempty antichain has index 1
         floor = min(k, 1)
         kept = []
-        for (tops, sizes, comps), where in class_shapes(k).items():
+        for (tops, sizes, comps), where in _class_shapes(k).items():
             if tops < n_max or comps < parts \
                     or (sizes[0] if sizes else floor) > n \
                     or len(sizes) < len(need) \
@@ -329,19 +370,23 @@ def _extension_class_task(Y: Poset, P: Poset, first: dict,
 _MAX_FAN_MAPS = 100_000
 
 
-def _fan_map_count(P: Poset, n: int) -> int:
+def _fan_map_count(P: Poset, n: int) -> Optional[int]:
     """The number of p-morphisms fan(n) -> P, in closed form.
 
     Such a map sends the bottom to some b and the n tops onto M(b). A
     maximal b takes the whole fan, one map; any other b with k maximal
     points above it takes the k! S(n, k) onto maps of n tops to M(b),
-    counted by inclusion-exclusion.
+    counted by inclusion-exclusion. For 2 <= k <= n that is at least
+    2^n - 2, so past n = 64 such a b gives None, not a count whose digits
+    cost time and memory to work out.
     """
     maxes = P.maximals_mask
     count = 0
     for row in P.up:
         k = (row & maxes).bit_count()
         if row & ~maxes:
+            if k > 1 and n > 64:
+                return None
             count += sum((-1) ** j * comb(k, j) * (k - j) ** n
                          for j in range(k + 1))
         else:
@@ -374,10 +419,11 @@ def extension_property_bounded(A, n: int,
         bound = P.n + 3
     _require_room(P, bound)
     maps = _fan_map_count(P, n)
-    if maps > _MAX_FAN_MAPS:
+    if maps is None or maps > _MAX_FAN_MAPS:
+        shown = "at least 2^%d - 2" % n if maps is None else format(maps, ",")
         raise ValueError("the oracle would list %s maps of fan(%d) into the "
                          "dual; it takes at most %s"
-                         % (format(maps, ","), n, format(_MAX_FAN_MAPS, ",")))
+                         % (shown, n, format(_MAX_FAN_MAPS, ",")))
     V = fan(n)
     tables = list(_iter_p_morphisms(V, P))
     first = {}

@@ -148,59 +148,12 @@ def poset_classes_exactly(n: int) -> tuple:
     return _grow(poset_classes_exactly(n - 1))
 
 
-def _shape(Y: Poset) -> tuple:
-    """The shape of Y: what the extension filter's three rules read.
-
-    That is its count of maximal points, the counts |M(y)| of maximal
-    points above its non-maximal points, largest first, and its count of
-    components (amalgamation._extension_classes).
-    """
-    maxes = Y.maximals_mask
-    sizes = sorted([(u & maxes).bit_count() for u in Y.up if u & ~maxes],
-                   reverse=True)
-    return maxes.bit_count(), tuple(sizes), len(Y.components())
-
-
-# n -> (the level's class tuple, its shape index); the tuple is held to
-# tell a live index from one left by poset_classes_exactly.cache_clear()
-_SHAPES = {}
-
-
-def class_shapes(n: int) -> dict:
-    """The classes on exactly n points grouped by shape.
-
-    Maps each shape (_shape) to the positions, ascending, of its classes
-    in poset_classes_exactly(n). The extension filter's three rules read
-    only the shape (maximal count, Hall profile, components;
-    amalgamation._extension_classes), so it decides them once per shape:
-    0 to 7 points have 1, 1, 2, 4, 8, 17, 37 and 82 shapes against 2,451
-    classes. The index is built on first use, or with poset_classes_upto,
-    and lives as long as its level's tuple: once poset_classes_exactly(n)
-    returns another tuple (after cache_clear), it is built again.
-    """
-    level = poset_classes_exactly(n)
-    held = _SHAPES.get(n)
-    if held is not None and held[0] is level:
-        return held[1]
-    index = {}
-    for pos, Y in enumerate(level):
-        index.setdefault(_shape(Y), []).append(pos)
-    index = {shape: tuple(where) for shape, where in index.items()}
-    _SHAPES[n] = (level, index)
-    return index
-
-
 @cache
 def poset_classes_upto(n: int) -> tuple:
-    """Every class of at most n points, by size, then key.
-
-    Each level's shape index (class_shapes) is built with it, so a warmed
-    enumeration also has the extension filter's table.
-    """
+    """Every class of at most n points, by size, then key."""
     out = []
     for k in range(n + 1):
         out.extend(poset_classes_exactly(k))
-        class_shapes(k)
     return tuple(out)
 
 

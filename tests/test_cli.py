@@ -351,16 +351,21 @@ def test_json_reports_have_the_bytes_of_json_dumps(tmp_path, capsys):
 
 
 def test_algebra_answers_keep_their_digests():
-    # every answer to the benchmark's algebra requests at seed 1, in JSON
-    # and in text, as tools/cli_digest.py hashes them
+    # every answer to the benchmark's requests at seed 1 (the algebra ones
+    # in JSON and in text), as tools/cli_digest.py hashes them
     tool = pathlib.Path(__file__).resolve().parent.parent / "tools" \
         / "cli_digest.py"
-    r = subprocess.run([sys.executable, str(tool), "--seeds", "1",
-                        "--workloads", "algebra"],
+    r = subprocess.run([sys.executable, str(tool), "--seeds", "1"],
                        capture_output=True, text=True, timeout=600)
     assert r.returncode == 0, r.stderr
     rows = [line.split() for line in r.stdout.splitlines()[:-1]]
     assert {(row[0], row[2], row[3]): row[-1] for row in rows} == {
+        ("oracle-holds", "1", "json"):
+            "99622d2cbd439b53506df8e5bf1dfd3c360100a735b92d4fef2bfaff36a2fcf2",
+        ("oracle-refute", "1", "json"):
+            "b9f822dd91cb7acbc1e0bdc6f8f4adf451ff1ff2487b40b40193e3553e517c72",
+        ("model-search", "1", "json"):
+            "583cb3b5cd703aa3530dba2f0709e4a0b636d281f51733e0bca90b296578d6df",
         ("algebra", "1", "json"):
             "ac1f022c0ca29f39eded1ab8124d9acac5e7026ce094d430a090637b4c339ab7",
         ("algebra", "1", "text"):
@@ -675,10 +680,25 @@ def _with_input(args, path) -> list:
     (("q-model", "--N", "2", "--m", "-1"), "--m must be at least 0, got -1"),
     (("catalog", "--max-points", "-1", "--n", "3"),
      "--max-points must be at least 0, got -1"),
+    # level 10 holds 2,567,284 classes: refused before any level is listed
+    (("amalgam", "--in", "IN", "--n", "3", "--oracle", "--bound", "10"),
+     "bound 10 is past 9"),
+    (("extensile", "--in", "IN", "--n", "3", "--bound", "10"),
+     "bound 10 is past 9"),
+    (("q-model", "--N", "1", "--m", "1", "--bound", "10"),
+     "bound 10 is past 9"),
+    (("catalog", "--max-points", "3", "--n", "3", "--oracle", "--bound",
+      "10"), "bound 10 is past 9"),
+    # 2^20000 maps have more digits than int formatting takes
+    (("amalgam", "--in", "IN", "--n", "20000", "--oracle"),
+     "at least 2^20000 - 2 maps of fan(20000) into the dual; it takes at "
+     "most 100,000"),
 ], ids=["jobs", "bound", "oracle-room", "extensile-room", "catalog-n",
-        "amalgam-n", "q-model-N", "q-model-m", "catalog-max-points"])
+        "amalgam-n", "q-model-N", "q-model-m", "catalog-max-points",
+        "oracle-bound-cap", "extensile-bound-cap", "q-model-bound-cap",
+        "catalog-bound-cap", "oracle-map-cap"])
 def test_bad_numbers_exit_3_with_one_line(fan2, args, flag):
-    _one_error_line(run(*_with_input(args, fan2)), flag)
+    _one_error_line(run(*_with_input(args, fan2), timeout=60), flag)
 
 
 @pytest.mark.parametrize("points", [12, 30])

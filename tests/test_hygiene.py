@@ -5,9 +5,10 @@ found by walking each module's syntax tree, and every name in
 pcdl.__all__ must resolve, once. The README's quick tour runs, and each
 value its comments state is checked. Importing the CLI loads neither a
 process pool nor dataclasses, which every fresh interpreter would pay
-for, and the lift oracle starts no pool with --jobs 2. The per-layer tracer of the benchmark wraps pcdl entry points by
-name; installing and uninstalling it here keeps a renamed or deleted
-entry point from silently breaking traced benchmark runs.
+for, and the lift oracle starts no pool with --jobs 2. The per-layer
+tracer of the benchmark wraps pcdl entry points by name; installing and
+uninstalling it here keeps a renamed or deleted entry point from
+silently breaking traced benchmark runs.
 """
 
 import ast

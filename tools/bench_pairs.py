@@ -4,7 +4,9 @@
         [--seconds S]
 
 Run from anywhere inside a pcdl checkout. The parent is a git archive of
-REF in a temporary directory; the change is the working tree. For each seed
+REF in a temporary directory; the change is a copy of the working tree's
+files (tracked, or new and not ignored) in another, so both sides run
+from a fresh directory whose path has the same length. For each seed
 one pair is run, `perfbench/run.py --workload all --seed SEED --seconds S`
 on each side, one after the other: the parent first on the first seed, the
 change first on the next, and so on. Each run's last stdout line is its
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -51,6 +54,16 @@ def export(ref: str, dest: Path) -> None:
                 tar.extractall(dest, filter="data")
             else:   # Python before 3.10.12 and 3.11.4
                 tar.extractall(dest)
+
+
+def copy_tree(dest: Path) -> None:
+    """Copy the working tree's files, tracked or new and not ignored."""
+    names = git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in filter(None, names.split("\0")):
+        src = ROOT / name
+        if src.is_file():   # a tracked file deleted in the working tree
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / name)
 
 
 def run_side(root: Path, seed: int, seconds: float) -> dict:
@@ -144,12 +157,14 @@ def main(argv=None) -> int:
     }
     out = ROOT / ("BENCH_%s.json" % args.pr)
     pairs = []
-    with tempfile.TemporaryDirectory() as tmp:
-        parent_root = Path(tmp)
+    with tempfile.TemporaryDirectory() as tmp, \
+            tempfile.TemporaryDirectory() as tmp_change:
+        parent_root, change_root = Path(tmp), Path(tmp_change)
         export(parent_sha, parent_root)
+        copy_tree(change_root)
         for k, seed in enumerate(args.seeds):
             first = "parent" if k % 2 == 0 else "change"
-            order = [("parent", parent_root), ("change", ROOT)]
+            order = [("parent", parent_root), ("change", change_root)]
             if first == "change":
                 order.reverse()
             pair = {"seed": seed, "first": first}
