@@ -26,7 +26,8 @@ from .algebras import (make_pcdl, p_morphism_failure, star_homs,
 from .amalgamation import (extension_property_bounded,
                            is_amalgamation_base_finite, lift_through)
 from .catalog import catalog
-from .congruences import (dual_congruence, enumerate_congruences,
+from .congruences import (MAX_CONGRUENCES, dual_congruence,
+                          enumerate_congruences,
                           is_congruence_extensile_bounded, quotient)
 from .duality import AbstractLattice, _order_masks, dual_lattice
 from .posets import OrderMap, Poset, bits, classify_map
@@ -44,11 +45,8 @@ class CliInputError(Exception):
 
 
 def _load_json(path: str):
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as e:
-        raise CliInputError(str(e))
+    with open(path) as fh:
+        text = fh.read()
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
@@ -210,8 +208,6 @@ def _write_json(write, value, nl: str = "\n") -> None:
 def _emit(args, payload, dot_text=None) -> None:
     if dot_text is None:
         payload["format"] = FORMAT_TAG
-        if getattr(args, "seed", None) is not None:
-            payload["seed"] = args.seed
     with (open(args.out, "w") if args.out
           else contextlib.nullcontext(sys.stdout)) as fh:
         if dot_text is not None:
@@ -280,7 +276,7 @@ def _cmd_variety_index(args) -> int:
 
 
 def _cmd_congruences(args) -> int:
-    thetas = enumerate_congruences(_load_dual(args.infile), args.bound)
+    thetas = enumerate_congruences(_load_dual(args.infile))
     payload = {
         "count": len(thetas),
         "congruences": [{"erased": list(t.labels())} for t in thetas],
@@ -457,7 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     def sub(name, func, help, infile=True):
-        sp = subs.add_parser(name, help=help)
+        sp = subs.add_parser(name, help=help, description=help)
         sp.set_defaults(func=func)
         if infile:
             sp.add_argument("--in", dest="infile", required=True)
@@ -468,9 +464,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="accepted and checked (at least 1), but "
                              "changes nothing: every search runs in one "
                              "process")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="seed echoed into the report; all searches "
-                             "are deterministic")
         return sp
 
     sp = sub("dual", _cmd_dual, "dualize a poset or a lattice")
@@ -490,8 +483,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub("variety-index", _cmd_variety_index,
         "least n with the algebra in the index-n variety")
 
-    sp = sub("congruences", _cmd_congruences, "enumerate congruences")
-    sp.add_argument("--bound", type=int, default=12)
+    sub("congruences", _cmd_congruences,
+        "enumerate congruences (at most %d)" % MAX_CONGRUENCES)
 
     sp = sub("quotient", _cmd_quotient, "quotient by a congruence")
     sp.add_argument("--by", required=True,
@@ -554,7 +547,8 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         _check_numbers(args)
         return args.func(args)
-    except (CliInputError, ValueError) as e:
+    except (CliInputError, ValueError, OSError) as e:
+        # OSError: a file named on the command line cannot be read or written
         print("error: %s" % e, file=sys.stderr)
         return 3
     except AssertionError as e:

@@ -18,6 +18,8 @@ from .amalgamation import (ExtensionResult, _extension_classes,
 from .duality import LatticeHom, UpSetLattice
 from .posets import OrderMap, Poset, bits
 
+MAX_CONGRUENCES = 4096  # 2^12: every dual of at most 12 points fits
+
 
 class DualCongruence(NamedTuple):
     base: Poset
@@ -43,7 +45,7 @@ def dual_congruence(poset: Poset, elems) -> DualCongruence:
     return DualCongruence(poset, mask)
 
 
-def enumerate_congruences(poset: Poset, bound: int = 12) -> list:
+def enumerate_congruences(poset: Poset) -> list:
     """All dual congruences, sorted by size then mask.
 
     Each mask is built once, as down(S) | R: S is a set of maximal points
@@ -51,16 +53,21 @@ def enumerate_congruences(poset: Poset, bound: int = 12) -> list:
     mask T is down(S) | R for exactly one such pair, S = T & M and R = T
     minus down(S): down(S) meets M in S, as nothing lies above a maximal
     point, and the condition puts down(S) inside T. Conversely every such
-    union holds the down-set of each maximal point in it.
+    union holds the down-set of each maximal point in it. So the count,
+    the sum of 2^|non-maximal points outside d| over the closures d, is
+    known before any mask is listed: past MAX_CONGRUENCES, ValueError.
     """
-    if poset.n > bound:
-        raise ValueError("poset has %d points, over the bound %d"
-                         % (poset.n, bound))
     closures = [0]  # down(S) for every set S of maximal points
     for m in bits(poset.maximals_mask):
         down_m = poset.down[m]
         closures += [d | down_m for d in closures]
+        if len(closures) > MAX_CONGRUENCES:  # distinct, one mask each
+            break
     non_max = poset.full_mask & ~poset.maximals_mask
+    if sum(1 << (non_max & ~d).bit_count()
+           for d in closures) > MAX_CONGRUENCES:
+        raise ValueError("%d-point poset has more than %d congruences"
+                         % (poset.n, MAX_CONGRUENCES))
     masks = []
     for d in closures:
         free = non_max & ~d
@@ -132,15 +139,14 @@ class RestrictedCongruence(NamedTuple):
     is_full: bool
 
 
-def restrict_congruence(theta: DualCongruence, emb: LatticeHom,
-                        validate: bool = True) -> RestrictedCongruence:
-    """Pull a congruence of the big algebra back along an embedding.
+def restrict_congruence(theta: DualCongruence,
+                        emb: LatticeHom) -> RestrictedCongruence:
+    """Pull a congruence of the big algebra back along a star embedding.
 
     pairs lists the nontrivially related index pairs (i < j) of the
     embedded algebra; is_trivial flags the diagonal restriction.
     """
-    if validate:
-        validate_star_embedding(emb)
+    validate_star_embedding(emb)
     if theta.base != emb.target.base:
         raise ValueError("congruence lives on a different poset")
     keep = theta.base.full_mask & ~theta.mask
@@ -155,14 +161,13 @@ def restrict_congruence(theta: DualCongruence, emb: LatticeHom,
                                 len(pairs) == n * (n - 1) // 2)
 
 
-def is_essential_extension(emb: LatticeHom, bound: int = 12) -> bool:
+def is_essential_extension(emb: LatticeHom) -> bool:
     """Whether every nontrivial congruence of the target stays nontrivial."""
     validate_star_embedding(emb)
-    for theta in enumerate_congruences(emb.target.base, bound):
-        if theta.mask and restrict_congruence(theta, emb,
-                                              validate=False).is_trivial:
-            return False
-    return True
+    # a restriction is trivial when the images stay distinct off the mask
+    images = [emb.target.carrier[t] for t in emb.table]
+    return all(len({u & ~t.mask for u in images}) < len(images)
+               for t in enumerate_congruences(emb.target.base) if t.mask)
 
 
 class PullbackError(ValueError):

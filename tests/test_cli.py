@@ -305,14 +305,16 @@ def test_text_format(fan2):
     assert "variety_index: 2" in r.stdout
 
 
-def test_out_file_and_seed(tmp_path, fan2):
+def test_out_file(tmp_path, fan2):
     out = tmp_path / "vi.json"
     r = run("variety-index", "--in", fan2, "--out", str(out))
     assert r.returncode == 0 and r.stdout == ""
     assert json.loads(out.read_text())["variety_index"] == 2
 
-    r = run("variety-index", "--in", fan2, "--seed", "7")
-    assert json.loads(r.stdout)["seed"] == 7
+    # a path that cannot be opened is bad input, named in one line
+    for bad in (tmp_path / "missing" / "vi.json", tmp_path):
+        r = run("variety-index", "--in", fan2, "--out", str(bad))
+        _one_error_line(r, str(bad))
 
 
 def test_json_reports_have_the_bytes_of_json_dumps(tmp_path, capsys):
@@ -711,6 +713,13 @@ def test_dual_refuses_a_lattice_past_its_cap(tmp_path, points):
     assert not out.exists()
 
 
+def test_congruences_refuses_past_its_cap(tmp_path):
+    # 2^13 congruences: the cap counts congruences, not points
+    path = write(tmp_path, "anti.json", antichain(13).to_dict())
+    r = run("congruences", "--in", path, timeout=30)
+    _one_error_line(r, "more than 4096 congruences")
+
+
 def test_oracle_refuses_a_fan_past_its_map_cap(fan2):
     # fan(20) has 2^20 - 2 maps onto fan2's two tops, and two more onto
     # its maximal points: refused before any is listed
@@ -727,7 +736,10 @@ def test_oracle_refuses_a_fan_past_its_map_cap(fan2):
     (("amalgam", "--n", "3"), "--in"),
     (("extensile", "--in", "IN", "--n", "3", "--bound", "5",
       "--max-instances", "10"), "--max-instances"),
-], ids=["unknown-flag", "n-not-int", "missing-in", "max-instances"])
+    (("congruences", "--in", "IN", "--bound", "12"), "--bound"),
+    (("variety-index", "--in", "IN", "--seed", "7"), "--seed"),
+], ids=["unknown-flag", "n-not-int", "missing-in", "max-instances",
+        "congruences-bound", "seed"])
 def test_parser_errors_exit_3_with_one_line(fan2, args, word):
     _one_error_line(run(*_with_input(args, fan2)), word)
 

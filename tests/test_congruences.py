@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -7,7 +8,7 @@ from pcdl import (DualCongruence, OrderMap, PullbackError, amalgamation,
                   dual_congruence, enumerate_congruences, fan, fan_algebra,
                   is_congruence_extensile_bounded, is_congruence_mask,
                   is_essential_extension, is_subdirectly_irreducible,
-                  make_pcdl, p_morphisms, poset_classes_upto,
+                  make_pcdl, ordinal_sum, p_morphisms, poset_classes_upto,
                   product_lattice, pcdl_from_abstract, pullback_congruence,
                   quotient, restrict_congruence, star_embeddings,
                   validate_star_embedding, variety_index)
@@ -49,8 +50,25 @@ def test_enumerate_matches_the_subset_scan():
 
 
 def test_enumerate_bound():
-    with pytest.raises(ValueError, match="bound"):
+    with pytest.raises(ValueError, match="more than 4096 congruences"):
         enumerate_congruences(antichain(13))
+
+
+def test_enumerate_cap_counts_congruences_before_listing():
+    # 4,097 congruences each; antichain(40) has 2^40, refused from its
+    # first 4,097 closures before any mask is listed
+    for P in (fan(12), chain(13), antichain(40)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="more than 4096 congruences"):
+            enumerate_congruences(P)
+        assert time.perf_counter() - start < 1.0
+    # past 12 points, but with at most 2^12 congruences: listed
+    for P, count in ((ordinal_sum(antichain(11), antichain(2)), 2051),
+                     (ordinal_sum(antichain(10), antichain(4)), 1039),
+                     (antichain(12), 4096)):
+        want = congruence_masks_scan(P)
+        assert len(want) == count
+        assert [t.mask for t in enumerate_congruences(P)] == want
 
 
 def test_congruence_mask_condition():
@@ -151,6 +169,21 @@ def test_restrict_and_essential_frozen_values():
     PA, _ = pcdl_from_abstract(prod)
     for emb in star_embeddings(B3, PA):
         assert not is_essential_extension(emb)
+
+
+def test_essential_means_no_nonempty_congruence_restricts_trivially():
+    # is_essential_extension reads triviality off the images itself
+    algebras = [make_pcdl(P) for P in poset_classes_upto(4) if P.n]
+    embeddings = [e for A in algebras for B in algebras
+                  for e in star_embeddings(A, B)]
+    essential = 0
+    for e in embeddings:
+        want = not any(restrict_congruence(theta, e).is_trivial
+                       for theta in enumerate_congruences(e.target.base)
+                       if theta.mask)
+        assert is_essential_extension(e) == want
+        essential += want
+    assert (len(embeddings), essential) == (369, 142)
 
 
 def test_restrict_congruence_details():
