@@ -93,8 +93,25 @@ def _orbit_weight(table: tuple, classes: list) -> int:
     return weight
 
 
+def _twin_swap_count(target: Poset) -> int:
+    """The number of maps in each orbit of the target's twin swaps.
+
+    The swaps of twins of target (_twin_classes) generate one permutation
+    group S, the product of the symmetric groups of its classes: per
+    class of k points, k! members. Each swap tau is an automorphism of
+    target, and S acts on the onto maps gamma into target by gamma ->
+    tau o gamma. The action is free: tau o gamma = gamma would leave
+    every point of gamma's image fixed, but an onto gamma hits the points
+    that tau moves. So every orbit of onto maps has |S| members.
+    """
+    count = 1
+    for cls in _twin_classes(target):
+        count *= factorial(len(cls))
+    return count
+
+
 def _iter_p_morphisms(source: Poset, target: Poset, onto: bool = False,
-                      fibers=None, twins: bool = False):
+                      fibers=None, twins=False, target_twins: bool = False):
     """Tables of the p-morphisms source -> target, in search order.
 
     The one p-morphism search: every caller reads plain tuples (index of
@@ -127,13 +144,35 @@ def _iter_p_morphisms(source: Poset, target: Poset, onto: bool = False,
 
     With twins, only the least table of each orbit of the twin swaps of
     source (_twin_classes) is yielded; _orbit_weight gives its orbit's
-    size. Twins have the same candidates and come up in index order, so a
-    twin enters with its previous twin's remaining candidates and that
-    twin's image: images never decrease along a twin class, which picks
-    exactly the least member of each orbit, and yields stay in search
-    order. fibers may tell twins apart, so the two cannot be combined
-    (ValueError). With twins off, each step reads one list entry more.
+    size. twins is True, or the source's _twin_classes where the caller
+    has them. Twins have the same candidates and come up in index order,
+    so a twin enters with its previous twin's remaining candidates and
+    that twin's image: images never decrease along a twin class, which
+    picks exactly the least member of each orbit, and yields stay in
+    search order. With twins off, each step reads one list entry more.
+
+    With target_twins, only one table per orbit of the twin swaps of
+    target is yielded, gamma -> tau o gamma; on onto maps every orbit has
+    _twin_swap_count(target) members. It is the table in which, read in
+    search order, the points of each target twin class are first hit in
+    index order: a gated point, one with a previous twin in its class,
+    is open only once that twin is in the image. Maximal targets are hit
+    only within the maximal block and the others only past it, so gates
+    are read only in the part that can hit a gated point. Yields stay in
+    search order, and a plain search reads no gate: its positions enter
+    as before.
+
+    fibers may tell twins apart, so it cannot be combined with twins or
+    target_twins; nor can the two twin options be combined, as one table
+    need not stand first in both orbits (ValueError).
     """
+    if fibers is not None and (twins or target_twins):
+        raise ValueError("%s and fibers cannot be combined: fibers may "
+                         "tell twins apart"
+                         % ("twins" if twins else "target_twins"))
+    if twins and target_twins:
+        raise ValueError("twins and target_twins cannot be combined: one "
+                         "table need not stand first in both orbits")
     ns, nt = source.n, target.n
     if ns == 0:
         if nt == 0 or not onto:
@@ -158,16 +197,27 @@ def _iter_p_morphisms(source: Poset, target: Poset, onto: bool = False,
     left = [*range(block - 1, -1, -1), *range(ns - block - 1, -1, -1)]
     with_above = target.with_above
     allow = [tfull] * ns if fibers is None else [fibers[y] for y in order]
-    # with twins, the position of each point's previous twin, else -1
+    # with twins, the position of each point's previous twin; with
+    # target_twins, -2 where a gated point may be hit; else -1
     prev = [-1] * ns
     if twins:
-        if fibers is not None:
-            raise ValueError("twins and fibers cannot be combined: fibers "
-                             "may tell twins apart")
         where = {y: k for k, y in enumerate(order)}
-        for cls in _twin_classes(source):
+        for cls in _twin_classes(source) if twins is True else twins:
             for a, b in zip(cls, cls[1:]):
                 prev[where[b]] = where[a]
+    if target_twins:
+        # (previous twin, gated point) bits, and per image of the previous
+        # twins, the points open to the next position, filled as met
+        pairs = [(1 << a, 1 << b) for cls in _twin_classes(target)
+                 for a, b in zip(cls, cls[1:])]
+        preds = sum(a for a, _ in pairs)
+        gated = sum(b for _, b in pairs)
+        opened = {}
+        if gated & tmax:
+            prev[:block] = [-2] * block
+        if gated & ~tmax:
+            prev[block:] = [-2] * (ns - block)
+        allow[0] = tfull & ~gated  # nothing is hit yet
     last = ns - 1
     assign = [0] * ns
     image = [0] * ns
@@ -198,12 +248,19 @@ def _iter_p_morphisms(source: Poset, target: Poset, onto: bool = False,
         pos += 1
         image[pos] = img
         q = prev[pos]
-        if q >= 0:
+        if q == -1:
+            mask = allow[pos]
+        elif q >= 0:
             # a twin enters as its previous twin did: the same covers and
             # maximals above; it keeps that twin's image and later ones
             mask = cand[q] | 1 << assign[order[q]]
             continue
-        mask = allow[pos]
+        else:
+            key = img & preds
+            mask = opened.get(key)
+            if mask is None:
+                mask = opened[key] = tfull & ~sum(
+                    b for a, b in pairs if not key & a)
         for z in covers[pos]:
             mask &= tdown[assign[z]]
         if pos < block:

@@ -356,7 +356,7 @@ def _extension_class_task(Y: Poset, P: Poset, first: dict,
     rows = _max_rows(Y)
     twins = _twin_classes(Y)
     instances = 0
-    for gamma in _iter_p_morphisms(Y, P, onto=True, twins=True):
+    for gamma in _iter_p_morphisms(Y, P, onto=True, twins=twins):
         fibers = _fiber_profiles(rows, gamma, n)
         for key, k in first.items():
             if _fan_lift(fibers, key) is None:

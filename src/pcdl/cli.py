@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from functools import cache
 from itertools import repeat
@@ -542,10 +543,30 @@ def _check_numbers(args) -> None:
                                 % (name.replace("_", "-"), least, value))
 
 
+def _check_out(args) -> None:
+    """Refuse an --out path that cannot be written, before any work.
+
+    The file is neither created nor truncated, since --in may name it.
+    """
+    if not args.out:
+        return
+    if os.path.isdir(args.out):
+        raise CliInputError("--out %s: is a directory" % args.out)
+    folder = os.path.dirname(args.out) or "."
+    if not os.path.isdir(folder):
+        raise CliInputError("--out %s: no such directory %s"
+                            % (args.out, folder))
+    # an existing file is rewritten in place; a new one is made in folder
+    if not (os.access(args.out, os.W_OK) if os.path.exists(args.out)
+            else os.access(folder, os.W_OK | os.X_OK)):
+        raise CliInputError("--out %s: not writable" % args.out)
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         _check_numbers(args)
+        _check_out(args)
         return args.func(args)
     except (CliInputError, ValueError, OSError) as e:
         # OSError: a file named on the command line cannot be read or written

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .algebras import (_dual, in_variety, make_pcdl, p_morphism_failure,
-                       star_embedding_failure)
+from .algebras import (_dual, _twin_swap_count, in_variety, make_pcdl,
+                       p_morphism_failure, star_embedding_failure)
 from .amalgamation import (ExtensionResult, _extension_classes,
                            _require_room)
 from .duality import LatticeHom, UpSetLattice
@@ -221,11 +221,11 @@ def is_congruence_extensile_bounded(B, n: int, bound: int) -> ExtensionResult:
     (pullback_congruence). The per-pair check runs as a reference oracle
     in the test suite.
 
-    The gammas are counted one by one, not one per orbit of Y's twin
-    swaps as in the extension oracle: on the benchmark's three inputs
-    (fan(2), the 2-chain and fan(3) at n = 3, bound 7) orbits cut the
-    gammas only 1.2 to 2.4 times, and weighing each orbit cost more
-    than that saved.
+    The gammas are read one per orbit of P's twin swaps: a swap tau of
+    twins of P is an automorphism of P, and gamma -> tau o gamma moves
+    every onto gamma, so each orbit has _twin_swap_count(P) members and
+    each gamma read counts that many times the congruences. The count
+    is that of reading every gamma.
     """
     if not in_variety(B, n):
         raise ValueError("algebra is outside the variety of index %d" % n)
@@ -233,11 +233,11 @@ def is_congruence_extensile_bounded(B, n: int, bound: int) -> ExtensionResult:
     from .algebras import _iter_p_morphisms
     P = _dual(B)
     _require_room(P, bound)
-    per_gamma = len(enumerate_congruences(P))
+    per_orbit = len(enumerate_congruences(P)) * _twin_swap_count(P)
     instances = 0
     for Y in _extension_classes(P, n, bound):
-        for _ in _iter_p_morphisms(Y, P, onto=True):
-            instances += per_gamma
+        for _ in _iter_p_morphisms(Y, P, onto=True, target_twins=True):
+            instances += per_orbit
     return ExtensionResult("yes", None, instances, bound)
 
 

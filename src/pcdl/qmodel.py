@@ -16,9 +16,11 @@ lift composes back.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple
 
-from .algebras import _iter_p_morphisms, p_morphism_failure, p_morphisms
+from .algebras import (_iter_p_morphisms, _twin_swap_count,
+                       p_morphism_failure, p_morphisms)
 from .amalgamation import (_extension_classes, _fan_lift, _fan_lift_failure,
                            _fan_lift_table, _fiber_profiles, _max_rows,
                            _top_profile, forbidden_images)
@@ -206,6 +208,14 @@ def _classify_alpha(model: QuotientModel, alpha: OrderMap) -> str:
     return "3"
 
 
+def _fixed_maps(model: QuotientModel) -> tuple:
+    """The identity on the quotient and the collapse from the big poset,
+    each as (Y, (its table,))."""
+    P = model.quotient
+    return ((P, (tuple(range(P.n)),)),
+            (model.total, (model.collapse.table,)))
+
+
 def _onto_maps(model: QuotientModel, bound: int):
     """(Y, tables of onto p-morphisms from Y onto the quotient).
 
@@ -214,8 +224,7 @@ def _onto_maps(model: QuotientModel, bound: int):
     onto maps are searched only when it is reached.
     """
     P = model.quotient
-    yield P, (tuple(range(P.n)),)
-    yield model.total, (model.collapse.table,)
+    yield from _fixed_maps(model)
     for Y in _extension_classes(P, 3, bound):
         yield Y, _iter_p_morphisms(Y, P, onto=True)
 
@@ -251,11 +260,16 @@ def check_lift_cases(model: QuotientModel, bound: int) -> LiftCaseReport:
     are always included; extensions of at most bound points are
     enumerated on top of them.
 
-    Unlike the extension oracle, this reads every gamma, not one per
-    orbit of Y's twin swaps: the 3a/3b tally reads |M(y)| of the least
-    fitting y, and where twin classes interleave in index order a swap
-    can change which fitting point is least, so the tally is not known
-    to be the same along an orbit.
+    Within an extension class, the gammas are read one per orbit of the
+    quotient's twin swaps (_iter_p_morphisms with target_twins), and each
+    counts _twin_swap_count times. That is exact: for a swap tau, the
+    pair (tau o gamma, alpha) has the same fitting y as (gamma, tau^-1 o
+    alpha), so the same least y, lift and 3a/3b label, and alpha ->
+    tau^-1 o alpha permutes the alphas. Every twin class of a quotient
+    lies in the tops of one component, so tau fixes every non-maximal
+    point and every component, and alpha and tau^-1 o alpha have one
+    case. A class with a failure is read again gamma by gamma, so
+    failures come in the order of plain enumeration.
     """
     P = model.quotient
     alphas = p_morphisms(fan(3), P)
@@ -265,17 +279,19 @@ def check_lift_cases(model: QuotientModel, bound: int) -> LiftCaseReport:
         if key not in orbits:
             orbits[key] = [0, alpha.table, _classify_alpha(model, alpha)]
         orbits[key][0] += 1
-    counts = {"1": 0, "2": 0, "3a": 0, "3b": 0}
-    failures = []
-    uncovered = 0
-    instances = 0
-    for Y, gammas in _onto_maps(model, bound):
+
+    def tally(Y, gammas, plain):
+        """(counts, failures, uncovered, instances) of gammas, one map
+        each; None at the first failure unless plain."""
         rows = _max_rows(Y)
+        counts = dict.fromkeys(("1", "2", "3a", "3b"), 0)
+        failures = []
+        uncovered = read = 0
         for gamma in gammas:
+            read += 1
             fibers = _fiber_profiles(rows, gamma, 3)
             failed = {}
             for key, (size, first, case) in orbits.items():
-                instances += size
                 y = _fan_lift(fibers, key)
                 if y is None:
                     if case == "3":
@@ -292,9 +308,31 @@ def check_lift_cases(model: QuotientModel, bound: int) -> LiftCaseReport:
                 else:
                     counts[case] += size
             if failed:
+                if not plain:
+                    return None
                 failures += [(OrderMap(Y, P, gamma), alpha, failed[key])
                              for alpha, key in zip(alphas, keys)
                              if key in failed]
+        return counts, failures, uncovered, read * len(alphas)
+
+    swaps = _twin_swap_count(P)
+    reads = chain(((Y, gammas, 1) for Y, gammas in _fixed_maps(model)),
+                  ((Y, _iter_p_morphisms(Y, P, onto=True, target_twins=True),
+                    swaps) for Y in _extension_classes(P, 3, bound)))
+    counts = dict.fromkeys(("1", "2", "3a", "3b"), 0)
+    failures = []
+    uncovered = 0
+    instances = 0
+    for Y, gammas, weight in reads:
+        got = tally(Y, gammas, weight == 1)
+        if got is None:
+            got, weight = tally(Y, _iter_p_morphisms(Y, P, onto=True),
+                                True), 1
+        for case, count in got[0].items():
+            counts[case] += count * weight
+        failures += got[1]
+        uncovered += got[2] * weight
+        instances += got[3] * weight
     return LiftCaseReport(counts, tuple(failures), uncovered, instances,
                           bound)
 

@@ -1,13 +1,15 @@
 import random
+from math import factorial
 
 import pytest
 
 from pcdl import duality
-from pcdl.algebras import _iter_p_morphisms
+from pcdl.algebras import _iter_p_morphisms, _twin_swap_count
 from pcdl.enumeration import poset_classes_exactly
-from pcdl import (AbstractLattice, OrderMap, antichain, chain,
-                  disjoint_sum, embedding_p_morphism_witness,
-                  fan, fan_algebra, hom_of_dual_map, in_variety,
+from pcdl import (AbstractLattice, OrderMap, antichain,
+                  build_quotient_model, chain, disjoint_sum,
+                  embedding_p_morphism_witness, fan, fan_algebra,
+                  hom_of_dual_map, in_variety,
                   is_p_morphism, make_pcdl, onto_star_hom_exists,
                   p_morphism_failure, p_morphisms, pcdl_from_abstract,
                   poset_classes_upto, pseudocomplement, star_embeddings,
@@ -218,6 +220,71 @@ def test_search_core_empty_source_and_target():
     assert list(_iter_p_morphisms(empty, point, onto=True)) == []
     assert list(_iter_p_morphisms(point, empty)) == []
     assert list(_iter_p_morphisms(point, empty, onto=True)) == []
+
+
+def _first_hits_in_index_order(Y, table, classes) -> bool:
+    """Whether, read in search order, each target twin class is first hit
+    in index order (the restricted-growth form of table)."""
+    order = sorted(range(Y.n), key=lambda y: (Y.up[y].bit_count(), y))
+    for cls in classes:
+        hits = []
+        for y in order:
+            if table[y] in cls and table[y] not in hits:
+                hits.append(table[y])
+        if hits != cls[:len(hits)]:
+            return False
+    return True
+
+
+def test_target_twin_search_yields_one_table_per_orbit():
+    # one onto table per orbit of the target's twin swaps: the plain onto
+    # tables in restricted-growth form, in plain order, each orbit of
+    # _twin_swap_count members
+    rng = random.Random(29)
+    sources = list(poset_classes_upto(5))
+    sources += [random_relabel(Y, rng) for Y in poset_classes_upto(5)
+                if Y.n >= 3]
+    targets = list(poset_classes_upto(4))
+    targets += [random_relabel(P, rng) for P in targets if P.n >= 3]
+    # two points below one: twins that are not maximal
+    assert any(P.maximals_mask.bit_count() == 1 and P.n == 3
+               and twin_classes_by_scan(P) for P in targets)
+    plain_total = reps = 0
+    for P in targets:
+        classes = twin_classes_by_scan(P)
+        swaps = _twin_swap_count(P)
+        for Y in sources:
+            plain = list(_iter_p_morphisms(Y, P, onto=True))
+            got = list(_iter_p_morphisms(Y, P, onto=True,
+                                         target_twins=True))
+            assert got == [t for t in plain
+                           if _first_hits_in_index_order(Y, t, classes)]
+            assert len(got) * swaps == len(plain)
+            plain_total, reps = plain_total + len(plain), reps + len(got)
+    assert reps < plain_total
+    empty = antichain(0)
+    assert list(_iter_p_morphisms(empty, empty, onto=True,
+                                  target_twins=True)) == [()]
+
+
+def test_target_twin_search_refuses_twins_and_fibers():
+    P = antichain(2)
+    with pytest.raises(ValueError, match="twins and target_twins"):
+        list(_iter_p_morphisms(P, P, twins=True, target_twins=True))
+    with pytest.raises(ValueError, match="target_twins and fibers"):
+        list(_iter_p_morphisms(P, P, target_twins=True, fibers=[3, 3]))
+    # refused before any early return: no map into the empty target
+    with pytest.raises(ValueError, match="target_twins and fibers"):
+        list(_iter_p_morphisms(P, antichain(0), target_twins=True,
+                               fibers=[0, 0]))
+
+
+def test_twin_swap_count():
+    for n in range(6):
+        assert _twin_swap_count(fan(n)) == factorial(n)
+    assert _twin_swap_count(antichain(4)) == 24
+    assert _twin_swap_count(chain(3)) == 1
+    assert _twin_swap_count(build_quotient_model(1, 1).quotient) == 12
 
 
 def test_p_morphism_failure_reports():

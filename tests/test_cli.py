@@ -317,6 +317,26 @@ def test_out_file(tmp_path, fan2):
         _one_error_line(r, str(bad))
 
 
+def test_unusable_out_is_refused_before_the_command_runs(tmp_path, fan2):
+    # the oracle over every dual of at most 5 points runs for minutes, so
+    # only a refusal before the command runs ends within the timeout
+    oracle = ("catalog", "--max-points", "5", "--n", "3", "--oracle")
+    missing = tmp_path / "missing" / "x.json"
+    for bad in (missing, tmp_path):
+        _one_error_line(run(*oracle, "--out", str(bad), timeout=30),
+                        str(bad))
+    assert not missing.parent.exists()
+    # the check neither creates nor truncates the file: --in may name it
+    text = pathlib.Path(fan2).read_text()
+    r = run("amalgam", "--in", fan2, "--n", "3", "--oracle", "--bound", "2",
+            "--out", fan2, timeout=30)
+    _one_error_line(r, "bound 2")
+    assert pathlib.Path(fan2).read_text() == text
+    r = run("variety-index", "--in", fan2, "--out", fan2, timeout=30)
+    assert r.returncode == 0
+    assert json.loads(pathlib.Path(fan2).read_text())["variety_index"] == 2
+
+
 def test_json_reports_have_the_bytes_of_json_dumps(tmp_path, capsys):
     # the join and meet tables of every up-set lattice a report holds are
     # written row by row: 128 and 512 elements, and quotients of a poset

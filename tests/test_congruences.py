@@ -286,6 +286,24 @@ def test_extensile_count_matches_per_pair_oracle():
     assert (cases, total) == (67, 710979)
 
 
+def test_extensile_reads_one_gamma_per_target_orbit(monkeypatch):
+    # the benchmark's three inputs at n = 3, bound 7: each gamma read
+    # stands for its orbit of P's twin swaps, of 2!, 1 and 3! maps
+    from pcdl import algebras
+    search = algebras._iter_p_morphisms
+    read = []
+
+    def counted(*args, **kwargs):
+        for table in search(*args, **kwargs):
+            read.append(kwargs.get("target_twins", False))
+            yield table
+    monkeypatch.setattr(algebras, "_iter_p_morphisms", counted)
+    got = [is_congruence_extensile_bounded(P, 3, 7).instances
+           for P in (fan(2), chain(2), fan(3))]
+    assert got == [39190, 72186, 18954]
+    assert all(read) and len(read) == 28332
+
+
 def test_extensile_frozen_results():
     r = is_congruence_extensile_bounded(fan_algebra(2), 3, 5)
     assert r.verdict == "yes" and r.instances == 710

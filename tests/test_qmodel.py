@@ -8,7 +8,8 @@ from pcdl import (OrderMap, Poset, build_quotient_model, check_lift_cases,
                   p_morphisms, variety_index, verify_collapse,
                   verify_separation)
 
-from _oracles import is_p_morphism_raw, lift_cases_per_alpha
+from _oracles import (is_p_morphism_raw, lift_cases_per_alpha,
+                      twin_classes_by_scan)
 
 # the nine fan-row models of the benchmark's q-model requests
 NINE_MODELS = [(0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2), (2, 0),
@@ -208,6 +209,30 @@ def test_lift_cases_match_per_alpha_oracle(monkeypatch):
             {(chunk[0][0], "rejected on purpose")}
     assert rep.case_counts["2"] == plain.case_counts["2"] - len(rep.failures)
     assert rep.instances == plain.instances
+
+
+def test_lift_check_reads_one_gamma_per_quotient_orbit(monkeypatch):
+    # every twin class of a quotient is maximal, within one component, so
+    # its swaps fix the non-maximal points and the components; the nine
+    # models at bound 7 read 4,295 class gammas, one per orbit
+    search = qmodel._iter_p_morphisms
+    read = []
+
+    def counted(*args, **kwargs):
+        for table in search(*args, **kwargs):
+            read.append(kwargs.get("target_twins", False))
+            yield table
+    monkeypatch.setattr(qmodel, "_iter_p_morphisms", counted)
+    for full, merged in NINE_MODELS:
+        m = build_quotient_model(full, merged)
+        P = m.quotient
+        classes = twin_classes_by_scan(P)
+        assert len(classes) == full + merged
+        for cls in classes:
+            assert all(P.up[p] == 1 << p for p in cls)
+            assert len({m.quotient_component[p] for p in cls}) == 1
+        assert check_lift_cases(m, 7).failures == ()
+    assert all(read) and len(read) == 4295
 
 
 def test_uncovered_instance_really_has_no_lift():
