@@ -36,8 +36,9 @@ from .qmodel import (build_quotient_model, check_lift_cases,
                      divergence_report, verify_collapse, verify_separation)
 
 FORMAT_TAG = "pcdl/1"
-# dual of a poset writes two tables of size-squared entries: 94 MB at this
-# many elements, and four times as much at each further doubling
+# the most elements of a lattice built from a poset file: dual writes two
+# tables of size-squared entries, 94 MB at this many elements and four
+# times as much at each further doubling, and star-homs lists the homs
 DUAL_MAX = 2048
 
 
@@ -69,6 +70,16 @@ def _load_poset_or_lattice(path: str):
                         "(joins and meets)" % path)
 
 
+def _refuse_large_dual(poset: Poset, path: str) -> None:
+    """Refuse a poset with more than DUAL_MAX up-sets before listing them."""
+    try:
+        poset.up_sets(DUAL_MAX)
+    except ValueError:
+        raise CliInputError("%s: the dual lattice has more than %d "
+                            "elements, the most pcdl builds from a poset"
+                            % (path, DUAL_MAX)) from None
+
+
 def _load_dual(path: str) -> Poset:
     """The dual poset of a poset or lattice file; a poset builds no lattice."""
     obj = _load_poset_or_lattice(path)
@@ -83,6 +94,7 @@ def _load_algebra(path: str):
     """
     obj = _load_poset_or_lattice(path)
     if isinstance(obj, Poset):
+        _refuse_large_dual(obj, path)
         alg = make_pcdl(obj)
         return alg, list(alg.labels), range(alg.size)
     return obj.algebra, list(obj.labels), obj.unit_table
@@ -224,12 +236,7 @@ def _emit(args, payload, dot_text=None) -> None:
 def _cmd_dual(args) -> int:
     obj = _load_poset_or_lattice(args.infile)
     if isinstance(obj, Poset):
-        try:
-            obj.up_sets(DUAL_MAX)
-        except ValueError:
-            raise CliInputError("%s: the dual lattice has more than %d "
-                                "elements, the most dual writes"
-                                % (args.infile, DUAL_MAX)) from None
+        _refuse_large_dual(obj, args.infile)
         out = dual_lattice(obj)
     else:
         # certified distributive by its unit isomorphism when it was loaded

@@ -11,18 +11,65 @@ least element h maps above j.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
-from operator import and_, eq, or_
-from typing import Iterable, Iterator
+import struct
+from itertools import repeat
+from operator import and_, or_
+from typing import Callable, Iterable, Iterator
 
 from .posets import OrderMap, Poset, bits
 
-_BIT_CHARS = bytes.maketrans(b"\0\1", b"01")
+# the most elements whose tables the row packer reads: two byte planes
+# hold every entry below it, and the tables hold 2^32 entries at this size
+_PLANES_MAX = 1 << 16
+# a plane byte of 0 reads as the digit 1, any other byte as 0
+_ZERO_DIGITS = b"1" + b"0" * 255
 
 
-def _mask_where(flags) -> int:
-    """The mask of the positions at which flags (bools) is true."""
-    return int(b"0" + bytes(flags).translate(_BIT_CHARS)[::-1], 2)
+def _byte_table(at: int) -> bytes:
+    """The 256-byte translate table that maps at to 0xFF and the rest to 0."""
+    return bytes(at) + b"\xff" + bytes(255 - at)
+
+
+def _row_packer(n: int) -> Callable:
+    """The function that packs a table row of n entries into byte planes.
+
+    A row is one plane, bytes(row), when n <= 256, and otherwise a low
+    and a high plane: the entries packed as little-endian 16-bit words,
+    split into their even and odd bytes. Either way entry j is the j-th
+    byte of each plane, and the packer checks the row as it packs it, in
+    a few passes at C level: an entry that is not an int (or a bool)
+    raises TypeError, ValueError or struct.error as the packing refuses
+    it, and so does a row of the wrong length or an entry outside
+    0..65535; an entry from n to 65535 raises IndexError. More than
+    _PLANES_MAX elements raise ValueError here, before any row is read.
+    """
+    if n > _PLANES_MAX:
+        raise ValueError("a lattice of %d elements is past %d, the most "
+                         "whose tables are read" % (n, _PLANES_MAX))
+    if n <= 256:
+        valid = bytes(range(n))
+
+        def pack(row) -> tuple:
+            plane = bytes(row)
+            if len(plane) != n or plane.translate(None, valid):
+                raise IndexError("table entry out of range")
+            return (plane,)
+        return pack
+    words = struct.Struct("<%dH" % n).pack
+    top, last = divmod(n - 1, 256)
+    valid_high = bytes(range(top + 1))
+    at_top = _byte_table(top)
+    past_last = bytes(last + 1) + b"\xff" * (255 - last)
+
+    def pack(row) -> tuple:
+        word = words(*row)
+        low, high = word[0::2], word[1::2]
+        if high.translate(None, valid_high) \
+                or int.from_bytes(high.translate(at_top), "little") \
+                & int.from_bytes(low.translate(past_last), "little"):
+            raise IndexError("table entry out of range")
+        return low, high
+    return pack
 
 
 def _set_label(base: Poset, mask: int) -> str:
@@ -133,13 +180,13 @@ class AbstractLattice:
     Construction certifies the tables by the unit, the canonical
     isomorphism onto the up-sets of the dual poset (unit_iso), which
     exists exactly when the tables form a bounded distributive lattice.
-    The certificate also checks the entries: it indexes a list of n cells
-    by every one of them, which takes only ints (bools among them) from
-    -n to n - 1, and a negative entry is refused before it can wrap. The
-    entry-by-entry scan and the law scan run only after a rejection, to
-    name the first bad entry or broken law. The unit's table and its
-    target algebra are kept as plain fields; unit itself is built on
-    first read, so a lattice holds no reference back to itself until then.
+    The certificate also checks the entries: it packs every row into byte
+    planes (_row_packer), which takes only ints (bools among them) from 0
+    to n - 1, with no step per entry. The entry-by-entry scan and the law
+    scan run only after a rejection, to name the first bad entry or
+    broken law. The unit's table and its target algebra are kept as plain
+    fields; unit itself is built on first read, so a lattice holds no
+    reference back to itself until then.
     """
 
     __slots__ = ("labels", "joins", "meets", "bottom", "top", "unit_table",
@@ -158,8 +205,6 @@ class AbstractLattice:
         if n == 0:
             raise ValueError("a bounded lattice has at least one element")
         try:
-            if min(chain(*self.joins, *self.meets)) < 0:
-                raise IndexError("a negative entry wraps to a real cell")
             b = 0
             t = 0
             for i in range(n):
@@ -168,7 +213,7 @@ class AbstractLattice:
             self.bottom = b
             self.top = t
             unit = unit_iso(self)
-        except (ValueError, TypeError, IndexError) as e:
+        except (ValueError, TypeError, IndexError, struct.error) as e:
             # a bad entry is named first, then a broken law, then the unit
             self._scan_entries()
             self._validate()
@@ -285,10 +330,23 @@ def _order_masks(lat, op) -> list:
     """Per element, the mask of the elements above it or below it.
 
     With op or_ it reads i <= j as i join j == j, and with op and_ it
-    reads j <= i as i meet j == j: either way one row of one table.
+    reads j <= i as i meet j == j: either way one row of one table. Each
+    row is packed into byte planes (_row_packer) and XORed with the
+    planes of the identity row, so byte j is 0 exactly when entry j is j;
+    one translate turns the bytes into binary digits, and reversed they
+    read as the mask.
     """
-    rng = range(lat.size)
-    return [_mask_where(map(eq, row, rng)) for row in lat.rows(op)]
+    n = lat.size
+    pack = _row_packer(n)
+    identity = [int.from_bytes(p, "little") for p in pack(range(n))]
+    out = []
+    for planes in map(pack, lat.rows(op)):
+        differ = 0
+        for plane, same in zip(planes, identity):
+            differ |= int.from_bytes(plane, "little") ^ same
+        out.append(int(differ.to_bytes(n, "little")
+                       .translate(_ZERO_DIGITS)[::-1], 2))
+    return out
 
 
 def _join_irreducibles(downs) -> list:
@@ -466,25 +524,28 @@ def unit_iso(lat) -> LatticeHom:
     masks are the true ones, and a -> mask is Birkhoff's isomorphism onto
     the up-sets of P(L): the target has exactly n elements.
 
-    Each row is checked in one packed comparison, which is the same
-    condition as masks[row[j]] == mi | masks[j] (or mi & masks[j]) for
-    every j. Every mask is written as a little-endian cell of one fixed
-    width, wide enough for the full mask; gathering the cells of the
-    entries of a row gives the int holding masks[row[j]] in cell j.
-    packed holds masks[j] in cell j, and spread holds 1 in every cell, so
-    mi * spread holds mi in every cell, with no carry as mi fits a cell.
-    OR and AND act bit by bit, hence cell by cell: packed | mi * spread
-    holds mi | masks[j] in cell j, and packed & mi * spread holds
-    mi & masks[j]. Both sides are n cells of the same width, so they are
-    equal exactly when every cell is: when the row passes entry by entry.
-    The rows are read in the same order, and a failure raises the same
-    message.
+    Each row is checked per mask byte in one packed comparison, which is
+    the same condition as masks[row[j]] == mi | masks[j] (or mi & masks[j])
+    for every j. The row is packed into byte planes (_row_packer), and
+    one translate of its low plane through a table holding byte b of the
+    mask of each element gives the plane whose byte j is byte b of
+    masks[row[j]]. Past 256 elements there is one such table per high
+    byte h, for the elements 256h..256h+255; the high plane translated to
+    0xFF where it holds h, and to 0 elsewhere, keeps each gather's bytes
+    where they are right, and the kept bytes are ORed together. packed
+    holds byte b of masks[j] in byte j, and spread holds 1 in every byte,
+    so mi_b * spread holds byte b of mi in every byte, with no carry. OR
+    and AND act bit by bit, hence byte by byte: packed | mi_b * spread
+    holds byte b of mi | masks[j] in byte j, and packed & mi_b * spread
+    that of mi & masks[j]. Both sides are n bytes, so they are equal
+    exactly when every byte is, and over every b the row passes exactly
+    when it passes entry by entry. The rows are read in the same order,
+    and a failure raises the same message.
 
-    The gather also checks the entries, every one of which it has read
-    when this returns: an entry that is not an int (or a bool) raises
-    TypeError, and one outside -n..n-1 raises IndexError. A negative
-    entry from -n to -1 wraps to a real cell, so the tables must hold
-    none; AbstractLattice refuses them before it calls this.
+    The packer checks the entries, every one of which has been packed
+    when this returns: it raises TypeError, ValueError, struct.error or
+    IndexError on an entry that is not an int (or a bool) from 0 to
+    n - 1, as _row_packer says.
     """
     poset, _, masks = _dual_space_data(lat)
     n = lat.size
@@ -499,20 +560,41 @@ def unit_iso(lat) -> LatticeHom:
     if masks[lat.bottom] != 0 or masks[lat.top] != poset.full_mask:
         raise ValueError("unit map misses the bounds; "
                          "input is not distributive")
-    # one packed comparison per row, as the docstring shows
-    width = max(1, (poset.n + 7) >> 3)
-    cells = [m.to_bytes(width, "little") for m in masks]
-    packed = int.from_bytes(b"".join(cells), "little")
-    spread = int.from_bytes((1).to_bytes(width, "little") * n, "little")
-    gather = cells.__getitem__
-    for mi, jrow, mrow in zip(masks, lat.rows(or_), lat.rows(and_)):
-        spread_i = mi * spread
-        if int.from_bytes(b"".join(map(gather, jrow)), "little") \
-                != packed | spread_i \
-                or int.from_bytes(b"".join(map(gather, mrow)), "little") \
-                != packed & spread_i:
-            raise ValueError("unit map is not a homomorphism; "
-                             "input is not distributive")
+    # one packed comparison per row and mask byte, as the docstring shows
+    pack = _row_packer(n)
+    shifts = range(0, max(8, poset.n), 8)
+    starts = range(0, n, 256)
+    # gathers[b][h] holds at lo byte b of the mask of element 256h + lo
+    gathers = [[bytes(m >> shift & 255 for m in masks[s:s + 256])
+                .ljust(256, b"\0") for s in starts] for shift in shifts]
+    packs = [int.from_bytes(b"".join(g)[:n], "little") for g in gathers]
+    spread = int.from_bytes(b"\1" * n, "little")
+    picks = [_byte_table(h) for h in range(len(starts))]
+
+    def gathered(planes):
+        """Per mask byte, the int holding that byte of each entry's mask."""
+        low = planes[0]
+        if len(planes) == 1:
+            return [int.from_bytes(low.translate(g[0]), "little")
+                    for g in gathers]
+        kept = [int.from_bytes(planes[1].translate(p), "little")
+                for p in picks]
+        out = []
+        for g in gathers:
+            got = 0
+            for table, keep in zip(g, kept):
+                got |= int.from_bytes(low.translate(table), "little") & keep
+            out.append(got)
+        return out
+
+    for mi, jrow, mrow in zip(masks, map(pack, lat.rows(or_)),
+                              map(pack, lat.rows(and_))):
+        for shift, packed, joined, met in zip(shifts, packs, gathered(jrow),
+                                              gathered(mrow)):
+            spread_i = (mi >> shift & 255) * spread
+            if joined != packed | spread_i or met != packed & spread_i:
+                raise ValueError("unit map is not a homomorphism; "
+                                 "input is not distributive")
     target = UpSetLattice(poset)
     return LatticeHom(lat, target, map(target.index_of_mask, masks))
 

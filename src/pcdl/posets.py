@@ -21,10 +21,11 @@ _HIGH_BYTE_BITS = tuple(tuple(8 + i for i in b) for b in _BYTE_BITS)
 def bits(mask: int):
     """Indices of the set bits of mask, ascending, as a sequence.
 
-    Masks of up to 16 bits take one or two lookups; a wider mask is read
+    Masks of up to 16 bits take one or two lookups. A wider mask with
+    fewer set bits than bytes is read one set bit at a time, and any other
     one byte at a time, each non-zero byte's bits shifted to its place in
-    one map, so no step is taken per bit. A negative mask has no finite
-    set of bits and raises ValueError.
+    one map: either way the steps are the fewer of bits and bytes. A
+    negative mask has no finite set of bits and raises ValueError.
     """
     if mask < 256:
         if mask < 0:
@@ -32,9 +33,15 @@ def bits(mask: int):
         return _BYTE_BITS[mask]
     if mask < 65536:
         return _BYTE_BITS[mask & 255] + _HIGH_BYTE_BITS[mask >> 8]
+    width = (mask.bit_length() + 7) >> 3
     out = []
-    for k, byte in enumerate(mask.to_bytes((mask.bit_length() + 7) >> 3,
-                                           "little")):
+    if mask.bit_count() < width:
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return out
+    for k, byte in enumerate(mask.to_bytes(width, "little")):
         if byte:
             out += map((k << 3).__add__, _BYTE_BITS[byte])
     return out

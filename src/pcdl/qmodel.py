@@ -216,19 +216,6 @@ def _fixed_maps(model: QuotientModel) -> tuple:
             (model.total, (model.collapse.table,)))
 
 
-def _onto_maps(model: QuotientModel, bound: int):
-    """(Y, tables of onto p-morphisms from Y onto the quotient).
-
-    The identity on the quotient and the collapse from the big poset come
-    first, then every extension class of at most bound points, whose
-    onto maps are searched only when it is reached.
-    """
-    P = model.quotient
-    yield from _fixed_maps(model)
-    for Y in _extension_classes(P, 3, bound):
-        yield Y, _iter_p_morphisms(Y, P, onto=True)
-
-
 def check_lift_cases(model: QuotientModel, bound: int) -> LiftCaseReport:
     """Run the lift construction over extensions of the quotient.
 

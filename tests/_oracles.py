@@ -614,6 +614,21 @@ def extension_class_task_by_orbits(Y, P, profiles,
     return before * len(alpha_tables) + extra, witness
 
 
+def onto_maps(model, bound):
+    """(Y, tables of onto p-morphisms from Y onto the quotient).
+
+    The identity on the quotient and the collapse from the big poset come
+    first, then every extension class of at most bound points, whose
+    onto maps are searched only when it is reached: every gamma that
+    qmodel.check_lift_cases reads, one by one, with no orbit reduction.
+    """
+    from pcdl import algebras, amalgamation, qmodel
+    P = model.quotient
+    yield from qmodel._fixed_maps(model)
+    for Y in amalgamation._extension_classes(P, 3, bound):
+        yield Y, algebras._iter_p_morphisms(Y, P, onto=True)
+
+
 def lift_cases_per_alpha(model, bound):
     """The q-model lift check with one closed-form lift per (gamma, alpha).
 
@@ -632,7 +647,7 @@ def lift_cases_per_alpha(model, bound):
     failures = []
     uncovered = 0
     instances = 0
-    for Y, gammas in qmodel._onto_maps(model, bound):
+    for Y, gammas in onto_maps(model, bound):
         rows = amalgamation._max_rows(Y)
         for gamma in gammas:
             fibers = amalgamation._fiber_profiles(rows, gamma, V.n - 1)

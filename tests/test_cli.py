@@ -733,6 +733,20 @@ def test_dual_refuses_a_lattice_past_its_cap(tmp_path, points):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ("star-homs", "--from", "IN", "--to", "IN"),
+    ("star-homs", "--from", "F", "--to", "IN"),
+    ("quotient", "--in", "IN", "--by", "x0"),
+], ids=["star-homs-from", "star-homs-to", "quotient"])
+def test_poset_algebra_refuses_a_lattice_past_its_cap(tmp_path, fan2, args):
+    # 2^12 up-sets: refused before the lattice is built, let alone a hom
+    path = write(tmp_path, "anti.json", antichain(12).to_dict())
+    args = [fan2 if a == "F" else a for a in _with_input(args, path)]
+    r = run(*args, timeout=30)
+    _one_error_line(r, "anti.json: the dual lattice has more than 2048 "
+                       "elements")
+
+
 def test_congruences_refuses_past_its_cap(tmp_path):
     # 2^13 congruences: the cap counts congruences, not points
     path = write(tmp_path, "anti.json", antichain(13).to_dict())

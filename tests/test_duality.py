@@ -242,7 +242,8 @@ def test_certificate_matches_the_pair_scan(tables):
 
 
 def test_certificate_reads_three_byte_cells():
-    # 17 join-irreducibles: each unit mask fills a cell of three bytes
+    # 17 join-irreducibles: each unit mask spans three bytes, each byte
+    # gathered and compared on its own
     tables = ordinal_sum_tables(cube_tables(2), chain_tables(15))
     lat = AbstractLattice(*tables)
     assert lat.algebra.base.n == 17
@@ -269,6 +270,69 @@ def test_certificate_refuses_a_negative_entry_that_wraps_to_a_cell():
     with pytest.raises(ValueError) as e:
         AbstractLattice(labels, joins, meets)
     assert str(e.value) == "joins table entry -1 out of range"
+
+
+@pytest.mark.parametrize("points", [255, 256], ids=["one-plane",
+                                                  "two-planes"])
+def test_certificate_refuses_bad_entries_on_both_sides_of_the_planes(points):
+    # 256 elements pack each row into one byte plane, 257 into a low and a
+    # high plane; each bad entry sits in the last column, the first or a
+    # middle one, and True is accepted only where 1 belongs
+    doc = dual_lattice(chain(points)).to_dict()
+    labels, joins, meets = doc["elements"], doc["joins"], doc["meets"]
+    n = len(labels)
+    assert AbstractLattice(labels, joins, meets).size == n == points + 1
+    for which, i, j in ((0, 0, n - 1), (1, n - 1, 0), (0, n // 2, 1),
+                        (1, 1, n // 2)):
+        for v in (-1, -n, n, 255, 256, 65535, 65536, 1.0, True, "x"):
+            tabs = [[list(r) for r in joins], [list(r) for r in meets]]
+            if type(v) is int and v == tabs[which][i][j]:
+                continue
+            tabs[which][i][j] = v
+            want = _outcome(certify_lattice_tables, (labels, *tabs))
+            assert want[0] == "rejected" or v is True
+            assert _outcome(_unit_masks, (labels, *tabs)) == want, \
+                (which, i, j, v)
+    for which in (0, 1):
+        for row in ([0] * (n - 1), [0] * (n + 1)):
+            tabs = [[list(r) for r in joins], [list(r) for r in meets]]
+            tabs[which][n // 2] = row
+            want = ("rejected", "%s table is not %d x %d"
+                    % (("joins", "meets")[which], n, n))
+            assert _outcome(certify_lattice_tables, (labels, *tabs)) == want
+            assert _outcome(_unit_masks, (labels, *tabs)) == want
+    eta = unit_iso(dual_lattice(chain(points)))
+    assert eta.is_one_to_one() and eta.is_onto()
+
+
+@pytest.mark.parametrize("tops", [7, 8], ids=["one-plane", "two-planes"])
+def test_range_check_refuses_what_gathers_as_the_bottom(tops):
+    # the meet of two atoms is the bottom, whose mask is 0, and so is the
+    # mask an entry past n - 1 would gather: only the range check of the
+    # planes refuses it before the scan names it
+    doc = dual_lattice(fan(tops)).to_dict()
+    labels, joins, meets = doc["elements"], doc["joins"], doc["meets"]
+    n = len(labels)
+    a, b = (labels.index("{t%d}" % k) for k in (1, 2))
+    assert meets[a][b] == 0
+    for v in (n, 255, 256, 511, 512, 65535):
+        if v < n:
+            continue
+        tabs = [joins, [list(r) for r in meets]]
+        tabs[1][a][b] = tabs[1][b][a] = v
+        want = ("rejected", "meets table entry %d out of range" % v)
+        assert _outcome(certify_lattice_tables, (labels, *tabs)) == want
+        assert _outcome(_unit_masks, (labels, *tabs)) == want
+
+
+def test_tables_past_two_planes_are_refused_before_a_row_is_read():
+    class Huge:
+        size = 65537
+
+        def rows(self, op):
+            raise AssertionError("a row was read")
+    with pytest.raises(ValueError, match="65537 elements"):
+        unit_iso(Huge())
 
 
 def test_join_irreducibles_match_the_cover_scan():

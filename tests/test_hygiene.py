@@ -8,7 +8,9 @@ process pool nor dataclasses, which every fresh interpreter would pay
 for, and the lift oracle starts no pool with --jobs 2. The per-layer
 tracer of the benchmark wraps pcdl entry points by name; installing and
 uninstalling it here keeps a renamed or deleted entry point from
-silently breaking traced benchmark runs.
+silently breaking traced benchmark runs. The benchmark's algebra answers
+keep their digests under Python 3.10, the oldest that pyproject.toml
+admits, when a python3.10 is on PATH.
 """
 
 import ast
@@ -16,6 +18,7 @@ import importlib.util
 import os
 import pathlib
 import re
+import shutil
 import subprocess
 import sys
 
@@ -130,6 +133,34 @@ def test_readme_quick_tour_runs():
         assert got == want, lines[node.end_lineno - 1]
         checked.append(want)
     assert checked == [3, 9, 4, True, (2,), True]
+
+
+# the seed-1 algebra digests of test_cli's
+# test_algebra_answers_keep_their_digests, by output format
+ALGEBRA_DIGESTS = {
+    "json": "ac1f022c0ca29f39eded1ab8124d9acac5e7026ce094d430a090637b4c339ab7",
+    "text": "e4ad5f07654f3e9ae6b789a63cd859f82e15d854ee2fd4f2aa8d15ae0b6c484c"}
+
+
+def test_algebra_answers_keep_their_digests_on_python_3_10():
+    # int.to_bytes and int.from_bytes take no default length or byte
+    # order before 3.11; the digest tool and pcdl need only the stdlib
+    exe = shutil.which("python3.10")
+    if exe is None:
+        pytest.skip("no python3.10 on PATH")
+    # a pyenv shim runs 3.10 only when that version is asked for
+    env = dict(os.environ, PYENV_VERSION="3.10")
+    probe = subprocess.run([exe, "-c", "import sys; print(sys.version[:5])"],
+                           capture_output=True, text=True, env=env,
+                           timeout=60)
+    if probe.returncode != 0 or not probe.stdout.startswith("3.10."):
+        pytest.skip("python3.10 on PATH does not run")
+    r = subprocess.run([exe, str(ROOT / "tools" / "cli_digest.py"),
+                        "--seeds", "1", "--workloads", "algebra"],
+                       capture_output=True, text=True, env=env, timeout=600)
+    assert r.returncode == 0, r.stderr
+    rows = [line.split() for line in r.stdout.splitlines()[:-1]]
+    assert {row[3]: row[-1] for row in rows} == ALGEBRA_DIGESTS
 
 
 def _load_tracer():

@@ -8,7 +8,7 @@ from pcdl import (OrderMap, Poset, build_quotient_model, check_lift_cases,
                   p_morphisms, variety_index, verify_collapse,
                   verify_separation)
 
-from _oracles import (is_p_morphism_raw, lift_cases_per_alpha,
+from _oracles import (is_p_morphism_raw, lift_cases_per_alpha, onto_maps,
                       twin_classes_by_scan)
 
 # the nine fan-row models of the benchmark's q-model requests
@@ -133,7 +133,7 @@ def test_uncovered_exactly_when_backtracking_finds_no_lift(full, merged,
     P = m.quotient
     alphas = p_morphisms(fan(3), P)
     instances = missing = 0
-    for Y, gammas in qmodel._onto_maps(m, bound):
+    for Y, gammas in onto_maps(m, bound):
         rows = amalgamation._max_rows(Y)
         for table in gammas:
             fibers = amalgamation._fiber_profiles(rows, table, 3)
