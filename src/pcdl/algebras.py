@@ -11,6 +11,7 @@ called p-morphisms below.
 from __future__ import annotations
 
 from functools import cache
+from itertools import islice
 from math import factorial
 
 from .duality import LatticeHom, UpSetLattice, _star_mask
@@ -316,10 +317,25 @@ def hom_of_dual_map(g: OrderMap, A: UpSetLattice,
     return LatticeHom(A, B, table)
 
 
+# the most star homs listed between two algebras: two 6-point antichains
+# have 6^6 = 46,656, which star-homs would write as 98 MB of JSON
+MAX_STAR_HOMS = 4096
+
+
 def star_hom_pairs(A: UpSetLattice, B: UpSetLattice) -> list:
-    """All (dual p-morphism, hom A -> B) pairs, each dual map certified."""
-    return [(g, hom_of_dual_map(g, A, B))
-            for g in p_morphisms(B.base, A.base)]
+    """All (dual p-morphism, hom A -> B) pairs, each dual map certified.
+
+    The dual tables are counted as the search yields them: past
+    MAX_STAR_HOMS, ValueError before any map or hom is built.
+    """
+    tables = list(islice(_iter_p_morphisms(B.base, A.base),
+                         MAX_STAR_HOMS + 1))
+    if len(tables) > MAX_STAR_HOMS:
+        raise ValueError("more than %d star homs from a %d-element algebra "
+                         "into a %d-element one"
+                         % (MAX_STAR_HOMS, A.size, B.size))
+    maps = [OrderMap(B.base, A.base, t) for t in tables]
+    return [(g, hom_of_dual_map(g, A, B)) for g in maps]
 
 
 def star_homs(A: UpSetLattice, B: UpSetLattice) -> list:

@@ -22,8 +22,8 @@ from json.encoder import encode_basestring_ascii
 from operator import and_, or_
 from typing import Callable, Iterator, NamedTuple
 
-from .algebras import (make_pcdl, p_morphism_failure, star_homs,
-                       variety_index)
+from .algebras import (MAX_STAR_HOMS, make_pcdl, p_morphism_failure,
+                       star_homs, variety_index)
 from .amalgamation import (extension_property_bounded,
                            is_amalgamation_base_finite, lift_through)
 from .catalog import catalog
@@ -482,7 +482,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "classify a map between posets")
 
     sp = sub("star-homs", _cmd_star_homs,
-             "maps between algebras preserving star", infile=False)
+             "maps between algebras preserving star (at most %d)"
+             % MAX_STAR_HOMS, infile=False)
     sp.add_argument("--from", dest="src", required=True)
     sp.add_argument("--to", dest="dst", required=True)
     sp.add_argument("--onto", action="store_true",

@@ -16,7 +16,7 @@ from itertools import repeat
 from operator import and_, or_
 from typing import Callable, Iterable, Iterator
 
-from .posets import OrderMap, Poset, bits
+from .posets import OrderMap, Poset, _TableMap, bits
 
 # the most elements whose tables the row packer reads: two byte planes
 # hold every entry below it, and the tables hold 2^32 entries at this size
@@ -389,10 +389,10 @@ def dual_space(lat) -> Poset:
     return _dual_space_data(lat)[0]
 
 
-class LatticeHom:
+class LatticeHom(_TableMap):
     """Map between bounded lattices, stored as an index table."""
 
-    __slots__ = ("source", "target", "table")
+    __slots__ = ()
 
     def __init__(self, source, target, table: Iterable[int]):
         table = tuple(table)
@@ -401,18 +401,10 @@ class LatticeHom:
         for t in table:
             if not 0 <= t < target.size:
                 raise ValueError("hom table lands outside the target")
-        self.source = source
-        self.target = target
-        self.table = table
-
-    def __call__(self, i: int) -> int:
-        return self.table[i]
-
-    def __eq__(self, other):
-        return (isinstance(other, LatticeHom) and self.table == other.table
-                and self.source == other.source and self.target == other.target)
+        _TableMap.__init__(self, source, target, table)
 
     def __hash__(self):
+        # the table alone: hashing an AbstractLattice reads its join table
         return hash(self.table)
 
     def __repr__(self):
@@ -437,17 +429,6 @@ class LatticeHom:
 
     def is_onto(self) -> bool:
         return len(set(self.table)) == self.target.size
-
-    def compose(self, inner: "LatticeHom") -> "LatticeHom":
-        """The hom doing inner first, then self."""
-        if inner.target != self.source:
-            raise ValueError("composition mismatch")
-        return LatticeHom(inner.source, self.target,
-                          tuple(self.table[t] for t in inner.table))
-
-    def map_labels(self) -> dict:
-        return {self.source.labels[i]: self.target.labels[t]
-                for i, t in enumerate(self.table)}
 
 
 def dual_of_order_map(f: OrderMap) -> LatticeHom:

@@ -596,10 +596,44 @@ class Poset:
         return (Poset, (self.labels, self.up))
 
 
-class OrderMap:
-    """Total map between posets, stored as an index table."""
+class _TableMap:
+    """Map from source to target, stored as an index table: table[i] is
+    the image of source element i.
+
+    A subclass checks the table before it stores it, and a map equals
+    only a map of its own type.
+    """
 
     __slots__ = ("source", "target", "table")
+
+    def __init__(self, source, target, table: tuple):
+        self.source = source
+        self.target = target
+        self.table = table
+
+    def __call__(self, i: int) -> int:
+        return self.table[i]
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.table == other.table
+                and self.source == other.source and self.target == other.target)
+
+    def compose(self, inner):
+        """The map doing inner first, then self, of self's type."""
+        if inner.target != self.source:
+            raise ValueError("composition mismatch")
+        return type(self)(inner.source, self.target,
+                          tuple(self.table[t] for t in inner.table))
+
+    def map_labels(self) -> dict:
+        return {self.source.labels[i]: self.target.labels[t]
+                for i, t in enumerate(self.table)}
+
+
+class OrderMap(_TableMap):
+    """Total map between posets, stored as an index table."""
+
+    __slots__ = ()
 
     def __init__(self, source: Poset, target: Poset, table: Iterable[int]):
         table = tuple(table)
@@ -610,9 +644,7 @@ class OrderMap:
                 raise ValueError("map table lands outside the target")
         if source.n and target.n == 0:
             raise ValueError("no maps into the empty poset")
-        self.source = source
-        self.target = target
-        self.table = table
+        _TableMap.__init__(self, source, target, table)
 
     @classmethod
     def from_labels(cls, source: Poset, target: Poset,
@@ -635,13 +667,6 @@ class OrderMap:
     @classmethod
     def identity(cls, poset: Poset) -> "OrderMap":
         return cls(poset, poset, range(poset.n))
-
-    def __call__(self, i: int) -> int:
-        return self.table[i]
-
-    def __eq__(self, other):
-        return (isinstance(other, OrderMap) and self.table == other.table
-                and self.source == other.source and self.target == other.target)
 
     def __hash__(self):
         return hash((self.source, self.target, self.table))
@@ -700,17 +725,6 @@ class OrderMap:
         if not self.is_onto():
             return "order_embedding"
         return "both_embedding_and_onto"
-
-    def compose(self, inner: "OrderMap") -> "OrderMap":
-        """The map doing inner first, then self."""
-        if inner.target != self.source:
-            raise ValueError("composition mismatch")
-        return OrderMap(inner.source, self.target,
-                        tuple(self.table[t] for t in inner.table))
-
-    def map_labels(self) -> dict:
-        return {self.source.labels[i]: self.target.labels[t]
-                for i, t in enumerate(self.table)}
 
     def to_dict(self) -> dict:
         return {"source": self.source.to_dict(),

@@ -245,7 +245,12 @@ def check_lift_cases(model: QuotientModel, bound: int) -> LiftCaseReport:
 
     The identity on the quotient and the collapse map from the big poset
     are always included; extensions of at most bound points are
-    enumerated on top of them.
+    enumerated on top of them. So a fixed map whose source has at most
+    bound points is read twice: once fixed, and once among the onto maps
+    of its own class. At bound 7 the quotient's class is listed for
+    models (0,1), (1,0), (1,1) and (0,2), and the big poset's for (0,1)
+    and (1,0), where it is the quotient's; the pinned counts of the nine
+    benchmark models (perfbench QMODEL_LIFTS) hold these reads.
 
     Within an extension class, the gammas are read one per orbit of the
     quotient's twin swaps (_iter_p_morphisms with target_twins), and each

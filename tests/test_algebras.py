@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 
 from pcdl import duality
-from pcdl.algebras import _iter_p_morphisms, _twin_swap_count
+from pcdl.algebras import MAX_STAR_HOMS, _iter_p_morphisms, _twin_swap_count
 from pcdl.enumeration import poset_classes_exactly
 from pcdl import (AbstractLattice, OrderMap, antichain,
                   build_quotient_model, chain, disjoint_sum,
@@ -308,6 +308,16 @@ def test_star_hom_counts():
     assert len(star_homs(B3, B3)) == 9
     assert len(star_embeddings(B2, B3)) == 6
     assert len(star_embeddings(three, B3)) == 1
+
+
+def test_star_homs_stop_past_their_cap():
+    # 4^6 homs fill the cap exactly; 4^7 are refused as the search counts
+    A = make_pcdl(antichain(4))
+    assert len(star_homs(A, make_pcdl(antichain(6)))) == MAX_STAR_HOMS
+    with pytest.raises(ValueError, match="more than 4096 star homs from a "
+                                         "16-element algebra into a "
+                                         "128-element one"):
+        star_homs(A, make_pcdl(antichain(7)))
 
 
 def test_star_hom_pairs_are_consistent():

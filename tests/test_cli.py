@@ -715,10 +715,19 @@ def _with_input(args, path) -> list:
     (("amalgam", "--in", "IN", "--n", "20000", "--oracle"),
      "at least 2^20000 - 2 maps of fan(20000) into the dual; it takes at "
      "most 100,000"),
+    # fan2's dual has a point with two maximal points above it
+    (("amalgam", "--in", "IN", "--n", "1"),
+     "algebra is outside the variety of index 1"),
+    (("extensile", "--in", "IN", "--n", "1", "--bound", "5"),
+     "algebra is outside the variety of index 1"),
+    (("catalog", "--max-points", "7", "--n", "3"),
+     "catalog is limited to posets on at most 6 points"),
+    (("q-model", "--N", "0", "--m", "0"), "need at least one component"),
 ], ids=["jobs", "bound", "oracle-room", "extensile-room", "catalog-n",
         "amalgam-n", "q-model-N", "q-model-m", "catalog-max-points",
         "oracle-bound-cap", "extensile-bound-cap", "q-model-bound-cap",
-        "catalog-bound-cap", "oracle-map-cap"])
+        "catalog-bound-cap", "oracle-map-cap", "amalgam-variety",
+        "extensile-variety", "catalog-points-cap", "q-model-empty"])
 def test_bad_numbers_exit_3_with_one_line(fan2, args, flag):
     _one_error_line(run(*_with_input(args, fan2), timeout=60), flag)
 
@@ -745,6 +754,18 @@ def test_poset_algebra_refuses_a_lattice_past_its_cap(tmp_path, fan2, args):
     r = run(*args, timeout=30)
     _one_error_line(r, "anti.json: the dual lattice has more than 2048 "
                        "elements")
+
+
+def test_star_homs_refuses_past_its_cap(tmp_path):
+    # two 6-point antichains have 6^6 = 46,656 homs: refused once the
+    # search passes 4096, before any hom is built or written
+    path = write(tmp_path, "anti.json", antichain(6).to_dict())
+    out = tmp_path / "out.json"
+    r = run("star-homs", "--from", path, "--to", path, "--out", str(out),
+            timeout=30)
+    _one_error_line(r, "more than 4096 star homs from a 64-element algebra "
+                       "into a 64-element one")
+    assert not out.exists()
 
 
 def test_congruences_refuses_past_its_cap(tmp_path):

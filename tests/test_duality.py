@@ -175,6 +175,37 @@ def test_lattice_hom_validation():
     assert not collapse.is_homomorphism()  # drops the top
 
 
+def test_maps_and_homs_call_compose_compare_and_hash_alike():
+    # both map types are an index table between two objects; each keeps
+    # its own type through compose, equality and hashing
+    p = chain(3)
+    lat = dual_lattice(chain(2))  # a 3-element chain too
+    f = OrderMap(p, p, (0, 0, 2))
+    g = OrderMap(p, p, (1, 2, 2))
+    h = LatticeHom(lat, lat, (0, 0, 2))
+    k = LatticeHom(lat, lat, (1, 2, 2))
+    assert f(1) == 0 and h(1) == 0 and k(0) == 1
+    for outer, inner in ((g, f), (k, h)):
+        both = outer.compose(inner)
+        assert type(both) is type(outer)
+        assert both.table == (1, 1, 2)
+        assert both.source is inner.source and both.target is outer.target
+    with pytest.raises(ValueError, match="composition mismatch"):
+        f.compose(OrderMap.identity(chain(2)))
+    other = dual_lattice(antichain(1))
+    with pytest.raises(ValueError, match="composition mismatch"):
+        h.compose(LatticeHom(other, other, (0, 1)))
+    assert f == OrderMap(p, chain(3), [0, 0, 2]) and f != g
+    assert h == LatticeHom(lat, lat, [0, 0, 2]) and h != k
+    assert f != h and h != f and f.table == h.table
+    assert len({f, h}) == 2
+    assert hash(f) == hash((p, p, (0, 0, 2)))
+    assert hash(h) == hash((0, 0, 2))
+    assert h.map_labels() == {lab: lat.labels[t]
+                              for lab, t in zip(lat.labels, (0, 0, 2))}
+    assert f.map_labels() == {"c0": "c0", "c1": "c0", "c2": "c2"}
+
+
 def test_product_lattice():
     a = AbstractLattice(*cube_plus_one_tables(1))
     prod = product_lattice(a, a)

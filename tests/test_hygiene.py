@@ -2,7 +2,8 @@
 
 Unused imports in the package, the benchmark tools and the tests are
 found by walking each module's syntax tree, and every name in
-pcdl.__all__ must resolve, once. The README's quick tour runs, and each
+pcdl.__all__ must resolve, once. No three consecutive code lines of the
+package appear twice. The README's quick tour runs, and each
 value its comments state is checked. Importing the CLI loads neither a
 process pool nor dataclasses, which every fresh interpreter would pay
 for, and the lift oracle starts no pool with --jobs 2. The per-layer
@@ -15,12 +16,14 @@ admits, when a python3.10 is on PATH.
 
 import ast
 import importlib.util
+import io
 import os
 import pathlib
 import re
 import shutil
 import subprocess
 import sys
+import tokenize
 
 import pytest
 
@@ -64,6 +67,68 @@ def test_unused_import_finder():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def code_lines(source: str) -> list:
+    """(line number, text) of each line of source that holds code, with
+    its whitespace collapsed and its comment cut; docstrings, import
+    statements and lines of under 12 characters are left out."""
+    tree = ast.parse(source)
+    skip = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            skip.update(range(node.lineno, node.end_lineno + 1))
+        elif isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                               ast.AsyncFunctionDef)) and \
+                ast.get_docstring(node, clean=False) is not None:
+            doc = node.body[0]
+            skip.update(range(doc.lineno, doc.end_lineno + 1))
+    lines = source.splitlines()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.COMMENT:
+            row, col = tok.start
+            lines[row - 1] = lines[row - 1][:col]
+    return [(number, text) for number, text in
+            enumerate((" ".join(line.split()) for line in lines), 1)
+            if number not in skip and len(text) >= 12]
+
+
+def repeated_blocks(sources: dict) -> list:
+    """(first place, later place) of every run of three consecutive code
+    lines that was seen before, in sources (name -> text) or its own."""
+    seen = {}
+    repeats = []
+    for name, source in sources.items():
+        rows = code_lines(source)
+        for k in range(len(rows) - 2):
+            window = tuple(text for _, text in rows[k:k + 3])
+            place = "%s:%d" % (name, rows[k][0])
+            if window in seen:
+                repeats.append((seen[window], place))
+            else:
+                seen[window] = place
+    return repeats
+
+
+def test_repeated_block_finder():
+    body = ("    first = x + 1  # one\n    second = first * 2\n"
+            "    return second - 3\n")
+    one = '"""Doc."""\nimport os\n\n\ndef f(x):\n    """Doc."""\n' + body
+    # a comment, a short line and other spacing do not hide a repeat
+    two = ("from os import path\n\n\ndef g(x):\n    first = x + 1\n"
+           "    # a comment between\n    second  =  first * 2\n"
+           "    y = 1\n    return second - 3\n")
+    assert repeated_blocks({"a": one, "b": two}) == [("a:7", "b:5")]
+    assert repeated_blocks({"a": one + one.replace("f(x)", "h(x)")}) \
+        == [("a:7", "a:16")]
+    assert repeated_blocks({"a": one, "b": two.replace("- 3", "- 4")}) == []
+    assert repeated_blocks({"a": one, "b": '"""\n' + body + '"""\n'}) == []
+
+
+def test_no_repeated_code_blocks():
+    # three code lines twice over are one piece of code to share
+    package = sorted((ROOT / "src" / "pcdl").glob("*.py"))
+    assert repeated_blocks({p.name: p.read_text() for p in package}) == []
 
 
 def test_all_exports_resolve_once():
