@@ -15,7 +15,7 @@ from itertools import islice
 from math import factorial
 
 from .duality import LatticeHom, UpSetLattice, _star_mask
-from .posets import OrderMap, Poset, _twin_classes, bits, fan
+from .posets import OrderMap, Poset, bits, fan
 
 
 def pseudocomplement(poset: Poset, mask: int) -> int:
@@ -78,7 +78,7 @@ def is_p_morphism(f: OrderMap) -> bool:
 def _orbit_weight(table: tuple, classes: list) -> int:
     """The number of maps in the twin-swap orbit of table.
 
-    classes is _twin_classes of the source. Swaps permute the images
+    classes is the source's twin_classes. Swaps permute the images
     within each class independently, so the orbit has, per class of k
     points, k! / (product of c! over the multiplicities c of its images)
     members, and the weight is the product of these.
@@ -97,16 +97,17 @@ def _orbit_weight(table: tuple, classes: list) -> int:
 def _twin_swap_count(target: Poset) -> int:
     """The number of maps in each orbit of the target's twin swaps.
 
-    The swaps of twins of target (_twin_classes) generate one permutation
-    group S, the product of the symmetric groups of its classes: per
-    class of k points, k! members. Each swap tau is an automorphism of
-    target, and S acts on the onto maps gamma into target by gamma ->
-    tau o gamma. The action is free: tau o gamma = gamma would leave
-    every point of gamma's image fixed, but an onto gamma hits the points
-    that tau moves. So every orbit of onto maps has |S| members.
+    The swaps of twins of target (target.twin_classes) generate one
+    permutation group S, the product of the symmetric groups of its
+    classes: per class of k points, k! members. Each swap tau is an
+    automorphism of target, and S acts on the onto maps gamma into
+    target by gamma -> tau o gamma. The action is free: tau o gamma =
+    gamma would leave every point of gamma's image fixed, but an onto
+    gamma hits the points that tau moves. So every orbit of onto maps
+    has |S| members.
     """
     count = 1
-    for cls in _twin_classes(target):
+    for cls in target.twin_classes:
         count *= factorial(len(cls))
     return count
 
@@ -121,14 +122,18 @@ def _iter_p_morphisms(source: Poset, target: Poset, onto: bool = False,
     maximals above it already have images and the maximal-set condition
     prunes exactly: a maximal point takes a maximal target point, and any
     other point y takes a target point whose maximal set is exactly the
-    image of M(y), below the images of its upper covers. The points with
-    each maximal set are read from target.with_above, built once per
-    target and kept on it. The per-call rows are lookups: a stable sort
-    of the points by up-set size (so ties keep index order), covers and
-    maximal sets through bits, and the onto cut's two lists from
-    the block size. The search is iterative: one candidate mask per
-    position, taken lowest point first, on an explicit stack, so tables
-    come in increasing order of the images of the points in that order.
+    image of M(y), below the images of its upper covers. Nothing that
+    depends on one poset alone is built per call: the search order (a
+    stable sort of the points by up-set size, so ties keep index order)
+    and the covers and maximal sets in that order are read from
+    source.search_rows, the points with each maximal set from
+    target.with_above, and the twin gates and the onto cut's rows from
+    target.search_gates, each built on first read and kept on its poset.
+    A call builds only its own state: the candidate masks allowed at
+    each position, the twins positions below, and the stacks. The search
+    is iterative: one candidate mask per position, taken lowest point
+    first, on an explicit stack, so tables come in increasing order of
+    the images of the points in that order.
     fibers optionally restricts each source point to a candidate mask.
     The empty source has the one empty map, onto only the empty target.
 
@@ -144,9 +149,9 @@ def _iter_p_morphisms(source: Poset, target: Poset, onto: bool = False,
     their order are those of the plain search filtered to onto maps.
 
     With twins, only the least table of each orbit of the twin swaps of
-    source (_twin_classes) is yielded; _orbit_weight gives its orbit's
-    size. twins is True, or the source's _twin_classes where the caller
-    has them. Twins have the same candidates and come up in index order,
+    source (source.twin_classes) is yielded; _orbit_weight gives its
+    orbit's size. twins is True, or those classes where the caller has
+    them. Twins have the same candidates and come up in index order,
     so a twin enters with its previous twin's remaining candidates and
     that twin's image: images never decrease along a twin class, which
     picks exactly the least member of each orbit, and yields stay in
@@ -185,40 +190,40 @@ def _iter_p_morphisms(source: Poset, target: Poset, onto: bool = False,
     block, tblock = smax.bit_count(), tmax.bit_count()
     if nt == 0 or onto and (tblock > block or nt - tblock > ns - block):
         return
-    # source rows in search order, read by lookup once per call; the sort
-    # is stable, so points of one up-set size keep index order
-    up = source.up
-    order = sorted(range(ns), key=list(map(int.bit_count, up)).__getitem__)
-    covers = [bits(source.covers_up[y]) for y in order]
-    above = [bits(up[y] & smax) for y in order]
-    # the onto cut at each position: the target points still to be hit
-    # and the positions left that can hit them, maximal ones within the
-    # block and all of them past it
-    need = [tmax] * block + [tfull] * (ns - block)
-    left = [*range(block - 1, -1, -1), *range(ns - block - 1, -1, -1)]
+    # the source's rows in search order and, for an onto or target_twins
+    # search, the target's gates, each built once and kept on its poset
+    order, covers, above = source.search_rows
     with_above = target.with_above
     allow = [tfull] * ns if fibers is None else [fibers[y] for y in order]
+    if onto or target_twins:
+        pairs, preds, gated, opened, shapes = target.search_gates
+        shape = shapes.get((ns, block))
+        if shape is None:
+            # the onto cut at each position: the target points still to
+            # be hit and the positions left that can hit them, maximal
+            # ones within the block and all of them past it; and for
+            # target_twins, -2 where a gated point may be hit, else -1
+            inner = -2 if gated & tmax else -1
+            outer = -2 if gated & ~tmax else -1
+            shape = shapes[ns, block] = (
+                (tmax,) * block + (tfull,) * (ns - block),
+                (*range(block - 1, -1, -1), *range(ns - block - 1, -1, -1)),
+                (inner,) * block + (outer,) * (ns - block))
+        need, left, gate_prev = shape
     # with twins, the position of each point's previous twin; with
     # target_twins, -2 where a gated point may be hit; else -1
-    prev = [-1] * ns
-    if twins:
-        where = {y: k for k, y in enumerate(order)}
-        for cls in _twin_classes(source) if twins is True else twins:
-            for a, b in zip(cls, cls[1:]):
-                prev[where[b]] = where[a]
     if target_twins:
-        # (previous twin, gated point) bits, and per image of the previous
-        # twins, the points open to the next position, filled as met
-        pairs = [(1 << a, 1 << b) for cls in _twin_classes(target)
-                 for a, b in zip(cls, cls[1:])]
-        preds = sum(a for a, _ in pairs)
-        gated = sum(b for _, b in pairs)
-        opened = {}
-        if gated & tmax:
-            prev[:block] = [-2] * block
-        if gated & ~tmax:
-            prev[block:] = [-2] * (ns - block)
+        prev = gate_prev
         allow[0] = tfull & ~gated  # nothing is hit yet
+    else:
+        prev = [-1] * ns
+        if twins:
+            where = [0] * ns
+            for k, y in enumerate(order):
+                where[y] = k
+            for cls in source.twin_classes if twins is True else twins:
+                for a, b in zip(cls, cls[1:]):
+                    prev[where[b]] = where[a]
     last = ns - 1
     assign = [0] * ns
     image = [0] * ns
@@ -320,20 +325,29 @@ def hom_of_dual_map(g: OrderMap, A: UpSetLattice,
 # the most star homs listed between two algebras: two 6-point antichains
 # have 6^6 = 46,656, which star-homs would write as 98 MB of JSON
 MAX_STAR_HOMS = 4096
+# the most label pairs in the listed homs, one per element of the source
+# algebra in each: about 36 MB of JSON; the 11-point antichain's algebra
+# has 1,331 homs into the 3-point one's, 2,725,888 pairs
+MAX_STAR_HOM_PAIRS = 1 << 20
 
 
 def star_hom_pairs(A: UpSetLattice, B: UpSetLattice) -> list:
     """All (dual p-morphism, hom A -> B) pairs, each dual map certified.
 
     The dual tables are counted as the search yields them: past
-    MAX_STAR_HOMS, ValueError before any map or hom is built.
+    MAX_STAR_HOMS, or past MAX_STAR_HOM_PAIRS label pairs at A.size per
+    hom, ValueError before any map or hom is built.
     """
-    tables = list(islice(_iter_p_morphisms(B.base, A.base),
-                         MAX_STAR_HOMS + 1))
+    most = min(MAX_STAR_HOMS, MAX_STAR_HOM_PAIRS // A.size)
+    tables = list(islice(_iter_p_morphisms(B.base, A.base), most + 1))
     if len(tables) > MAX_STAR_HOMS:
         raise ValueError("more than %d star homs from a %d-element algebra "
                          "into a %d-element one"
                          % (MAX_STAR_HOMS, A.size, B.size))
+    if len(tables) > most:
+        raise ValueError("more than %d label pairs in the star homs from a "
+                         "%d-element algebra into a %d-element one"
+                         % (MAX_STAR_HOM_PAIRS, A.size, B.size))
     maps = [OrderMap(B.base, A.base, t) for t in tables]
     return [(g, hom_of_dual_map(g, A, B)) for g in maps]
 

@@ -19,7 +19,7 @@ from .algebras import (_dual, _iter_p_morphisms, _orbit_weight,
                        variety_index)
 from .duality import UpSetLattice
 from .enumeration import poset_classes_exactly
-from .posets import OrderMap, Poset, _twin_classes, bits, fan
+from .posets import OrderMap, Poset, bits, fan
 
 
 class AmalgamationVerdict(NamedTuple):
@@ -105,9 +105,16 @@ def lift_through(gamma: OrderMap, alpha: OrderMap) -> Optional[OrderMap]:
 
 
 def _max_rows(Y: Poset) -> list:
-    """For each point y of Y, the indices of the maximal points above y."""
-    maxes = Y.maximals_mask
-    return [tuple(bits(u & maxes)) for u in Y.up]
+    """For each point y of Y, the indices of the maximal points above y.
+
+    The rows are those Y keeps for the search (Poset.search_rows), put
+    back in index order.
+    """
+    order, _, above = Y.search_rows
+    rows = [()] * len(order)
+    for y, row in zip(order, above):
+        rows[y] = row
+    return rows
 
 
 def _field_width(n: int) -> int:
@@ -331,12 +338,13 @@ def _extension_class_task(Y: Poset, P: Poset, first: dict,
                           alpha_tables: list) -> tuple:
     """(instances, (gamma table, alpha table) of the first failure or None).
 
-    The gammas are read one per orbit of Y's twin swaps (_twin_classes),
-    in search order, and for each, the alphas in order; the alphas are
-    maps of fan(n) into P, so each lift is the closed-form test of
-    _fan_lift, which reads only alpha's top profile. first maps each top
-    profile to the index of its first alpha, in alpha order, and each
-    profile is tested once per gamma, in that order.
+    The gammas are read one per orbit of Y's twin swaps (Y.twin_classes,
+    kept on Y with the rows of _max_rows), in search order, and for each,
+    the alphas in order; the alphas are maps of fan(n) into P, so each
+    lift is the closed-form test of _fan_lift, which reads only alpha's
+    top profile. first maps each top profile to the index of its first
+    alpha, in alpha order, and each profile is tested once per gamma, in
+    that order.
 
     A swap sigma is an automorphism of Y, and beta lifts alpha through
     gamma o sigma exactly when sigma o beta lifts it through gamma, so a
@@ -354,7 +362,7 @@ def _extension_class_task(Y: Poset, P: Poset, first: dict,
         return 0, None
     n = len(alpha_tables[0]) - 1
     rows = _max_rows(Y)
-    twins = _twin_classes(Y)
+    twins = Y.twin_classes
     instances = 0
     for gamma in _iter_p_morphisms(Y, P, onto=True, twins=twins):
         fibers = _fiber_profiles(rows, gamma, n)

@@ -79,11 +79,18 @@ class Poset:
     up[i] / down[i] are reflexive up-set and down-set masks of element i;
     covers_up[i] / covers_down[i] hold the Hasse relation. The constructor
     certifies up as a partial order and derives the other three.
+
+    A few derived tables are built on first read and kept, each a pure
+    function of the poset: its maximal points, its twin classes, and what
+    the p-morphism search (algebras._iter_p_morphisms) reads of it, as a
+    source (search_rows) and as a target (with_above, search_gates). A
+    source keeps only tuples, about 350 bytes for a poset of 7 points, so
+    every class listed by the enumeration can keep its rows.
     """
 
     __slots__ = ("labels", "up", "down", "covers_up", "covers_down",
                  "_index", "_upsets", "_canon", "_aut", "_maximals",
-                 "_with_above")
+                 "_with_above", "_twins", "_search_rows", "_search_gates")
 
     def __init__(self, labels: Iterable[str], up: Iterable[int]):
         labels = tuple(labels)
@@ -129,6 +136,9 @@ class Poset:
         self._aut = None
         self._maximals = None
         self._with_above = None
+        self._twins = None
+        self._search_rows = None
+        self._search_gates = None
 
     @classmethod
     def from_covers(cls, labels: Iterable[str],
@@ -235,6 +245,52 @@ class Poset:
                 out[key] = out.get(key, 0) | 1 << p
             self._with_above = out
         return self._with_above
+
+    @property
+    def twin_classes(self) -> tuple:
+        """The twin classes of two or more points (_twin_classes), each a
+        tuple in index order. Computed once; read, never changed."""
+        if self._twins is None:
+            self._twins = tuple(_twin_classes(self))
+        return self._twins
+
+    @property
+    def search_rows(self) -> tuple:
+        """(order, covers, above): the rows the p-morphism search reads of
+        this poset as its source. order lists the points by up-set size,
+        a stable sort, so points of one size keep index order; covers[k]
+        and above[k] are the upper covers of order[k] and the maximal
+        points above it, as tuples of indices. Computed once; read, never
+        changed."""
+        if self._search_rows is None:
+            up, maxes, covers = self.up, self.maximals_mask, self.covers_up
+            order = tuple(sorted(range(len(up)), key=list(
+                map(int.bit_count, up)).__getitem__))
+            self._search_rows = (
+                order, tuple(tuple(bits(covers[y])) for y in order),
+                tuple(tuple(bits(up[y] & maxes)) for y in order))
+        return self._search_rows
+
+    @property
+    def search_gates(self) -> tuple:
+        """(pairs, preds, gated, opened, shapes): what the onto and
+        target_twins searches read of this poset as their target.
+
+        pairs holds one (previous twin, gated point) pair of bits per
+        point of a twin class after its first, preds the mask of the
+        previous twins and gated that of the gated points. opened maps a
+        mask of previous twins in the image to the points open to the
+        next position, and shapes maps a source's (point count, maximal
+        count) to its onto cut and gate rows; the search fills both as it
+        meets their keys, each entry a function of this poset and the key
+        alone. Computed once; the two dicts only grow.
+        """
+        if self._search_gates is None:
+            pairs = tuple((1 << a, 1 << b) for cls in self.twin_classes
+                          for a, b in zip(cls, cls[1:]))
+            self._search_gates = (pairs, sum(a for a, _ in pairs),
+                                  sum(b for _, b in pairs), {}, {})
+        return self._search_gates
 
     @property
     def minimals_mask(self) -> int:

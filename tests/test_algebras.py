@@ -1,12 +1,13 @@
 import random
+import tracemalloc
 from math import factorial
 
 import pytest
 
-from pcdl import duality
+from pcdl import algebras, duality
 from pcdl.algebras import MAX_STAR_HOMS, _iter_p_morphisms, _twin_swap_count
 from pcdl.enumeration import poset_classes_exactly
-from pcdl import (AbstractLattice, OrderMap, antichain,
+from pcdl import (AbstractLattice, OrderMap, Poset, antichain,
                   build_quotient_model, chain, disjoint_sum,
                   embedding_p_morphism_witness, fan, fan_algebra,
                   hom_of_dual_map, in_variety,
@@ -212,6 +213,102 @@ def test_search_yields_in_search_order():
         assert P.with_above == _with_above_by_scan(P)
 
 
+def _search_rows_by_scan(Y) -> tuple:
+    """(order, covers, above) by leq scan: the points by (up-set size,
+    index), and in that order each one's upper covers and the maximal
+    points above it."""
+    n = Y.n
+    strictly = [[z for z in range(n) if z != y and Y.leq(y, z)]
+                for y in range(n)]
+    order = tuple(sorted(range(n), key=lambda y: (len(strictly[y]), y)))
+    covers = tuple(tuple(z for z in strictly[y]
+                         if not any(Y.leq(w, z) and w != z
+                                    for w in strictly[y]))
+                   for y in order)
+    above = tuple(tuple(z for z in range(n)
+                        if Y.leq(y, z) and not strictly[z])
+                  for y in order)
+    return order, covers, above
+
+
+def _check_search_gates_by_scan(P) -> None:
+    """P's kept gates, and every opened and shapes entry the searches
+    filled, against a leq scan."""
+    pairs, preds, gated, opened, shapes = P.search_gates
+    scan = twin_classes_by_scan(P)
+    assert P.twin_classes == tuple(map(tuple, scan))
+    before = {b: a for cls in scan for a, b in zip(cls, cls[1:])}
+    assert pairs == tuple((1 << a, 1 << b) for b, a in before.items())
+    assert preds == sum(1 << a for a in before.values())
+    assert gated == sum(1 << b for b in before)
+    for key, mask in opened.items():
+        assert mask == sum(1 << p for p in range(P.n)
+                           if p not in before or key >> before[p] & 1)
+    tops = [p for p in range(P.n) if P.up[p] == 1 << p]
+    tmax = sum(1 << p for p in tops)
+    # whether a gated point is maximal, and whether one is not
+    hit = [any(b in tops for b in before), any(b not in tops for b in before)]
+    for (ns, block), (need, left, prev) in shapes.items():
+        assert need == tuple(tmax if k < block else P.full_mask
+                             for k in range(ns))
+        assert left == tuple(block - 1 - k if k < block else ns - 1 - k
+                             for k in range(ns))
+        assert prev == tuple(-2 if hit[k >= block] else -1
+                             for k in range(ns))
+
+
+def test_kept_search_state_is_transparent():
+    # each search mode yields the same tables in the same order whether
+    # source and target keep state from earlier searches with other
+    # partners in every mode, or are fresh copies; and what they keep is
+    # what a fresh scan gives
+    rng = random.Random(32)
+    sources = list(poset_classes_upto(6))
+    sources += rng.sample(poset_classes_exactly(7), 12)
+    targets = list(poset_classes_upto(4))
+    pairs = [(Y, P) for Y in sources for P in targets]
+    rng.shuffle(pairs)
+    for Y, P in pairs:
+        fibers = [sum(1 << p for p in range(P.n) if rng.random() < 0.75)
+                  for _ in range(Y.n)]
+        modes = [{}, {"onto": True}, {"twins": True},
+                 {"onto": True, "twins": True},
+                 {"onto": True, "target_twins": True}, {"fibers": fibers}]
+        rng.shuffle(modes)
+        fresh_Y, fresh_P = Poset(Y.labels, Y.up), Poset(P.labels, P.up)
+        for mode in modes:
+            assert list(_iter_p_morphisms(Y, P, **mode)) == \
+                list(_iter_p_morphisms(fresh_Y, fresh_P, **mode)), \
+                (Y.to_dict(), P.to_dict(), mode)
+    # the empty poset is read by no search: it has the one empty map
+    for Y in sources:
+        assert (Y._search_rows is not None) == (Y.n > 0)
+        assert Y.search_rows == _search_rows_by_scan(Y)
+        assert Y.twin_classes == tuple(map(tuple, twin_classes_by_scan(Y)))
+    for P in targets:
+        assert (P._search_gates is not None) == (P.n > 0)
+        _check_search_gates_by_scan(P)
+        assert P.with_above == _with_above_by_scan(P)
+
+
+def test_kept_source_rows_stay_small():
+    # the rows every class of at most 7 points keeps as a search source
+    # take about 350 bytes a class, 0.85 MB in all, under tracemalloc; a
+    # kept per-class plan of the whole search would pass the budget
+    copies = [Poset(Y.labels, Y.up) for Y in poset_classes_upto(7)]
+    assert len(copies) == 2451
+    for Y in copies:
+        Y.maximals_mask  # kept already by every search of Y
+    tracemalloc.start()
+    try:
+        for Y in copies:
+            Y.search_rows
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 1_250_000, kept
+
+
 def test_search_core_empty_source_and_target():
     empty, point = antichain(0), antichain(1)
     assert list(_iter_p_morphisms(empty, empty)) == [()]
@@ -318,6 +415,23 @@ def test_star_homs_stop_past_their_cap():
                                          "16-element algebra into a "
                                          "128-element one"):
         star_homs(A, make_pcdl(antichain(7)))
+
+
+def test_star_homs_stop_past_their_label_pair_cap(monkeypatch):
+    # 4^2 homs of a 16-element algebra hold 256 label pairs: a cap of 256
+    # lists them, one of 255 refuses them as the search counts
+    A, B = make_pcdl(antichain(4)), make_pcdl(antichain(2))
+    monkeypatch.setattr(algebras, "MAX_STAR_HOM_PAIRS", 256)
+    assert len(star_homs(A, B)) == 16
+    monkeypatch.setattr(algebras, "MAX_STAR_HOM_PAIRS", 255)
+    with pytest.raises(ValueError, match="more than 255 label pairs in the "
+                                         "star homs from a 16-element "
+                                         "algebra into a 4-element one"):
+        star_homs(A, B)
+    # the hom cap is read first where both are passed
+    monkeypatch.setattr(algebras, "MAX_STAR_HOMS", 15)
+    with pytest.raises(ValueError, match="more than 15 star homs"):
+        star_homs(A, B)
 
 
 def test_star_hom_pairs_are_consistent():

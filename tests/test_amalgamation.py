@@ -10,7 +10,8 @@ from pcdl.enumeration import poset_classes_exactly, poset_classes_upto
 from _oracles import (extension_class_task_by_orbits,
                       extension_class_task_plain, extension_classes_by_scan,
                       extension_classes_plain,
-                      fan_lift_by_digits, first_lift_brute)
+                      fan_lift_by_digits, first_lift_brute,
+                      twin_classes_by_scan)
 from pcdl import (ExtensionResult, LatticeHom, OrderMap,
                   amalgamate_or_separate, antichain, catalog,
                   extension_property_bounded, fan, fan_algebra,
@@ -279,7 +280,7 @@ def test_oracle_after_a_failing_orbit_matches_the_orbit_reference(
     # whole orbits read up to the witness
     runs = later = differs = 0
     for P in poset_classes_upto(4):
-        if not amalgamation._twin_classes(P):
+        if not P.twin_classes:
             continue
         profiles = {amalgamation._top_profile(t, P.n)
                     for t in _iter_p_morphisms(fan(3), P)}
@@ -295,7 +296,7 @@ def test_oracle_after_a_failing_orbit_matches_the_orbit_reference(
             differs += want[2] != plain[2]
             if got.witness is not None:
                 Y, gamma, _ = got.witness
-                assert amalgamation._twin_classes(Y)
+                assert Y.twin_classes
                 later += gamma.table != next(_iter_p_morphisms(Y, P,
                                                                onto=True))
     assert (runs, later, differs) == (57, 28, 24)
@@ -348,7 +349,7 @@ def _twin_search_counts(P: Poset, n: int, bound: int) -> tuple:
     """
     gammas = reps = 0
     for Y in amalgamation._extension_classes(P, n, bound):
-        classes = amalgamation._twin_classes(Y)
+        classes = twin_classes_by_scan(Y)
         plain = list(_iter_p_morphisms(Y, P, onto=True))
         got = list(_iter_p_morphisms(Y, P, onto=True, twins=True))
         assert got == [t for t in plain if _lex_least_in_orbit(t, classes)]

@@ -768,6 +768,26 @@ def test_star_homs_refuses_past_its_cap(tmp_path):
     assert not out.exists()
 
 
+def test_star_homs_refuses_past_its_label_pair_cap(tmp_path):
+    # the 11-point antichain's 2,048-element algebra has 11^3 = 1,331 homs
+    # into the 3-point one's, 2,725,888 label pairs: refused once the
+    # search passes 512 homs, before any hom is built or written; the
+    # 9-point one's 729 homs of 512 elements each are listed
+    big = write(tmp_path, "a11.json", antichain(11).to_dict())
+    small = write(tmp_path, "a3.json", antichain(3).to_dict())
+    out = tmp_path / "out.json"
+    r = run("star-homs", "--from", big, "--to", small, "--out", str(out),
+            timeout=30)
+    _one_error_line(r, "more than 1048576 label pairs in the star homs "
+                       "from a 2048-element algebra into a 8-element one")
+    assert not out.exists()
+    nine = write(tmp_path, "a9.json", antichain(9).to_dict())
+    r = run("star-homs", "--from", nine, "--to", small, "--out", str(out),
+            timeout=60)
+    assert r.returncode == 0 and r.stderr == ""
+    assert json.loads(out.read_text())["count"] == 729
+
+
 def test_congruences_refuses_past_its_cap(tmp_path):
     # 2^13 congruences: the cap counts congruences, not points
     path = write(tmp_path, "anti.json", antichain(13).to_dict())
