@@ -75,25 +75,6 @@ def is_p_morphism(f: OrderMap) -> bool:
     return p_morphism_failure(f) is None
 
 
-def _orbit_weight(table: tuple, classes: list) -> int:
-    """The number of maps in the twin-swap orbit of table.
-
-    classes is the source's twin_classes. Swaps permute the images
-    within each class independently, so the orbit has, per class of k
-    points, k! / (product of c! over the multiplicities c of its images)
-    members, and the weight is the product of these.
-    """
-    weight = 1
-    for cls in classes:
-        weight *= factorial(len(cls))
-        counts = {}
-        for y in cls:
-            counts[table[y]] = counts.get(table[y], 0) + 1
-        for c in counts.values():
-            weight //= factorial(c)
-    return weight
-
-
 def _twin_swap_count(target: Poset) -> int:
     """The number of maps in each orbit of the target's twin swaps.
 
@@ -105,6 +86,15 @@ def _twin_swap_count(target: Poset) -> int:
     gamma would leave every point of gamma's image fixed, but an onto
     gamma hits the points that tau moves. So every orbit of onto maps
     has |S| members.
+
+    The three bounded searches over onto maps (the extension oracle,
+    extensile and the q-model lift check) read one gamma per orbit
+    (_iter_p_morphisms with target_twins) and weigh it by this count.
+    Lifts do not tell an orbit's members apart: beta lifts alpha through
+    gamma exactly when it lifts tau o alpha through tau o gamma, as tau
+    is one-to-one, and alpha -> tau o alpha permutes the maps into
+    target. So if gamma fails to lift some alpha, every member of its
+    orbit fails to lift some alpha.
     """
     count = 1
     for cls in target.twin_classes:
@@ -113,7 +103,7 @@ def _twin_swap_count(target: Poset) -> int:
 
 
 def _iter_p_morphisms(source: Poset, target: Poset, onto: bool = False,
-                      fibers=None, twins=False, target_twins: bool = False):
+                      fibers=None, target_twins: bool = False):
     """Tables of the p-morphisms source -> target, in search order.
 
     The one p-morphism search: every caller reads plain tuples (index of
@@ -130,10 +120,10 @@ def _iter_p_morphisms(source: Poset, target: Poset, onto: bool = False,
     target.with_above, and the twin gates and the onto cut's rows from
     target.search_gates, each built on first read and kept on its poset.
     A call builds only its own state: the candidate masks allowed at
-    each position, the twins positions below, and the stacks. The search
-    is iterative: one candidate mask per position, taken lowest point
-    first, on an explicit stack, so tables come in increasing order of
-    the images of the points in that order.
+    each position and the stacks. The search is iterative: one candidate
+    mask per position, taken lowest point first, on an explicit stack,
+    so tables come in increasing order of the images of the points in
+    that order.
     fibers optionally restricts each source point to a candidate mask.
     The empty source has the one empty map, onto only the empty target.
 
@@ -148,15 +138,6 @@ def _iter_p_morphisms(source: Poset, target: Poset, onto: bool = False,
     The cut drops only branches with no onto completion, so yields and
     their order are those of the plain search filtered to onto maps.
 
-    With twins, only the least table of each orbit of the twin swaps of
-    source (source.twin_classes) is yielded; _orbit_weight gives its
-    orbit's size. twins is True, or those classes where the caller has
-    them. Twins have the same candidates and come up in index order,
-    so a twin enters with its previous twin's remaining candidates and
-    that twin's image: images never decrease along a twin class, which
-    picks exactly the least member of each orbit, and yields stay in
-    search order. With twins off, each step reads one list entry more.
-
     With target_twins, only one table per orbit of the twin swaps of
     target is yielded, gamma -> tau o gamma; on onto maps every orbit has
     _twin_swap_count(target) members. It is the table in which, read in
@@ -165,20 +146,14 @@ def _iter_p_morphisms(source: Poset, target: Poset, onto: bool = False,
     is open only once that twin is in the image. Maximal targets are hit
     only within the maximal block and the others only past it, so gates
     are read only in the part that can hit a gated point. Yields stay in
-    search order, and a plain search reads no gate: its positions enter
-    as before.
+    search order, and a search without target_twins reads no gate.
 
-    fibers may tell twins apart, so it cannot be combined with twins or
-    target_twins; nor can the two twin options be combined, as one table
-    need not stand first in both orbits (ValueError).
+    fibers may tell twins apart, so it cannot be combined with
+    target_twins (ValueError).
     """
-    if fibers is not None and (twins or target_twins):
-        raise ValueError("%s and fibers cannot be combined: fibers may "
-                         "tell twins apart"
-                         % ("twins" if twins else "target_twins"))
-    if twins and target_twins:
-        raise ValueError("twins and target_twins cannot be combined: one "
-                         "table need not stand first in both orbits")
+    if fibers is not None and target_twins:
+        raise ValueError("target_twins and fibers cannot be combined: fibers "
+                         "may tell twins apart")
     ns, nt = source.n, target.n
     if ns == 0:
         if nt == 0 or not onto:
@@ -202,28 +177,17 @@ def _iter_p_morphisms(source: Poset, target: Poset, onto: bool = False,
             # the onto cut at each position: the target points still to
             # be hit and the positions left that can hit them, maximal
             # ones within the block and all of them past it; and for
-            # target_twins, -2 where a gated point may be hit, else -1
-            inner = -2 if gated & tmax else -1
-            outer = -2 if gated & ~tmax else -1
+            # target_twins, whether a gated point may be hit there
             shape = shapes[ns, block] = (
                 (tmax,) * block + (tfull,) * (ns - block),
                 (*range(block - 1, -1, -1), *range(ns - block - 1, -1, -1)),
-                (inner,) * block + (outer,) * (ns - block))
-        need, left, gate_prev = shape
-    # with twins, the position of each point's previous twin; with
-    # target_twins, -2 where a gated point may be hit; else -1
+                (bool(gated & tmax),) * block
+                + (bool(gated & ~tmax),) * (ns - block))
+        need, left, gates = shape
     if target_twins:
-        prev = gate_prev
         allow[0] = tfull & ~gated  # nothing is hit yet
     else:
-        prev = [-1] * ns
-        if twins:
-            where = [0] * ns
-            for k, y in enumerate(order):
-                where[y] = k
-            for cls in source.twin_classes if twins is True else twins:
-                for a, b in zip(cls, cls[1:]):
-                    prev[where[b]] = where[a]
+        gates = (False,) * ns
     last = ns - 1
     assign = [0] * ns
     image = [0] * ns
@@ -253,20 +217,14 @@ def _iter_p_morphisms(source: Poset, target: Poset, onto: bool = False,
             break
         pos += 1
         image[pos] = img
-        q = prev[pos]
-        if q == -1:
-            mask = allow[pos]
-        elif q >= 0:
-            # a twin enters as its previous twin did: the same covers and
-            # maximals above; it keeps that twin's image and later ones
-            mask = cand[q] | 1 << assign[order[q]]
-            continue
-        else:
+        if gates[pos]:
             key = img & preds
             mask = opened.get(key)
             if mask is None:
                 mask = opened[key] = tfull & ~sum(
                     b for a, b in pairs if not key & a)
+        else:
+            mask = allow[pos]
         for z in covers[pos]:
             mask &= tdown[assign[z]]
         if pos < block:

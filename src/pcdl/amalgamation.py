@@ -13,7 +13,7 @@ from functools import cache
 from math import comb
 from typing import NamedTuple, Optional
 
-from .algebras import (_dual, _iter_p_morphisms, _orbit_weight,
+from .algebras import (_dual, _iter_p_morphisms, _twin_swap_count,
                        embedding_p_morphism_witness, fan_algebra, in_variety,
                        is_p_morphism, star_embedding_failure, star_homs,
                        variety_index)
@@ -235,7 +235,7 @@ class ExtensionResult(NamedTuple):
     The extension oracle answers holds or fails_with_witness; the
     congruence-extension search always answers yes, with no witness.
     instances counts the pairs decided, all in one process; the
-    oracle's, on a failure, by whole twin-swap orbits up to its witness.
+    oracle's, on a failure, up to its witness in plain enumeration.
     """
     verdict: str
     witness: object
@@ -338,39 +338,48 @@ def _extension_class_task(Y: Poset, P: Poset, first: dict,
                           alpha_tables: list) -> tuple:
     """(instances, (gamma table, alpha table) of the first failure or None).
 
-    The gammas are read one per orbit of Y's twin swaps (Y.twin_classes,
-    kept on Y with the rows of _max_rows), in search order, and for each,
-    the alphas in order; the alphas are maps of fan(n) into P, so each
-    lift is the closed-form test of _fan_lift, which reads only alpha's
-    top profile. first maps each top profile to the index of its first
-    alpha, in alpha order, and each profile is tested once per gamma, in
-    that order.
+    The gammas are read one per orbit of P's twin swaps, in search order,
+    and each representative that lifts every alpha counts
+    _twin_swap_count(P) times the alphas; that is exact, and the proof is
+    there. The alphas are maps of fan(n) into P, so each lift is the
+    closed-form test of _fan_lift, which reads only alpha's top profile.
+    first maps each top profile to the index of its first alpha, in alpha
+    order, and each profile is tested once per gamma, in that order.
 
-    A swap sigma is an automorphism of Y, and beta lifts alpha through
-    gamma o sigma exactly when sigma o beta lifts it through gamma, so a
-    whole orbit fails or none of it does. The representative is the
-    least member of its orbit in search order, so the first failing one
-    is the first failing gamma of plain enumeration, and its first
-    failing profile holds the same alpha. Each representative that lifts
-    adds its orbit's size (_orbit_weight) times the alpha count; the
-    failing one adds the alphas up to its witness. So on a failure the
-    count is at least the plain one, and equal to it unless an earlier
-    orbit has a member that sorts after the witness.
+    A representative fails exactly when its whole orbit does. At the
+    first one that fails, the class is read again with the plain onto
+    search: the witness is the first failing gamma of plain enumeration
+    and its first failing alpha, and the count is the plain one up to
+    that alpha.
     """
     alphas = len(alpha_tables)
     if not alphas:  # fan(n) has no map into an empty P
         return 0, None
     n = len(alpha_tables[0]) - 1
     rows = _max_rows(Y)
-    twins = Y.twin_classes
-    instances = 0
-    for gamma in _iter_p_morphisms(Y, P, onto=True, twins=twins):
+
+    def failing(gamma):
+        """The index of gamma's first failing alpha, or None."""
         fibers = _fiber_profiles(rows, gamma, n)
         for key, k in first.items():
             if _fan_lift(fibers, key) is None:
-                return instances + k + 1, (gamma, alpha_tables[k])
-        instances += alphas * (_orbit_weight(gamma, twins) if twins else 1)
-    return instances, None
+                return k
+        return None
+
+    instances = 0
+    for gamma in _iter_p_morphisms(Y, P, onto=True, target_twins=True):
+        if failing(gamma) is not None:
+            break
+        instances += alphas
+    else:
+        return instances * _twin_swap_count(P), None
+    instances = 0
+    for gamma in _iter_p_morphisms(Y, P, onto=True):
+        k = failing(gamma)
+        if k is not None:
+            return instances + k + 1, (gamma, alpha_tables[k])
+        instances += alphas
+    raise AssertionError("a failing orbit has no failing gamma")
 
 
 # the oracle lists every map of fan(n) into P before it reads a class;
@@ -413,9 +422,9 @@ def extension_property_bounded(A, n: int,
     form (_fan_lift) with no search. holds means every such map lifted;
     a failed lift is returned as a witness triple, the first failing
     gamma and alpha of plain enumeration. Classes are read in order, in
-    this process, and the search stops at the first witness. On a
-    failure, instances counts the witness's class by whole twin-swap
-    orbits (_extension_class_task). bound defaults to three points more
+    this process, and the search stops at the first witness; instances
+    counts the pairs read in plain enumeration up to it
+    (_extension_class_task). bound defaults to three points more
     than P(A); a bound below the size of P(A) is refused, as it would
     hold vacuously, and so is an n with more than _MAX_FAN_MAPS maps of
     fan(n) into P(A) (_fan_map_count), before any is listed.

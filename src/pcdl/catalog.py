@@ -6,6 +6,13 @@ from .algebras import variety_index
 from .amalgamation import extension_property_bounded, forbidden_images
 from .enumeration import poset_classes_exactly
 
+# the most points of the listed posets
+MAX_POINTS = 6
+# the most points the oracle's extensions may have: listing the classes up
+# to 9 points, the default bound of a 6-point dual, takes about 25 s before
+# the first one is read
+MAX_ORACLE_BOUND = 8
+
 
 def catalog(max_points: int, n: int, oracle: bool = False,
             bound=None) -> list:
@@ -15,11 +22,19 @@ def catalog(max_points: int, n: int, oracle: bool = False,
     cover set sizes, the criterion verdict for the index-n variety, and
     the forbidden sizes behind it. With oracle=True the bounded extension
     search is run in this process as an independent check, at bound
-    points (None for the oracle's default). Every column is read off the
-    dual poset, so no algebra is built.
+    points (None for the oracle's default, three points more than the
+    dual); a bound past MAX_ORACLE_BOUND is refused before any class is
+    listed. Every column is read off the dual poset, so no algebra is
+    built.
     """
-    if max_points > 6:
-        raise ValueError("catalog is limited to posets on at most 6 points")
+    if max_points > MAX_POINTS:
+        raise ValueError("catalog is limited to posets on at most %d points"
+                         % MAX_POINTS)
+    if oracle:
+        reach = max_points + 3 if bound is None else bound
+        if reach > MAX_ORACLE_BOUND:
+            raise ValueError("bound %d is past %d, the most points catalog "
+                             "runs the oracle to" % (reach, MAX_ORACLE_BOUND))
     rows = []
     for P in poset_classes_exactly(max_points):
         idx = variety_index(P)

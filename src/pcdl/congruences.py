@@ -221,11 +221,10 @@ def is_congruence_extensile_bounded(B, n: int, bound: int) -> ExtensionResult:
     (pullback_congruence). The per-pair check runs as a reference oracle
     in the test suite.
 
-    The gammas are read one per orbit of P's twin swaps: a swap tau of
-    twins of P is an automorphism of P, and gamma -> tau o gamma moves
-    every onto gamma, so each orbit has _twin_swap_count(P) members and
-    each gamma read counts that many times the congruences. The count
-    is that of reading every gamma.
+    The gammas are read one per orbit of P's twin swaps, and each gamma
+    read counts _twin_swap_count(P) times the congruences: every orbit
+    has that many members (the proof is there), so the count is that of
+    reading every gamma.
     """
     if not in_variety(B, n):
         raise ValueError("algebra is outside the variety of index %d" % n)

@@ -254,14 +254,14 @@ def check_lift_cases(model: QuotientModel, bound: int) -> LiftCaseReport:
 
     Within an extension class, the gammas are read one per orbit of the
     quotient's twin swaps (_iter_p_morphisms with target_twins), and each
-    counts _twin_swap_count times. That is exact: for a swap tau, the
-    pair (tau o gamma, alpha) has the same fitting y as (gamma, tau^-1 o
-    alpha), so the same least y, lift and 3a/3b label, and alpha ->
-    tau^-1 o alpha permutes the alphas. Every twin class of a quotient
-    lies in the tops of one component, so tau fixes every non-maximal
-    point and every component, and alpha and tau^-1 o alpha have one
-    case. A class with a failure is read again gamma by gamma, so
-    failures come in the order of plain enumeration.
+    counts _twin_swap_count times; the proof that this is exact is there.
+    The tally keeps its labels too: for a swap tau, (tau o gamma, alpha)
+    has the same fitting y as (gamma, tau^-1 o alpha), so the same least
+    y, lift and 3a/3b label. Every twin class of a quotient lies in the
+    tops of one component, so tau fixes every non-maximal point and every
+    component, and alpha and tau^-1 o alpha have one case. A class with a
+    failure is read again gamma by gamma, so failures come in the order
+    of plain enumeration.
     """
     P = model.quotient
     alphas = p_morphisms(fan(3), P)

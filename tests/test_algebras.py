@@ -136,22 +136,6 @@ def test_search_core_matches_brute_on_random_sources():
                     (src.to_dict(), tgt.to_dict(), onto)
 
 
-def _orbit_firsts(Y, tables) -> list:
-    """The first table of each twin-swap orbit, in the given order."""
-    classes = twin_classes_by_scan(Y)
-    seen, out = set(), []
-    for t in tables:
-        key = list(t)
-        for cls in classes:
-            for y, p in zip(cls, sorted(t[y] for y in cls)):
-                key[y] = p
-        key = tuple(key)
-        if key not in seen:
-            seen.add(key)
-            out.append(t)
-    return out
-
-
 def _search_sources() -> list:
     """Every class of at most 5 points, relabelled copies of those of 3 to
     5 points, and relabelled samples of 6 and 7 points."""
@@ -165,8 +149,9 @@ def _search_sources() -> list:
 
 
 def test_search_order_of_onto_and_twin_searches():
-    # onto and twins only drop tables from the plain search: onto keeps
-    # the onto ones and twins the first of each orbit, in plain order
+    # onto and target_twins only drop tables from the plain search: onto
+    # keeps the onto ones and target_twins one of each orbit of the
+    # target's twin swaps, in plain order
     sources = _search_sources()
     targets = poset_classes_upto(4)
     onto_total = reps = 0
@@ -175,12 +160,11 @@ def test_search_order_of_onto_and_twin_searches():
             plain = list(_iter_p_morphisms(Y, P))
             onto = [t for t in plain if len(set(t)) == P.n]
             assert list(_iter_p_morphisms(Y, P, onto=True)) == onto
-            assert list(_iter_p_morphisms(Y, P, twins=True)) == \
-                _orbit_firsts(Y, plain)
-            firsts = _orbit_firsts(Y, onto)
-            assert list(_iter_p_morphisms(Y, P, onto=True,
-                                          twins=True)) == firsts
-            onto_total, reps = onto_total + len(onto), reps + len(firsts)
+            got = list(_iter_p_morphisms(Y, P, onto=True, target_twins=True))
+            classes = twin_classes_by_scan(P)
+            assert got == [t for t in onto
+                           if _first_hits_in_index_order(Y, t, classes)]
+            onto_total, reps = onto_total + len(onto), reps + len(got)
     assert reps < onto_total
 
 
@@ -248,13 +232,12 @@ def _check_search_gates_by_scan(P) -> None:
     tmax = sum(1 << p for p in tops)
     # whether a gated point is maximal, and whether one is not
     hit = [any(b in tops for b in before), any(b not in tops for b in before)]
-    for (ns, block), (need, left, prev) in shapes.items():
+    for (ns, block), (need, left, gates) in shapes.items():
         assert need == tuple(tmax if k < block else P.full_mask
                              for k in range(ns))
         assert left == tuple(block - 1 - k if k < block else ns - 1 - k
                              for k in range(ns))
-        assert prev == tuple(-2 if hit[k >= block] else -1
-                             for k in range(ns))
+        assert gates == tuple(hit[k >= block] for k in range(ns))
 
 
 def test_kept_search_state_is_transparent():
@@ -271,9 +254,8 @@ def test_kept_search_state_is_transparent():
     for Y, P in pairs:
         fibers = [sum(1 << p for p in range(P.n) if rng.random() < 0.75)
                   for _ in range(Y.n)]
-        modes = [{}, {"onto": True}, {"twins": True},
-                 {"onto": True, "twins": True},
-                 {"onto": True, "target_twins": True}, {"fibers": fibers}]
+        modes = [{}, {"onto": True}, {"onto": True, "target_twins": True},
+                 {"fibers": fibers}]
         rng.shuffle(modes)
         fresh_Y, fresh_P = Poset(Y.labels, Y.up), Poset(P.labels, P.up)
         for mode in modes:
@@ -366,8 +348,6 @@ def test_target_twin_search_yields_one_table_per_orbit():
 
 def test_target_twin_search_refuses_twins_and_fibers():
     P = antichain(2)
-    with pytest.raises(ValueError, match="twins and target_twins"):
-        list(_iter_p_morphisms(P, P, twins=True, target_twins=True))
     with pytest.raises(ValueError, match="target_twins and fibers"):
         list(_iter_p_morphisms(P, P, target_twins=True, fibers=[3, 3]))
     # refused before any early return: no map into the empty target

@@ -4,16 +4,16 @@ import random
 import pytest
 
 import pcdl
-from pcdl import algebras, amalgamation
+from pcdl import algebras, amalgamation, qmodel
 from pcdl.algebras import _iter_p_morphisms, variety_index
 from pcdl.enumeration import poset_classes_exactly, poset_classes_upto
-from _oracles import (extension_class_task_by_orbits,
-                      extension_class_task_plain, extension_classes_by_scan,
+from _oracles import (extension_class_task_plain, extension_classes_by_scan,
                       extension_classes_plain,
                       fan_lift_by_digits, first_lift_brute,
                       twin_classes_by_scan)
 from pcdl import (ExtensionResult, LatticeHom, OrderMap,
-                  amalgamate_or_separate, antichain, catalog,
+                  amalgamate_or_separate, antichain, build_quotient_model,
+                  catalog, check_lift_cases,
                   extension_property_bounded, fan, fan_algebra,
                   forbidden_images, is_amalgamation_base_finite,
                   is_congruence_extensile_bounded, is_p_morphism,
@@ -234,18 +234,42 @@ def _plain_answer(monkeypatch, P, n, bound) -> tuple:
         return _answer(extension_property_bounded(P, n, bound))
 
 
+def _twin_swaps(P: Poset) -> list:
+    """Every permutation of P's points made of swaps of its twins, as an
+    index table: the group S of algebras._twin_swap_count."""
+    tables = []
+    classes = twin_classes_by_scan(P)
+    for perms in itertools.product(*map(itertools.permutations, classes)):
+        table = list(range(P.n))
+        for cls, perm in zip(classes, perms):
+            for a, b in zip(cls, perm):
+                table[a] = b
+        tables.append(tuple(table))
+    return tables
+
+
+def _swap_profiles(P: Poset, alpha_table: tuple) -> frozenset:
+    """The top profiles of alpha and of its images tau o alpha under P's
+    twin swaps."""
+    return frozenset(amalgamation._top_profile(
+        tuple(tau[p] for p in alpha_table), P.n) for tau in _twin_swaps(P))
+
+
 def _refuse(monkeypatch, refused) -> None:
-    """Make the closed-form lift refuse one top profile on some gammas.
+    """Make the closed-form lift refuse a set of top profiles, closed under
+    the target's twin swaps (_swap_profiles), on some gammas.
 
     It refuses where more than one profile lies over the image of alpha's
-    bottom. That set of profiles is the same for every gamma of a
-    twin-swap orbit, so each orbit still fails as a whole, and the
-    classes that fail are not only the first one with an onto gamma.
+    bottom. A swap tau carries the profiles over p for gamma onto those
+    over tau(p) for tau o gamma, so, as for a real lift failure, tau o
+    gamma refuses tau o alpha exactly when gamma refuses alpha: each orbit
+    of the target's twin swaps fails as a whole, and the classes that
+    fail are not only the first one with an onto gamma.
     """
     real = amalgamation._fan_lift
 
     def fan_lift(fibers, key):
-        if key == refused and len(fibers[key[0]]) > 1:
+        if key in refused and len(fibers[key[0]]) > 1:
             return None
         return real(fibers, key)
     monkeypatch.setattr(amalgamation, "_fan_lift", fan_lift)
@@ -263,106 +287,125 @@ def test_oracle_matches_plain_enumeration(monkeypatch):
     assert (len(cases), verdicts) == (69, {"holds", "fails_with_witness"})
 
 
-def _orbit_answer(monkeypatch, P, n, bound) -> tuple:
-    """_answer of the oracle with each class counted by the orbit
-    reference, which reads every gamma."""
-    with monkeypatch.context() as m:
-        m.setattr(amalgamation, "_extension_class_task",
-                  extension_class_task_by_orbits)
-        return _answer(extension_property_bounded(P, n, bound))
-
-
 def test_oracle_after_a_failing_orbit_matches_the_orbit_reference(
         monkeypatch):
-    # with one top profile refused, the failing class has twins; the
-    # verdict and witness are those of plain enumeration, also where the
-    # witness is not the class's first gamma, and the count is that of
-    # whole orbits read up to the witness
+    # with the profiles of one swap orbit of alphas refused, the target
+    # has twins; the verdict, witness and count are those of plain
+    # enumeration, also where the witness is not the class's first gamma
     runs = later = differs = 0
     for P in poset_classes_upto(4):
         if not P.twin_classes:
             continue
-        profiles = {amalgamation._top_profile(t, P.n)
-                    for t in _iter_p_morphisms(fan(3), P)}
-        for refused in sorted(profiles):
+        orbits = dict.fromkeys(_swap_profiles(P, t)
+                               for t in _iter_p_morphisms(fan(3), P))
+        for refused in orbits:
             with monkeypatch.context() as m:
                 _refuse(m, refused)
-                got = extension_property_bounded(P, 3, P.n + 2)
+                r = extension_property_bounded(P, 3, P.n + 2)
                 plain = _plain_answer(m, P, 3, P.n + 2)
-                want = _orbit_answer(m, P, 3, P.n + 2)
-            assert _answer(got) == want, (P, refused)
-            assert want[:2] == plain[:2], (P, refused)
+            got = _answer(r)
+            assert got[:2] == plain[:2], (P, refused)
             runs += 1
-            differs += want[2] != plain[2]
-            if got.witness is not None:
-                Y, gamma, _ = got.witness
-                assert Y.twin_classes
+            differs += got[2] != plain[2]
+            if r.witness is not None:
+                Y, gamma, _ = r.witness
                 later += gamma.table != next(_iter_p_morphisms(Y, P,
                                                                onto=True))
-    assert (runs, later, differs) == (57, 28, 24)
+    assert (runs, later, differs) == (31, 13, 0)
+
+
+# two twins below one point
+TWINS_BELOW = Poset.from_covers("abc", [("a", "c"), ("b", "c")])
 
 
 def test_oracle_in_process_pool_matches_plain(monkeypatch):
     # the oracle reads its classes in this process, in order; the witness
-    # is the fourth gamma of the sixth class, which has twins; one gamma
-    # of an earlier orbit sorts after it, and its three alphas are counted
-    P = antichain(3)
-    _refuse(monkeypatch, amalgamation._top_profile((0, 0, 0, 0), P.n))
-    got = _answer(extension_property_bounded(P, 3, 5))
-    assert got[:2] == _plain_answer(monkeypatch, P, 3, 5)[:2]
-    assert got == _orbit_answer(monkeypatch, P, 3, 5)
-    assert (got[0], got[2]) == ("fails_with_witness", 715)
+    # is the fourth gamma of its class, and the count is the plain one
+    P = TWINS_BELOW
+    _refuse(monkeypatch, _swap_profiles(P, (2, 2, 2, 2)))
+    r = extension_property_bounded(P, 3, 5)
+    Y, gamma, _ = r.witness
+    assert list(_iter_p_morphisms(Y, P, onto=True)).index(gamma.table) == 3
+    got = _answer(r)
+    assert got == _plain_answer(monkeypatch, P, 3, 5)
+    assert (got[0], got[2]) == ("fails_with_witness", 246)
 
 
 def test_oracle_reads_each_class_once(monkeypatch):
-    # the failing class of test_oracle_in_process_pool_matches_plain,
-    # whose witness is past its first gamma, is searched once, as every
-    # class before it
-    sources = []
+    # every class before the failing one of
+    # test_oracle_in_process_pool_matches_plain is searched once, one gamma
+    # per orbit of the target's twin swaps; the failing one, whose witness
+    # is past its first gamma, once so and once plain for the witness
+    searches = []
     search = amalgamation._iter_p_morphisms
 
     def recorded(source, *args, onto=False, **kwargs):
         if onto:
-            sources.append(source.canonical_key())
+            searches.append((source.canonical_key(),
+                             kwargs.get("target_twins", False)))
         return search(source, *args, onto=onto, **kwargs)
     monkeypatch.setattr(amalgamation, "_iter_p_morphisms", recorded)
-    P = antichain(3)
-    _refuse(monkeypatch, amalgamation._top_profile((0, 0, 0, 0), P.n))
+    P = TWINS_BELOW
+    _refuse(monkeypatch, _swap_profiles(P, (2, 2, 2, 2)))
     r = extension_property_bounded(P, 3, 5)
     Y, gamma, _ = r.witness
     assert gamma.table != next(search(Y, P, onto=True))
-    assert sources[-1] == Y.canonical_key()
-    assert len(sources) == len(set(sources)) == 6
+    key = Y.canonical_key()
+    assert searches[-2:] == [(key, True), (key, False)]
+    keys = [k for k, _ in searches[:-1]]
+    assert all(twins for _, twins in searches[:-1])
+    assert len(keys) == len(set(keys)) == 35
 
 
-def _lex_least_in_orbit(table: tuple, classes: list) -> bool:
-    return all(table[a] <= table[b] for cls in classes
-               for a, b in zip(cls, cls[1:]))
+def test_bounded_searches_share_the_target_twin_reduction(monkeypatch):
+    # the oracle, extensile and the q-model lift check read one gamma per
+    # orbit of the target's twin swaps; the one plain onto search is the
+    # oracle's re-read of its failing class
+    calls = []
+    for module in (amalgamation, qmodel, algebras):
+        def recorded(source, target, *args, onto=False,
+                     search=module._iter_p_morphisms, name=module.__name__,
+                     **kwargs):
+            if onto:
+                calls.append((name, kwargs.get("target_twins", False)))
+            return search(source, target, *args, onto=onto, **kwargs)
+        monkeypatch.setattr(module, "_iter_p_morphisms", recorded)
+    runs = [("pcdl.amalgamation",
+             lambda: extension_property_bounded(antichain(3), 3, 5)),
+            ("pcdl.amalgamation",
+             lambda: extension_property_bounded(fan(2), 3, 6)),
+            ("pcdl.algebras",
+             lambda: is_congruence_extensile_bounded(fan(2), 3, 6)),
+            ("pcdl.qmodel",
+             lambda: check_lift_cases(build_quotient_model(0, 1), 7))]
+    reads = []
+    for name, run in runs:
+        calls.clear()
+        run()
+        assert calls and {caller for caller, _ in calls} == {name}
+        reads.append([twins for _, twins in calls])
+    assert all(reads[0]) and all(reads[2]) and all(reads[3])
+    # the refuting dual: each class once, then the failing one plain
+    assert reads[1][-1] is False and all(reads[1][:-1])
 
 
 def _twin_search_counts(P: Poset, n: int, bound: int) -> tuple:
     """(plain gammas, representatives) over the extension classes of P.
 
-    Asserts that the representatives are the plain tables nondecreasing
-    along each twin class, in plain order, and that their orbit weights
-    add up to the plain count.
+    Asserts that the representatives of the target's twin swaps are some
+    of the plain tables, in plain order, each standing for
+    _twin_swap_count(P) of them.
     """
+    swaps = algebras._twin_swap_count(P)
     gammas = reps = 0
     for Y in amalgamation._extension_classes(P, n, bound):
-        classes = twin_classes_by_scan(Y)
         plain = list(_iter_p_morphisms(Y, P, onto=True))
-        got = list(_iter_p_morphisms(Y, P, onto=True, twins=True))
-        assert got == [t for t in plain if _lex_least_in_orbit(t, classes)]
-        assert sum(amalgamation._orbit_weight(t, classes)
-                   for t in got) == len(plain)
+        got = list(_iter_p_morphisms(Y, P, onto=True, target_twins=True))
+        rest = iter(plain)
+        assert all(t in rest for t in got)
+        assert len(got) * swaps == len(plain)
         gammas, reps = gammas + len(plain), reps + len(got)
     return gammas, reps
-
-
-def test_twin_search_yields_one_gamma_per_orbit():
-    counts = [_twin_search_counts(P, n, bound)
-              for P, n, bound in _small_oracle_cases() + [(fan(2), 3, 6)]]
-    assert tuple(map(sum, zip(*counts))) == (76626, 36912)
 
 
 # the six duals of the benchmark's oracle-holds workload, as cover pairs
@@ -371,8 +414,8 @@ ORACLE_HOLDS_SHAPES = [[], [(0, 3)], [(0, 3), (1, 3)], [(0, 2), (2, 3)],
 
 
 def test_twin_search_reduction_is_pinned(monkeypatch):
-    assert _twin_search_counts(antichain(4), 3, 7) == (13440, 319)
-    # the oracle itself reads the 319 representatives
+    assert _twin_search_counts(antichain(4), 3, 7) == (13440, 560)
+    # the oracle itself reads the representatives
     read = []
     search = amalgamation._iter_p_morphisms
 
@@ -383,20 +426,14 @@ def test_twin_search_reduction_is_pinned(monkeypatch):
     monkeypatch.setattr(amalgamation, "_iter_p_morphisms", counted)
     r = extension_property_bounded(antichain(4), 3, 7)
     assert (r.verdict, r.instances) == ("holds", 53760)
-    assert read.count(True) == 319
+    assert read.count(True) == 560
     total = [0, 0]
     for pairs in ORACLE_HOLDS_SHAPES:
         P = Poset.from_covers("abcd", [("abcd"[i], "abcd"[j])
                                        for i, j in pairs])
         for k, count in enumerate(_twin_search_counts(P, 3, 7)):
             total[k] += count
-    assert total == [31844, 10793]
-
-
-def test_twin_search_refuses_fibers():
-    P = antichain(2)
-    with pytest.raises(ValueError, match="twins and fibers"):
-        list(_iter_p_morphisms(P, P, twins=True, fibers=[3, 3]))
+    assert total == [31844, 14076]
 
 
 def _lift_agreement(Y: Poset, P: Poset, n: int) -> tuple:

@@ -268,6 +268,30 @@ def test_catalog_rows():
     assert verdicts == {"base", "not_base"}
 
 
+def test_catalog_oracle_refuses_a_bound_past_its_cap(tmp_path):
+    # listing the classes up to 9 points, the oracle's default bound for a
+    # 6-point dual, takes about 25 s: refused before any class is listed
+    out = tmp_path / "catalog.json"
+    for args in (("--max-points", "6"), ("--max-points", "3", "--bound", "9")):
+        r = run("catalog", *args, "--n", "3", "--oracle", "--out", str(out),
+                timeout=30)
+        _one_error_line(r, "bound 9 is past 8")
+        assert not out.exists()
+
+
+def test_catalog_oracle_under_its_cap_answers():
+    r = run("catalog", "--max-points", "4", "--n", "3", "--oracle",
+            timeout=60)
+    assert r.returncode == 0
+    rows = json.loads(r.stdout)["rows"]
+    holds, fails = "holds", "fails_with_witness"
+    assert [(row["oracle"], row["oracle_instances"]) for row in rows] == [
+        (holds, 53760), (holds, 8224), (fails, 113), (holds, 16840),
+        (holds, 34168), (holds, 18954), (holds, 5960), (fails, 49),
+        (fails, 76), (fails, 231), (fails, 315), (holds, 115416),
+        (holds, 173924), (holds, 336288), (holds, 323688), (holds, 601936)]
+
+
 def test_byte_identical_reruns(fan2):
     a = run("amalgam", "--in", fan2, "--n", "3", "--oracle", "--bound", "5")
     b = run("amalgam", "--in", fan2, "--n", "3", "--oracle", "--bound", "5")
@@ -710,7 +734,7 @@ def _with_input(args, path) -> list:
     (("q-model", "--N", "1", "--m", "1", "--bound", "10"),
      "bound 10 is past 9"),
     (("catalog", "--max-points", "3", "--n", "3", "--oracle", "--bound",
-      "10"), "bound 10 is past 9"),
+      "10"), "bound 10 is past 8"),
     # 2^20000 maps have more digits than int formatting takes
     (("amalgam", "--in", "IN", "--n", "20000", "--oracle"),
      "at least 2^20000 - 2 maps of fan(20000) into the dual; it takes at "
