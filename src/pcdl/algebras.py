@@ -87,8 +87,9 @@ def _twin_swap_count(target: Poset) -> int:
     gamma hits the points that tau moves. So every orbit of onto maps
     has |S| members.
 
-    The three bounded searches over onto maps (the extension oracle,
-    extensile and the q-model lift check) read one gamma per orbit
+    The bounded searches over onto maps (the extension oracle, the
+    q-model lift check, and extensile through _onto_count onto a target
+    other than fan(1) and fan(2)) read one gamma per orbit
     (_iter_p_morphisms with target_twins) and weigh it by this count.
     Lifts do not tell an orbit's members apart: beta lifts alpha through
     gamma exactly when it lifts tau o alpha through tau o gamma, as tau
@@ -100,6 +101,76 @@ def _twin_swap_count(target: Poset) -> int:
     for cls in target.twin_classes:
         count *= factorial(len(cls))
     return count
+
+
+def _fan_rank(poset: Poset):
+    """k if poset is the fan fan(k), up to isomorphism, else None.
+
+    The fans are the posets with exactly one point that is non-maximal
+    or isolated: fan(0) is one isolated point, and past it every maximal
+    point lies above the one non-maximal point, the fan's bottom, so a
+    fan of n points has rank n - 1. The test is O(n).
+    """
+    max_mask = poset.maximals_mask
+    if (poset.n - max_mask.bit_count()
+            + (max_mask & poset.minimals_mask).bit_count()) == 1:
+        return poset.n - 1
+    return None
+
+
+def _down_set_count(poset: Poset, mask: int) -> int:
+    """The number of down-sets of the sub-poset on mask.
+
+    Split on the least point y of mask: a down-set either misses y, and
+    then all of up(y), or holds y, and then all of down(y); what is left
+    is any down-set of the rest, on either side.
+    """
+    if not mask:
+        return 1
+    y = (mask & -mask).bit_length() - 1
+    return (_down_set_count(poset, mask & ~poset.up[y])
+            + _down_set_count(poset, mask & ~poset.down[y]))
+
+
+def _onto_count(source: Poset, target: Poset) -> int:
+    """The number of onto p-morphisms source -> target.
+
+    Onto fan(1) and fan(2) the count is a closed form in source alone,
+    and no map is listed; onto any other target the target_twins search
+    is counted and weighed by _twin_swap_count(target). A maximal point
+    y of source has M(y) = {y}, so a p-morphism gamma sends it to a
+    maximal point.
+
+    fan(1), g < t: the count is the number of down-sets of the
+    non-maximal points of source, less one. Every maximal point goes to
+    t, and each non-maximal point y may go to g or to t, as M(g) = M(t)
+    = {t} = gamma(M(y)). gamma preserves order exactly when the points
+    sent to g form a down-set, and it is onto exactly when that down-set
+    is not empty (t is hit, as a nonempty source has maximal points).
+
+    fan(2), g < t1, t2: the count is 2^|Max| - 2^c, where Max is the
+    set of maximal points of source and c its number of connected
+    components. gamma is fixed by its restriction h to Max: a
+    non-maximal y must go to t_i when h(M(y)) = {t_i}, and to g when
+    h(M(y)) = {t1, t2}, the only points with those maximal sets. Every
+    h : Max -> {t1, t2} gives a p-morphism so, as y <= z puts M(z)
+    inside M(y). gamma hits g exactly when h takes both tops on some
+    M(y), and then it hits both tops too, so that is when it is onto.
+    Along y <= z the nonempty sets M(z) and M(y) meet, so h is constant
+    on every M(y) exactly when it is constant on each component: 2^c of
+    the 2^|Max| maps h give no onto gamma.
+    """
+    rank = _fan_rank(target)
+    if rank == 1:
+        return _down_set_count(
+            source, source.full_mask & ~source.maximals_mask) - 1
+    if rank == 2:
+        return (1 << source.maximals_mask.bit_count()) \
+            - (1 << len(source.components()))
+    count = 0
+    for _ in _iter_p_morphisms(source, target, onto=True, target_twins=True):
+        count += 1
+    return count * _twin_swap_count(target)
 
 
 def _iter_p_morphisms(source: Poset, target: Poset, onto: bool = False,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .algebras import (_dual, _twin_swap_count, in_variety, make_pcdl,
+from .algebras import (_dual, _fan_rank, _onto_count, in_variety, make_pcdl,
                        p_morphism_failure, star_embedding_failure)
 from .amalgamation import (ExtensionResult, _extension_classes,
                            _require_room)
@@ -221,34 +221,29 @@ def is_congruence_extensile_bounded(B, n: int, bound: int) -> ExtensionResult:
     (pullback_congruence). The per-pair check runs as a reference oracle
     in the test suite.
 
-    The gammas are read one per orbit of P's twin swaps, and each gamma
-    read counts _twin_swap_count(P) times the congruences: every orbit
-    has that many members (the proof is there), so the count is that of
-    reading every gamma.
+    So instances is |Con P| times the number of onto p-morphisms from
+    the extension classes, and each class's number is counted, not
+    listed (_onto_count, which holds the proofs): onto fan(1) it is the
+    number of down-sets of Y's non-maximal points less one, onto fan(2)
+    it is 2^|Max Y| - 2^(components of Y), and onto any other P the
+    gammas are read one per orbit of P's twin swaps and each counts
+    _twin_swap_count(P) times.
     """
     if not in_variety(B, n):
         raise ValueError("algebra is outside the variety of index %d" % n)
-    # local import: the benchmark tracer counts it as congruences.gamma_search
-    from .algebras import _iter_p_morphisms
     P = _dual(B)
     _require_room(P, bound)
-    per_orbit = len(enumerate_congruences(P)) * _twin_swap_count(P)
-    instances = 0
-    for Y in _extension_classes(P, n, bound):
-        for _ in _iter_p_morphisms(Y, P, onto=True, target_twins=True):
-            instances += per_orbit
-    return ExtensionResult("yes", None, instances, bound)
+    maps = sum(_onto_count(Y, P) for Y in _extension_classes(P, n, bound))
+    return ExtensionResult("yes", None,
+                           len(enumerate_congruences(P)) * maps, bound)
 
 
 def is_subdirectly_irreducible(A: UpSetLattice) -> bool:
     """Whether the nonempty dual congruences have a least member.
 
     By Lakser's theorem the subdirectly irreducible algebras are the
-    2^n-plus-unit ones, whose duals are the fans (fan(0) is one point):
-    the posets with exactly one point that is non-maximal or isolated.
-    The test is O(n) in the dual, so it answers at every size.
+    2^n-plus-unit ones, whose duals are the fans (fan(0) is one point),
+    which algebras._fan_rank tells apart in O(n), so it answers at every
+    size.
     """
-    base = A.base
-    max_mask = base.maximals_mask
-    return (base.n - max_mask.bit_count()
-            + (max_mask & base.minimals_mask).bit_count()) == 1
+    return _fan_rank(A.base) is not None

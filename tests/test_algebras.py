@@ -5,7 +5,8 @@ from math import factorial
 import pytest
 
 from pcdl import algebras, duality
-from pcdl.algebras import MAX_STAR_HOMS, _iter_p_morphisms, _twin_swap_count
+from pcdl.algebras import (MAX_STAR_HOMS, _fan_rank, _iter_p_morphisms,
+                           _onto_count, _twin_swap_count)
 from pcdl.enumeration import poset_classes_exactly
 from pcdl import (AbstractLattice, OrderMap, Poset, antichain,
                   build_quotient_model, chain, disjoint_sum,
@@ -362,6 +363,66 @@ def test_twin_swap_count():
     assert _twin_swap_count(antichain(4)) == 24
     assert _twin_swap_count(chain(3)) == 1
     assert _twin_swap_count(build_quotient_model(1, 1).quotient) == 12
+
+
+def test_fan_rank_names_exactly_the_fans():
+    for P in poset_classes_upto(6):
+        rank = _fan_rank(P)
+        is_fan = P.n > 0 and P.isomorphic(fan(P.n - 1))
+        assert rank == (P.n - 1 if is_fan else None)
+    assert _fan_rank(fan(12)) == 12 and _fan_rank(antichain(13)) is None
+
+
+def _small_fans() -> list:
+    """fan(1) and fan(2) with fresh labels and their bottom at every
+    index, as the benchmark relabels its inputs: 2 + 3 posets."""
+    rng = random.Random(34)
+    fans = list(dict.fromkeys(random_relabel(fan(k), rng)
+                              for k in (1, 2) for _ in range(12)))
+    assert len(fans) == 5
+    return fans
+
+
+def test_onto_count_onto_small_fans_is_closed_form(monkeypatch):
+    # onto fan(1) and fan(2) no map is listed, whatever the labels and
+    # the index of the bottom, and the count is that of the onto search
+    targets = _small_fans()
+    want = {(Y, P): len(list(_iter_p_morphisms(Y, P, onto=True)))
+            for Y in poset_classes_upto(7) for P in targets}
+
+    def refused(*args, **kwargs):
+        raise AssertionError("onto maps listed")
+    monkeypatch.setattr(algebras, "_iter_p_morphisms", refused)
+    assert all(_onto_count(Y, P) == count for (Y, P), count in want.items())
+    assert len(want) == 5 * len(poset_classes_upto(7))
+
+
+def test_onto_count_onto_small_fans_matches_brute_force():
+    rng = random.Random(35)
+    sources = list(poset_classes_upto(5))
+    sources += [random_relabel(Y, rng) for Y in sources if Y.n >= 2]
+    for P in _small_fans():
+        for Y in sources:
+            assert _onto_count(Y, P) == len(all_p_morphisms_raw(Y, P,
+                                                                onto=True))
+
+
+def test_onto_count_searches_onto_every_other_target(monkeypatch):
+    # one target_twins search per count, weighed by the swap count
+    calls = []
+
+    def recorded(source, target, **kwargs):
+        calls.append((source, target, kwargs))
+        return _iter_p_morphisms(source, target, **kwargs)
+    monkeypatch.setattr(algebras, "_iter_p_morphisms", recorded)
+    targets = [P for P in poset_classes_upto(4) if _fan_rank(P) not in (1, 2)]
+    assert len(targets) == len(poset_classes_upto(4)) - 2
+    for P in targets:
+        for Y in poset_classes_upto(6):
+            calls.clear()
+            count = _onto_count(Y, P)
+            assert calls == [(Y, P, {"onto": True, "target_twins": True})]
+            assert count == len(list(_iter_p_morphisms(Y, P, onto=True)))
 
 
 def test_p_morphism_failure_reports():

@@ -359,8 +359,9 @@ def test_oracle_reads_each_class_once(monkeypatch):
 
 def test_bounded_searches_share_the_target_twin_reduction(monkeypatch):
     # the oracle, extensile and the q-model lift check read one gamma per
-    # orbit of the target's twin swaps; the one plain onto search is the
-    # oracle's re-read of its failing class
+    # orbit of the target's twin swaps (extensile searches onto fan(3):
+    # onto fan(1) and fan(2) it counts in closed form); the one plain onto
+    # search is the oracle's re-read of its failing class
     calls = []
     for module in (amalgamation, qmodel, algebras):
         def recorded(source, target, *args, onto=False,
@@ -375,7 +376,7 @@ def test_bounded_searches_share_the_target_twin_reduction(monkeypatch):
             ("pcdl.amalgamation",
              lambda: extension_property_bounded(fan(2), 3, 6)),
             ("pcdl.algebras",
-             lambda: is_congruence_extensile_bounded(fan(2), 3, 6)),
+             lambda: is_congruence_extensile_bounded(fan(3), 3, 6)),
             ("pcdl.qmodel",
              lambda: check_lift_cases(build_quotient_model(0, 1), 7))]
     reads = []

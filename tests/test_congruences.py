@@ -287,21 +287,22 @@ def test_extensile_count_matches_per_pair_oracle():
 
 
 def test_extensile_reads_one_gamma_per_target_orbit(monkeypatch):
-    # the benchmark's three inputs at n = 3, bound 7: each gamma read
-    # stands for its orbit of P's twin swaps, of 2!, 1 and 3! maps
+    # the benchmark's three inputs at n = 3, bound 7: fan(2) and the
+    # 2-chain, fan(1), are counted in closed form, and each gamma read
+    # onto fan(3) stands for its orbit of 3! maps
     from pcdl import algebras
     search = algebras._iter_p_morphisms
     read = []
 
-    def counted(*args, **kwargs):
-        for table in search(*args, **kwargs):
-            read.append(kwargs.get("target_twins", False))
+    def counted(source, target, **kwargs):
+        for table in search(source, target, **kwargs):
+            read.append((target, kwargs.get("target_twins", False)))
             yield table
     monkeypatch.setattr(algebras, "_iter_p_morphisms", counted)
     got = [is_congruence_extensile_bounded(P, 3, 7).instances
            for P in (fan(2), chain(2), fan(3))]
     assert got == [39190, 72186, 18954]
-    assert all(read) and len(read) == 28332
+    assert len(read) == 351 and set(read) == {(fan(3), True)}
 
 
 def test_extensile_frozen_results():
